@@ -22,7 +22,7 @@
 //! noisy coupling angles, so repeated shot batteries at the same
 //! repetition rung reuse one preparation.
 
-use crate::cache::{xx_key, CacheCounters, PrepCache};
+use crate::cache::{xx_key, PrepCache};
 use crate::chain::{self, ChainDist, CHAIN_MAX_SPECIAL};
 use crate::dist::{
     connected_components, sample_strings, sample_strings_blocked, walsh_hadamard, ComponentDist,
@@ -34,7 +34,7 @@ use itqc_math::gray;
 use itqc_sim::{BitString, XxCircuit};
 use rand::rngs::SmallRng;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -43,11 +43,6 @@ use std::sync::OnceLock;
 /// Protocol class tests need `c = N/2` (16 at the paper's 32-qubit
 /// ceiling); anything larger returns [`BackendError::SupportTooLarge`].
 pub const MAX_COMPONENT: usize = 20;
-
-/// Entries held per thread in the component-distribution cache before an
-/// epoch flush. A 16-qubit component's CDF is ~½ MiB, so 96 entries cap
-/// the per-thread table memory at ~48 MiB worst-case.
-pub const COMPONENT_CACHE_CAPACITY: usize = 96;
 
 /// One component's string sampler, selected by size: the joint `2^c`
 /// table at or below [`MAX_COMPONENT`] qubits, the conditional-marginal
@@ -108,79 +103,6 @@ impl SampleComponent for ComponentSampler {
     }
 }
 
-/// A cache of materialized [`ComponentSampler`] tables keyed on the exact
-/// component sub-circuit ([`xx_key`]: qubits + angle bits) — the
-/// batch-amortisation layer of the backend. Trials that share a coupling
-/// graph produce byte-identical components wherever the noisy-angle
-/// perturbation leaves a component's angles untouched (e.g. healthy
-/// classes across trials, repeated rungs within one), and the component
-/// factorisation lets each such table be built once and reused even when
-/// *other* components of the circuit differ.
-///
-/// The cache is thread-local behind [`component_cache_stats`]: a
-/// [`ComponentSampler`] is a pure function of its key, so per-thread
-/// tables can never make results depend on scheduling.
-#[derive(Debug, Default)]
-pub struct ComponentDistCache {
-    map: HashMap<Vec<u64>, ComponentSampler>,
-    counters: CacheCounters,
-}
-
-impl ComponentDistCache {
-    /// Returns the cached table for `key`, building and storing it on
-    /// first sight.
-    pub fn get_or_build<F: FnOnce() -> ComponentSampler>(
-        &mut self,
-        key: Vec<u64>,
-        build: F,
-    ) -> ComponentSampler {
-        if let Some(hit) = self.map.get(&key) {
-            self.counters.hits += 1;
-            // Which requests hit depends on how trials were sharded
-            // across threads (each thread owns a cache) — nd telemetry.
-            itqc_obs::event::add_nd("backend.component_cache.hits", 1);
-            return hit.clone();
-        }
-        self.counters.misses += 1;
-        itqc_obs::event::add_nd("backend.component_cache.misses", 1);
-        let dist = build();
-        if self.map.len() >= COMPONENT_CACHE_CAPACITY {
-            self.counters.evictions += self.map.len() as u64;
-            itqc_obs::event::add_nd("backend.component_cache.evictions", self.map.len() as u64);
-            self.map.clear(); // epoch flush, same policy as PrepCache
-        }
-        self.map.insert(key, dist.clone());
-        dist
-    }
-
-    /// Full hit/miss/eviction counters since construction.
-    pub fn counters(&self) -> CacheCounters {
-        self.counters
-    }
-
-    /// Number of cached component tables.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-thread_local! {
-    static COMPONENT_CACHE: RefCell<ComponentDistCache> =
-        RefCell::new(ComponentDistCache::default());
-}
-
-/// Hit/miss/eviction counters of this thread's component-distribution
-/// cache since thread start — the denominator of the batch
-/// amortisation's observability (and of `--cost-report`'s prep count).
-pub fn component_cache_stats() -> CacheCounters {
-    COMPONENT_CACHE.with(|c| c.borrow().counters())
-}
-
 /// The analytic commuting-XX backend with its prepared-circuit cache.
 #[derive(Clone, Debug, Default)]
 pub struct XxAnalyticBackend {
@@ -221,24 +143,6 @@ impl SimBackend for XxAnalyticBackend {
     fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
         let xx = XxCircuit::from_circuit(circuit).ok_or(BackendError::NotCommutingXx)?;
         Ok(self.prepare_xx(xx)? as Rc<dyn PreparedCircuit>)
-    }
-
-    fn prepare_batch(
-        &self,
-        circuits: &[Circuit],
-    ) -> Vec<Result<Rc<dyn PreparedCircuit>, BackendError>> {
-        circuits
-            .iter()
-            .map(|circuit| {
-                let xx = XxCircuit::from_circuit(circuit).ok_or(BackendError::NotCommutingXx)?;
-                let prepared = self.prepare_xx(xx)?;
-                // Batch callers sample: materialize now so shared
-                // components amortise across the batch through the
-                // thread's component cache.
-                prepared.distributions();
-                Ok(prepared as Rc<dyn PreparedCircuit>)
-            })
-            .collect()
     }
 }
 
@@ -314,40 +218,20 @@ impl XxPrepared {
         &self.xx
     }
 
-    /// The component samplers, materialized on first use through the
-    /// calling thread's [`ComponentDistCache`] so circuits sharing a
-    /// component (same qubits, same exact angles) build its table once
-    /// per thread. Components of ≤ [`MAX_COMPONENT`] qubits get the
-    /// joint `2^c` table, larger ones the chain sampler (structure
-    /// validated at prepare time). Cached tables are byte-identical to
-    /// fresh builds (the key pins the angles bit-for-bit), so the cache
-    /// is invisible to every downstream statistic.
+    /// The component samplers, materialized on first use: components of
+    /// ≤ [`MAX_COMPONENT`] qubits get the joint `2^c` table, larger ones
+    /// the chain sampler (structure validated at prepare time). Every
+    /// table is a pure function of its component's exact angle bits.
     pub fn distributions(&self) -> &[ComponentSampler] {
-        self.dists
-            .get_or_init(|| COMPONENT_CACHE.with(|cache| self.build_dists(&mut cache.borrow_mut())))
-    }
-
-    /// Materializes the distributions through an explicit cache instead
-    /// of the thread-local one — for callers that manage their own
-    /// amortisation scope (tests pinning hit counts, external layers).
-    /// A no-op if the tables already exist.
-    pub fn materialize_with(&self, cache: &mut ComponentDistCache) -> &[ComponentSampler] {
-        self.dists.get_or_init(|| self.build_dists(cache))
-    }
-
-    fn build_dists(&self, cache: &mut ComponentDistCache) -> Vec<ComponentSampler> {
-        self.comp_circuits
-            .iter()
-            .map(|(sub, mask)| {
-                cache.get_or_build(xx_key(sub), || {
-                    // Built (not cache-served) component tables, by
-                    // size: the prep phase of the observed cost report.
-                    itqc_obs::event::observe_nd(
-                        "backend.prep.component_qubits",
-                        mask.count_ones() as u64,
-                        1,
-                    );
-                    if mask.count_ones() as usize <= MAX_COMPONENT {
+        self.dists.get_or_init(|| {
+            self.comp_circuits
+                .iter()
+                .map(|(sub, mask)| {
+                    // Component tables built, by size: the prep phase of
+                    // the observed cost report.
+                    let c = mask.count_ones() as usize;
+                    itqc_obs::event::observe_nd("backend.prep.component_qubits", c as u64, 1);
+                    if c <= MAX_COMPONENT {
                         ComponentSampler::Joint(component_distribution(sub))
                     } else {
                         let dist = ChainDist::build(sub)
@@ -355,8 +239,8 @@ impl XxPrepared {
                         ComponentSampler::Chain(dist)
                     }
                 })
-            })
-            .collect()
+                .collect()
+        })
     }
 
     /// Connected-component sizes in qubits, in preparation order.
@@ -442,10 +326,10 @@ fn component_distribution(sub: &XxCircuit) -> ComponentDist {
 }
 
 /// Counts the Joint-vs-Chain sampler dispatch of one sampling call.
-/// Counted at *sample* time (not table-build time, which thread-local
-/// caches make partition-dependent): the number of sampling calls
-/// routed to each engine is logical work, so it belongs to the
-/// deterministic snapshot.
+/// Counted at *sample* time (not table-build time, which per-thread
+/// preparation caches make partition-dependent): the number of
+/// sampling calls routed to each engine is logical work, so it belongs
+/// to the deterministic snapshot.
 fn record_sampler_dispatch(dists: &[ComponentSampler]) {
     if !itqc_obs::enabled() {
         return;
@@ -492,7 +376,7 @@ impl PreparedCircuit for XxPrepared {
         }
         // An oversize component makes the Gray sum intractable; the
         // chain sampler's (z_T, k) table answers any target in O(c),
-        // so materialize through the thread cache and look up.
+        // so materialize the samplers and look up.
         self.distributions().iter().map(|d| d.probability_global(target)).product()
     }
 
@@ -608,69 +492,6 @@ mod tests {
         let prep = XxPrepared::prepare(xx).unwrap();
         assert_eq!(prep.component_sizes(), vec![2, 2]);
         assert_eq!(prep.table_bytes(), 2 * 4 * 8 + 2 * 3 * 8);
-    }
-
-    #[test]
-    fn component_cache_amortises_shared_components_across_circuits() {
-        // Two circuits share the (0,1) component with identical angle
-        // bits but differ on their second component — the shared table
-        // must build once, and cached tables must be byte-identical to
-        // fresh builds.
-        let mut a = XxCircuit::new(6);
-        a.add_xx(0, 1, 0.7).add_xx(2, 3, 0.4);
-        let mut b = XxCircuit::new(6);
-        b.add_xx(0, 1, 0.7).add_xx(2, 3, 0.9); // perturbed second component
-        let prep_a = XxPrepared::build(a).unwrap();
-        let prep_b = XxPrepared::build(b).unwrap();
-        let mut cache = ComponentDistCache::default();
-        let dists_a = prep_a.materialize_with(&mut cache).to_vec();
-        let dists_b = prep_b.materialize_with(&mut cache).to_vec();
-        let counters = cache.counters();
-        assert_eq!(
-            (counters.hits, counters.misses),
-            (1, 3),
-            "the shared (0,1) component must hit on the second circuit"
-        );
-        assert_eq!(cache.len(), 3);
-        assert!(!cache.is_empty());
-        // The cache-served distribution equals a fresh build bit-for-bit.
-        let mut fresh = XxCircuit::new(6);
-        fresh.add_xx(0, 1, 0.7).add_xx(2, 3, 0.4);
-        let prep_fresh = XxPrepared::build(fresh).unwrap();
-        let mut empty = ComponentDistCache::default();
-        let dists_fresh = prep_fresh.materialize_with(&mut empty);
-        for (cached, built) in [(&dists_b[0], &dists_fresh[0]), (&dists_a[1], &dists_fresh[1])] {
-            let (cached, built) = (joint(cached), joint(built));
-            assert_eq!(cached.qubits(), built.qubits());
-            for local in 0..(1usize << cached.qubits().len()) {
-                assert_eq!(
-                    cached.probability(local).to_bits(),
-                    built.probability(local).to_bits(),
-                    "cached table must be byte-identical to a fresh build"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_prepare_materializes_through_the_thread_cache() {
-        let backend = XxAnalyticBackend::new();
-        let before = component_cache_stats();
-        let mut c1 = Circuit::new(4);
-        c1.xx(0, 1, 0.3).xx(2, 3, 0.8);
-        let mut c2 = Circuit::new(4);
-        c2.xx(0, 1, 0.3).xx(2, 3, 0.81);
-        let preps = SimBackend::prepare_batch(&backend, &[c1, c2]);
-        assert_eq!(preps.len(), 2);
-        let after = component_cache_stats();
-        // Four components total, one shared: ≥1 hit, exactly 3 misses.
-        assert_eq!(after.misses - before.misses, 3);
-        assert!(after.hits - before.hits >= 1);
-        // Batched preparations sample like unbatched ones.
-        let a = preps[0].as_ref().unwrap();
-        let mut r1 = SmallRng::seed_from_u64(5);
-        let mut r2 = SmallRng::seed_from_u64(5);
-        assert_eq!(a.sample_block(&mut r1, 64), a.sample(&mut r2, 64));
     }
 
     #[test]

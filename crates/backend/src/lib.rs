@@ -36,10 +36,7 @@ pub mod dense;
 pub mod dist;
 pub mod memo;
 
-pub use analytic::{
-    component_cache_stats, ComponentDistCache, ComponentSampler, XxAnalyticBackend, XxPrepared,
-    COMPONENT_CACHE_CAPACITY, MAX_COMPONENT,
-};
+pub use analytic::{ComponentSampler, XxAnalyticBackend, XxPrepared, MAX_COMPONENT};
 pub use cache::CacheCounters;
 pub use chain::{ChainDist, CHAIN_MAX_SPECIAL};
 pub use cost::{CostReport, SimCostModel};
@@ -160,20 +157,6 @@ pub trait SimBackend {
     /// Prepares `circuit` for evaluation, or explains why this engine
     /// cannot run it.
     fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError>;
-
-    /// Prepares a batch of circuits destined for shot sampling,
-    /// amortising whatever structure the circuits share. The default
-    /// prepares each circuit independently; the analytic engine
-    /// additionally materializes every preparation's sampling tables
-    /// through the thread's component-distribution cache, so circuits
-    /// sharing a coupling-graph component pay its `2^c` table build
-    /// once. Results are positionally aligned with `circuits`.
-    fn prepare_batch(
-        &self,
-        circuits: &[Circuit],
-    ) -> Vec<Result<Rc<dyn PreparedCircuit>, BackendError>> {
-        circuits.iter().map(|c| self.prepare(c)).collect()
-    }
 }
 
 /// CLI-level backend selection (`--backend=dense|analytic|auto`).
@@ -247,29 +230,6 @@ impl Backend {
             },
         }
     }
-
-    /// Prepares a sampling batch under the selection policy (see
-    /// [`SimBackend::prepare_batch`]); `Auto` amortises each circuit the
-    /// analytic engine accepts and falls back to dense for the rest.
-    pub fn prepare_batch(
-        &self,
-        circuits: &[Circuit],
-    ) -> Vec<Result<Rc<dyn PreparedCircuit>, BackendError>> {
-        match self.choice {
-            BackendChoice::Dense => self.dense.prepare_batch(circuits),
-            BackendChoice::Analytic => self.analytic.prepare_batch(circuits),
-            BackendChoice::Auto => circuits
-                .iter()
-                .map(|c| {
-                    self.analytic
-                        .prepare_batch(std::slice::from_ref(c))
-                        .pop()
-                        .expect("one result per circuit")
-                        .or_else(|_| self.dense.prepare(c))
-                })
-                .collect(),
-        }
-    }
 }
 
 impl SimBackend for Backend {
@@ -283,13 +243,6 @@ impl SimBackend for Backend {
 
     fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
         Backend::prepare(self, circuit)
-    }
-
-    fn prepare_batch(
-        &self,
-        circuits: &[Circuit],
-    ) -> Vec<Result<Rc<dyn PreparedCircuit>, BackendError>> {
-        Backend::prepare_batch(self, circuits)
     }
 }
 

@@ -13,7 +13,6 @@ use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 /// A quantum gate template, instantiated on qubits by an
 /// [`Op`](crate::circuit::Op).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Gate {
     /// Pauli X (NOT).
     X,

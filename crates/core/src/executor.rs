@@ -284,53 +284,13 @@ pub const INTERFERENCE_SUM_LIMIT: usize = 16;
 ///   fault, so the worst agreement is `(1 + c^{d_q})/2` minimised over
 ///   the per-qubit incident-fault counts `d_q`.
 pub fn predicted_class_score(faulty: &[Coupling], u: f64, reps: usize, score: ScoreMode) -> f64 {
-    if faulty.is_empty() {
-        return 1.0;
-    }
-    match score {
-        ScoreMode::ExactTarget => {
-            let m = faulty.len();
-            // The interference sum indexes qubits as u128 bits; labels
-            // beyond the mask width (or oversized sets) fall back to
-            // the product truncation rather than aliasing bits.
-            let maskable = faulty.iter().all(|f| {
-                let (a, b) = f.endpoints();
-                a < 128 && b < 128
-            });
-            if m <= 2 || m > INTERFERENCE_SUM_LIMIT || !maskable {
-                return point_test_fidelity(u, reps).powi(m as i32);
-            }
-            interference_class_score(faulty, u, reps)
-        }
-        ScoreMode::WorstQubit => {
-            let c = (reps as f64 * u * FRAC_PI_2).cos();
-            let mut degree: BTreeMap<usize, i32> = BTreeMap::new();
-            for f in faulty {
-                let (a, b) = f.endpoints();
-                *degree.entry(a).or_insert(0) += 1;
-                *degree.entry(b).or_insert(0) += 1;
-            }
-            degree.values().map(|&d| (1.0 + c.powi(d)) / 2.0).fold(1.0, f64::min)
-        }
-    }
+    ClassScorePredictor::new(faulty, reps, score).at(u)
 }
 
 /// The exact even-subgraph interference sum behind
 /// [`predicted_class_score`]'s `ExactTarget` branch (see its docs for
-/// the derivation). `2^m` subsets; callers bound `m`.
-fn interference_class_score(faulty: &[Coupling], u: f64, reps: usize) -> f64 {
-    let masks: Vec<u128> = faulty
-        .iter()
-        .map(|f| {
-            let (a, b) = f.endpoints();
-            (1u128 << a) | (1u128 << b)
-        })
-        .collect();
-    interference_sum(&masks, u, reps)
-}
-
-/// The per-`u` half of [`interference_class_score`], over pre-built
-/// endpoint masks (one per fault).
+/// the derivation), over endpoint masks (one per fault). `2^m` subsets;
+/// callers bound `m`.
 fn interference_sum(masks: &[u128], u: f64, reps: usize) -> f64 {
     let m = masks.len();
     let delta = reps as f64 * u * FRAC_PI_2 / 2.0;
@@ -359,12 +319,10 @@ fn interference_sum(masks: &[u128], u: f64, reps: usize) -> f64 {
     re * re + im * im
 }
 
-/// [`predicted_class_score`] with the `u`-independent work hoisted out:
+/// The forward model of [`predicted_class_score`], built once per cover:
 /// branch selection, worst-qubit degree counting, and interference mask
-/// construction happen once at build time, so the magnitude-profiling
-/// grid pays only the per-`u` trigonometry. Guaranteed bit-identical to
-/// `predicted_class_score(faulty, u, reps, score)` at every `u` — the
-/// per-`u` arithmetic is the same instruction sequence.
+/// construction happen at build time, so the magnitude-profiling grid
+/// pays only the per-`u` trigonometry.
 #[derive(Clone, Debug)]
 pub struct ClassScorePredictor {
     reps: usize,
@@ -381,9 +339,7 @@ enum PredictorKind {
     /// endpoint masks.
     Interference { masks: Vec<u128> },
     /// `WorstQubit`: per-qubit incident-fault degrees, in ascending
-    /// qubit order (matching the `BTreeMap` iteration of the unhoisted
-    /// path, so the min-fold visits identical values in identical
-    /// order).
+    /// qubit order.
     WorstQubit { degrees: Vec<i32> },
 }
 
@@ -396,6 +352,10 @@ impl ClassScorePredictor {
             match score {
                 ScoreMode::ExactTarget => {
                     let m = faulty.len();
+                    // The interference sum indexes qubits as u128 bits;
+                    // labels beyond the mask width (or oversized sets)
+                    // fall back to the product truncation rather than
+                    // aliasing bits.
                     let maskable = faulty.iter().all(|f| {
                         let (a, b) = f.endpoints();
                         a < 128 && b < 128
@@ -464,41 +424,6 @@ mod tests {
                 let f = exec.run_test(&spec, 1);
                 let expect = point_test_fidelity(u, reps);
                 assert!((f - expect).abs() < 1e-12, "u={u} reps={reps}: {f} vs {expect}");
-            }
-        }
-    }
-
-    #[test]
-    fn class_score_predictor_is_bit_identical_to_the_unhoisted_path() {
-        // Every branch — empty, product truncation, interference sum,
-        // worst-qubit degrees — across the full magnitude grid, both
-        // score modes, both ladder rungs.
-        let covers: Vec<Vec<Coupling>> = vec![
-            vec![],
-            vec![Coupling::new(0, 1)],
-            vec![Coupling::new(0, 1), Coupling::new(2, 3)],
-            vec![Coupling::new(0, 1), Coupling::new(1, 2), Coupling::new(0, 2)],
-            vec![
-                Coupling::new(0, 1),
-                Coupling::new(1, 2),
-                Coupling::new(2, 3),
-                Coupling::new(0, 3),
-            ],
-            vec![Coupling::new(0, 5), Coupling::new(0, 5), Coupling::new(2, 7)],
-        ];
-        for cover in &covers {
-            for reps in [2usize, 4] {
-                for score in [ScoreMode::ExactTarget, ScoreMode::WorstQubit] {
-                    let pred = ClassScorePredictor::new(cover, reps, score);
-                    for s in 0..33 {
-                        let u = 0.02 + 0.48 * s as f64 / 32.0;
-                        assert_eq!(
-                            pred.at(u).to_bits(),
-                            predicted_class_score(cover, u, reps, score).to_bits(),
-                            "cover {cover:?} reps={reps} score={score:?} u={u}"
-                        );
-                    }
-                }
             }
         }
     }

@@ -12,7 +12,6 @@ use std::fmt;
 
 /// A syndrome: failing first-round tests, keyed by bit position.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Syndrome {
     entries: BTreeMap<u32, bool>,
 }

@@ -18,7 +18,6 @@ use std::fmt;
 
 /// How a test's pass/fail statistic is computed from measurements.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ScoreMode {
     /// Fraction of shots landing exactly on the expected output string —
     /// the paper's literal "the test passes if the resulting state matches
@@ -35,7 +34,6 @@ pub enum ScoreMode {
 
 /// A fully specified single-output test circuit.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TestSpec {
     /// Human-readable provenance, e.g. `"round1 (2,1) x4MS"`.
     pub label: String,

@@ -19,7 +19,6 @@ pub trait DriftProcess {
 
 /// Brownian drift: `dx = σ·√dt·ξ` per step (σ in error-units per √minute).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomWalkDrift {
     /// Diffusion amplitude per √minute.
     pub sigma_per_sqrt_min: f64,
@@ -34,7 +33,6 @@ impl DriftProcess for RandomWalkDrift {
 /// Mean-reverting drift toward 0 with relaxation time `tau` minutes and
 /// stationary deviation `sigma`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OrnsteinUhlenbeckDrift {
     /// Relaxation time in minutes.
     pub tau_minutes: f64,
@@ -55,7 +53,6 @@ impl DriftProcess for OrnsteinUhlenbeckDrift {
 /// Fig. 7C phenomenology (most couplings within the 6% band, a few large
 /// outliers after 15 minutes of idling).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JumpDrift {
     /// The smooth component.
     pub base: OrnsteinUhlenbeckDrift,

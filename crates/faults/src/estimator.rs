@@ -29,7 +29,6 @@ pub fn eq1_ms_fidelity(eta_i: &[f64], eta_j: &[f64], alpha_sqr: &[f64]) -> f64 {
 
 /// Result of the two-circuit fidelity estimate of Eq. (2).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsFidelityEstimate {
     /// Measured even population `P*₀₀` from the bare-XX circuit.
     pub p00: f64,

@@ -15,7 +15,6 @@ use itqc_circuit::{Coupling, Gate, Op};
 /// artificial "47% and 22% under-rotations" of Fig. 6); negative values are
 /// over-rotations.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CouplingFault {
     /// The affected coupling.
     pub coupling: Coupling,
@@ -45,7 +44,6 @@ impl CouplingFault {
 /// Small-parameter deviation of a single-qubit gate: the paper's
 /// `R(θ+δθ, φ+δφ)` model.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OneQubitError {
     /// Additive angle error δθ.
     pub dtheta: f64,
@@ -72,7 +70,6 @@ impl OneQubitError {
 /// Small-parameter deviation of an MS gate: the paper's `M(θ+δθ, φ₁+δφ₁,
 /// φ₂+δφ₂)` model (Fig. 4).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsError {
     /// Additive entangling-angle error δθ.
     pub dtheta: f64,

@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Determinism axis of Table I.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Determinism {
     /// Reproducible run-to-run (at the observation time scale).
     Deterministic,
@@ -22,7 +21,6 @@ pub enum Determinism {
 
 /// Unitarity axis of Table I.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Unitarity {
     /// The faulty evolution is still a unitary map (wrong rotation angle,
     /// wrong axis, spurious coherent coupling).
@@ -34,7 +32,6 @@ pub enum Unitarity {
 /// Time-scale axis (the paper's "third axis"): slow noise can look
 /// deterministic within one run but drifts across the duty cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimeScale {
     /// Static over many duty cycles (alignment, gain errors).
     Static,
@@ -46,7 +43,6 @@ pub enum TimeScale {
 
 /// A concrete fault mechanism named in the paper, placed in the taxonomy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultKind {
     /// Inexact beam-intensity calibration (wrong gain on the illuminating
     /// beams) — the dominant source of MS-gate under-/over-rotation.

@@ -85,7 +85,7 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    fn params(&self, l1_hits: Counter, l1_misses: Counter) -> FleetParams {
+    fn params(&self) -> FleetParams {
         FleetParams {
             n_qubits: self.n_qubits,
             canary_cadence_min: self.canary_cadence_min.max(1),
@@ -95,8 +95,6 @@ impl FleetConfig {
             job_deadline_s: self.job_deadline_s,
             drift: self.drift,
             diag: self.diag.clone(),
-            l1_hits,
-            l1_misses,
         }
     }
 }
@@ -146,8 +144,6 @@ pub struct Fleet {
     stats: FleetStats,
     pending_submissions: Vec<(usize, f64)>,
     obs: Arc<Registry>,
-    l1_hits: Counter,
-    l1_misses: Counter,
 }
 
 impl Fleet {
@@ -174,9 +170,7 @@ impl Fleet {
         // registered handle, so the `stats`/`summary` renderings and
         // the deterministic metrics snapshot read the same totals.
         let obs = Arc::new(Registry::new());
-        let l1_hits = obs.counter("fleet.cache.l1.hits");
-        let l1_misses = obs.counter("fleet.cache.l1.misses");
-        let params = Arc::new(config.params(l1_hits.clone(), l1_misses.clone()));
+        let params = Arc::new(config.params());
         let shards = shard_bounds(config.traps, workers)
             .into_iter()
             .map(|(lo, hi)| Shard::spawn(lo, hi, config.seed, Arc::clone(&params)))
@@ -188,17 +182,7 @@ impl Fleet {
             obs.counter("fleet.cache.l2.evictions"),
         );
         let stats = FleetStats::new(&obs);
-        Fleet {
-            config,
-            shards,
-            cache,
-            tick: 0,
-            stats,
-            pending_submissions: Vec::new(),
-            obs,
-            l1_hits,
-            l1_misses,
-        }
+        Fleet { config, shards, cache, tick: 0, stats, pending_submissions: Vec::new(), obs }
     }
 
     /// The configuration the fleet runs under.
@@ -310,7 +294,7 @@ impl Fleet {
             self.stats.diagnoses.add(out.diagnoses);
             self.stats.tests_run.add(out.tests_run);
             self.stats.faults_fixed.add(out.faults_fixed);
-            self.cache.note_misses(out.l2.misses);
+            self.cache.note_misses(out.built.len() as u64);
             for key in &out.touched {
                 self.cache.note_hit(key, tick);
             }
@@ -356,10 +340,6 @@ impl Fleet {
                 queued += d.queue_depth;
             }
         }
-        // The drain barrier above synchronises every worker, so the
-        // shared L1 handles hold the fleet-wide totals at this point.
-        let l1 =
-            CacheCounters { hits: self.l1_hits.get(), misses: self.l1_misses.get(), evictions: 0 };
         let mut sorted = self.stats.latencies.clone();
         sorted.sort_by(f64::total_cmp);
         FleetSummary {
@@ -382,7 +362,6 @@ impl Fleet {
             shared_cache: self.cache.counters(),
             shared_entries: self.cache.len(),
             shared_bytes: self.cache.bytes(),
-            l1_cache: l1,
             duty,
         }
     }
@@ -439,8 +418,6 @@ pub struct FleetSummary {
     pub shared_entries: usize,
     /// Resident shared-cache bytes.
     pub shared_bytes: usize,
-    /// Per-trap (L1) cache totals, summed over traps.
-    pub l1_cache: CacheCounters,
     /// Fleet-wide seconds per activity, `Activity::ALL` order.
     pub duty: [f64; Activity::ALL.len()],
 }
@@ -492,13 +469,6 @@ impl fmt::Display for FleetSummary {
             self.shared_cache.hit_rate(),
             self.shared_entries,
             self.shared_bytes
-        )?;
-        writeln!(
-            f,
-            "  l1_cache hits {} misses {} hit_rate {:.4}",
-            self.l1_cache.hits,
-            self.l1_cache.misses,
-            self.l1_cache.hit_rate()
         )?;
         write!(f, "  duty_s")?;
         for (&secs, &a) in self.duty.iter().zip(Activity::ALL.iter()) {

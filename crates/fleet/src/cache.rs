@@ -1,21 +1,15 @@
-//! The fleet's two-level prepared-circuit cache.
+//! The fleet's shared prepared-circuit cache.
 //!
 //! Layered over `itqc_backend`'s per-backend cache idea, but shared
-//! across every trap in the fleet:
-//!
-//! * **L2 — [`SharedPrepCache`]** (one per fleet): owns the canonical
-//!   `xx_key → Arc<XxPrepared>` map under a byte budget with true LRU
-//!   eviction, and publishes an immutable [`CacheSnapshot`] that worker
-//!   threads read lock-free during a tick. All mutation happens on the
-//!   scheduler thread at tick barriers, in trap-id order, which is what
-//!   makes the hit/miss/eviction counters — and therefore the end-of-run
-//!   summary — bit-identical at any worker count.
-//! * **L1 — [`TrapCache`]** (one per trap): a tick-scoped working set
-//!   that absorbs the intra-diagnosis reuse (threshold re-tunes replay a
-//!   rung's battery within one tick) so the shared layer only sees
-//!   genuine cross-tick / cross-trap traffic. Being per-*trap* rather
-//!   than per-worker keeps its counters independent of the shard
-//!   partition.
+//! across every trap in the fleet: [`SharedPrepCache`] (one per fleet)
+//! owns the canonical `xx_key → Arc<XxPrepared>` map under a byte budget
+//! with true LRU eviction, and publishes an immutable [`CacheSnapshot`]
+//! that worker threads read lock-free during a tick. All mutation
+//! happens on the scheduler thread at tick barriers, in trap-id order,
+//! which is what makes the hit/miss/eviction counters — and therefore
+//! the end-of-run summary — bit-identical at any worker count. Within a
+//! tick, a trap replays circuits it built itself from its own build log
+//! (see [`crate::exec::CachedTrapExecutor`]).
 //!
 //! Keys are [`itqc_backend::cache::xx_key`] — register size, couplings,
 //! and the exact noisy angle bits — so a hit can never alias two
@@ -38,8 +32,8 @@ pub struct CacheSnapshot {
 }
 
 impl CacheSnapshot {
-    /// Looks up a preparation without touching any counters (the caller
-    /// records the outcome in its own [`CacheCounters`]).
+    /// Looks up a preparation without touching any counters (the
+    /// scheduler folds worker-observed outcomes in at the tick barrier).
     pub fn get(&self, key: &[u64]) -> Option<Arc<XxPrepared>> {
         self.map.get(key).cloned()
     }
@@ -256,70 +250,6 @@ impl SharedPrepCache {
     }
 }
 
-/// The per-trap L1 working set: cleared at the start of every tick, so
-/// it captures exactly the intra-tick reuse (a diagnosis replaying its
-/// rung batteries) and nothing else. Per-trap ownership keeps its
-/// counters identical under any shard partition.
-#[derive(Debug, Default)]
-pub struct TrapCache {
-    map: HashMap<PrepKey, Arc<XxPrepared>>,
-    hits: Counter,
-    misses: Counter,
-}
-
-impl TrapCache {
-    /// A tick-scoped cache counting into caller-supplied handles. The
-    /// fleet registers one `fleet.cache.l1.hits`/`.misses` pair and
-    /// shares it across every trap: each trap's lookups are its own
-    /// deterministic work, and atomic sums commute, so the shared
-    /// totals are identical at any worker count.
-    pub fn with_counters(hits: Counter, misses: Counter) -> Self {
-        TrapCache { map: HashMap::new(), hits, misses }
-    }
-
-    /// Drops the previous tick's working set (not counted as eviction —
-    /// retiring a working set is scope exit, not budget pressure).
-    pub fn begin_tick(&mut self) {
-        self.map.clear();
-    }
-
-    /// Counted lookup.
-    pub fn get(&mut self, key: &[u64]) -> Option<Arc<XxPrepared>> {
-        match self.map.get(key) {
-            Some(p) => {
-                self.hits.incr();
-                Some(Arc::clone(p))
-            }
-            None => {
-                self.misses.incr();
-                None
-            }
-        }
-    }
-
-    /// Stores a preparation for the rest of the tick.
-    pub fn insert(&mut self, key: PrepKey, prep: Arc<XxPrepared>) {
-        self.map.insert(key, prep);
-    }
-
-    /// Hit/miss totals recorded through this cache's handles
-    /// (evictions stay 0 by design). Fleet-wide rather than per-trap
-    /// when the handles are shared.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters { hits: self.hits.get(), misses: self.misses.get(), evictions: 0 }
-    }
-
-    /// Entries in the current tick's working set.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the working set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,7 +307,7 @@ mod tests {
         let (k0, p0) = prep(0.6);
         let mut cache = SharedPrepCache::new(usize::MAX);
         assert!(cache.lookup(&k0, 0).is_none());
-        cache.admit(k0.clone(), p0.clone(), 0);
+        cache.admit(k0.clone(), p0, 0);
         cache.end_tick(0);
         let snap = cache.snapshot();
         assert_eq!(snap.len(), 1);
@@ -390,15 +320,6 @@ mod tests {
         cache.note_misses(2);
         let c = cache.counters();
         assert_eq!((c.hits, c.misses), (1, 3));
-        // L1 is tick-scoped.
-        let mut l1 = TrapCache::default();
-        assert!(l1.get(&k0).is_none());
-        l1.insert(k0.clone(), p0);
-        assert!(l1.get(&k0).is_some());
-        l1.begin_tick();
-        assert!(l1.get(&k0).is_none());
-        let lc = l1.counters();
-        assert_eq!((lc.hits, lc.misses, lc.evictions), (1, 2, 0));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! [`CachedTrapExecutor`] implements `itqc_core::TestExecutor` over a
 //! [`VirtualTrap`], but instead of re-deriving every test circuit's
 //! output statistics shot-engine-style (`VirtualTrap::run_xx_test`), it
-//! resolves the accumulated noisy circuit through the two cache layers
-//! — per-trap L1, shared snapshot L2 — and only builds an
-//! [`XxPrepared`] on a double miss, logging the build so the scheduler
+//! resolves the accumulated noisy circuit through the trap's own
+//! per-tick build log, then the shared cache's snapshot, and only builds
+//! an [`XxPrepared`] when both miss, logging the build so the scheduler
 //! can admit it into the shared cache at the tick barrier.
 //!
 //! Shot outcomes are still drawn from the trap's own RNG
@@ -19,9 +19,9 @@
 //! per-shot jitter would make the circuit — and hence the cache key —
 //! change under the executor's feet.
 
-use crate::cache::{CacheSnapshot, PrepKey, TrapCache};
+use crate::cache::{CacheSnapshot, PrepKey};
 use itqc_backend::cache::xx_key;
-use itqc_backend::{CacheCounters, PreparedCircuit, XxPrepared};
+use itqc_backend::{PreparedCircuit, XxPrepared};
 use itqc_core::testplan::ScoreMode;
 use itqc_core::{TestExecutor, TestSpec};
 use itqc_trap::VirtualTrap;
@@ -63,56 +63,50 @@ pub fn score_prepared(
 }
 
 /// A per-trap executor routing circuit preparation through the fleet's
-/// cache hierarchy. Borrows the trap and its tick-scoped state for the
+/// shared cache. Borrows the trap and its tick-scoped state for the
 /// duration of one queue item.
 pub struct CachedTrapExecutor<'a> {
     trap: &'a mut VirtualTrap,
-    l1: &'a mut TrapCache,
-    l2: &'a CacheSnapshot,
-    /// Preparations built on a double miss, logged for barrier admission.
+    snapshot: &'a CacheSnapshot,
+    /// Preparations built this tick on a snapshot miss, logged for
+    /// barrier admission; replays within the tick are served from here.
     built: &'a mut Vec<(PrepKey, Arc<XxPrepared>)>,
-    /// Keys hit in the L2 snapshot (LRU refresh at the barrier).
+    /// Keys hit in the snapshot: each one is a shared-cache hit, and
+    /// refreshes the entry's LRU stamp at the barrier.
     touched: &'a mut Vec<PrepKey>,
-    /// L2 hit/miss outcomes observed against the snapshot.
-    l2_counters: &'a mut CacheCounters,
 }
 
 impl<'a> CachedTrapExecutor<'a> {
     /// Wires an executor over one trap's tick state.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         trap: &'a mut VirtualTrap,
-        l1: &'a mut TrapCache,
-        l2: &'a CacheSnapshot,
+        snapshot: &'a CacheSnapshot,
         built: &'a mut Vec<(PrepKey, Arc<XxPrepared>)>,
         touched: &'a mut Vec<PrepKey>,
-        l2_counters: &'a mut CacheCounters,
     ) -> Self {
         debug_assert!(
             trap.config().amplitude_jitter_std == 0.0,
             "cached execution needs quasi-static noise (no per-shot jitter)"
         );
-        CachedTrapExecutor { trap, l1, l2, built, touched, l2_counters }
+        CachedTrapExecutor { trap, snapshot, built, touched }
     }
 
     /// Resolves the prepared circuit for `spec` under the trap's current
-    /// calibration: L1, then the L2 snapshot, then build-and-log.
+    /// calibration: this tick's build log, then the shared snapshot,
+    /// then build-and-log. A circuit is built at most once per trap per
+    /// tick, and every build is one shared-cache miss.
     pub fn prepared_for(&mut self, spec: &TestSpec) -> Arc<XxPrepared> {
         let xx = spec.noisy_xx(self.trap.n_qubits(), |c| self.trap.true_under_rotation(c));
         let key = xx_key(&xx);
-        if let Some(p) = self.l1.get(&key) {
+        if let Some((_, p)) = self.built.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(p);
+        }
+        if let Some(p) = self.snapshot.get(&key) {
+            self.touched.push(key);
             return p;
         }
-        if let Some(p) = self.l2.get(&key) {
-            self.l2_counters.hits += 1;
-            self.touched.push(key.clone());
-            self.l1.insert(key, Arc::clone(&p));
-            return p;
-        }
-        self.l2_counters.misses += 1;
         let prep = Arc::new(XxPrepared::prepare(xx).expect("fleet test circuits are commuting-XX"));
         prep.distributions(); // materialize before sharing
-        self.l1.insert(key.clone(), Arc::clone(&prep));
         self.built.push((key, Arc::clone(&prep)));
         prep
     }
@@ -142,28 +136,6 @@ mod tests {
     use itqc_circuit::Coupling;
     use itqc_trap::{Activity, TrapConfig};
 
-    #[allow(clippy::type_complexity)]
-    fn harness(
-        seed: u64,
-    ) -> (
-        VirtualTrap,
-        TrapCache,
-        CacheSnapshot,
-        Vec<(PrepKey, Arc<XxPrepared>)>,
-        Vec<PrepKey>,
-        CacheCounters,
-    ) {
-        let trap = VirtualTrap::new(TrapConfig::ideal(6, seed));
-        (
-            trap,
-            TrapCache::default(),
-            CacheSnapshot::default(),
-            Vec::new(),
-            Vec::new(),
-            CacheCounters::default(),
-        )
-    }
-
     #[test]
     fn cached_executor_matches_direct_trap_execution() {
         // Same seed → the cached path must reproduce the trap's own
@@ -176,10 +148,10 @@ mod tests {
         let d1 = direct.run_test(&spec_exact, 400);
         let d2 = direct.run_test(&spec_worst, 250);
 
-        let (mut trap, mut l1, l2, mut built, mut touched, mut c) = harness(4242);
+        let mut trap = VirtualTrap::new(TrapConfig::ideal(6, 4242));
+        let (snap, mut built, mut touched) = (CacheSnapshot::default(), Vec::new(), Vec::new());
         trap.inject_fault(Coupling::new(0, 3), 0.21);
-        let mut exec =
-            CachedTrapExecutor::new(&mut trap, &mut l1, &l2, &mut built, &mut touched, &mut c);
+        let mut exec = CachedTrapExecutor::new(&mut trap, &snap, &mut built, &mut touched);
         let c1 = exec.run_test(&spec_exact, 400);
         let c2 = exec.run_test(&spec_worst, 250);
         assert_eq!(d1.to_bits(), c1.to_bits());
@@ -189,39 +161,42 @@ mod tests {
             trap.duty().seconds(Activity::Testing).to_bits(),
             "billing must match the shot-engine path"
         );
-        // Both circuits were cold: two L2 misses, two logged builds.
-        assert_eq!((c.hits, c.misses), (0, 2));
+        // Both circuits were cold: two logged builds, no snapshot hits.
         assert_eq!(built.len(), 2);
         assert!(touched.is_empty());
     }
 
     #[test]
-    fn repeat_tests_hit_l1_and_warm_snapshots_hit_l2() {
+    fn replay_reuses_the_tick_build_and_warm_snapshots_hit_l2() {
         let spec = TestSpec::for_couplings("t", &[Coupling::new(0, 1)], 2);
-        let (mut trap, mut l1, l2, mut built, mut touched, mut c) = harness(7);
+        let mut trap = VirtualTrap::new(TrapConfig::ideal(6, 7));
+        let (empty, mut built, mut touched) = (CacheSnapshot::default(), Vec::new(), Vec::new());
         {
-            let mut exec =
-                CachedTrapExecutor::new(&mut trap, &mut l1, &l2, &mut built, &mut touched, &mut c);
-            let _ = exec.run_test(&spec, 10);
-            let _ = exec.run_test(&spec, 10); // replay within the tick: L1
+            let mut exec = CachedTrapExecutor::new(&mut trap, &empty, &mut built, &mut touched);
+            let first = exec.prepared_for(&spec);
+            let replay = exec.prepared_for(&spec); // same tick: the trap's own build
+            assert!(Arc::ptr_eq(&first, &replay), "the replay must reuse the build");
         }
-        assert_eq!((c.hits, c.misses), (0, 1), "replay is absorbed by L1");
-        let l1c = l1.counters();
-        assert_eq!((l1c.hits, l1c.misses), (1, 1));
+        assert_eq!(built.len(), 1, "one build, so one shared-cache miss");
+        assert!(touched.is_empty(), "a replay of a build is no snapshot hit");
 
         // Promote the build into a shared cache and re-run on a fresh tick.
         let mut shared = crate::cache::SharedPrepCache::new(usize::MAX);
+        shared.note_misses(built.len() as u64);
         for (k, p) in built.drain(..) {
             shared.admit(k, p, 0);
         }
         shared.end_tick(0);
         let snap = shared.snapshot();
-        l1.begin_tick();
-        let mut exec =
-            CachedTrapExecutor::new(&mut trap, &mut l1, &snap, &mut built, &mut touched, &mut c);
+        let mut exec = CachedTrapExecutor::new(&mut trap, &snap, &mut built, &mut touched);
         let _ = exec.run_test(&spec, 10);
-        assert_eq!((c.hits, c.misses), (1, 1), "next tick is an L2 snapshot hit");
-        assert_eq!(touched.len(), 1, "the hit is logged for LRU refresh");
-        assert!(built.is_empty());
+        let _ = exec.run_test(&spec, 10);
+        assert!(built.is_empty(), "next tick is served by the snapshot");
+        assert_eq!(touched.len(), 2, "each snapshot hit is logged for the barrier");
+        for key in &touched {
+            shared.note_hit(key, 1);
+        }
+        let c = shared.counters();
+        assert_eq!((c.hits, c.misses), (2, 1));
     }
 }

@@ -38,7 +38,7 @@ pub mod queue;
 pub mod trap_state;
 
 pub use api::{Fleet, FleetConfig, FleetSummary, MINUTES_PER_DAY};
-pub use cache::{CacheSnapshot, SharedPrepCache, TrapCache};
+pub use cache::{CacheSnapshot, SharedPrepCache};
 pub use exec::CachedTrapExecutor;
 pub use queue::{WorkItem, WorkKind, WorkQueue};
 pub use trap_state::{FleetParams, TrapState, TrapStatus};

@@ -7,13 +7,13 @@
 //! scheduler collects one reply per shard *in shard order* — so every
 //! merged stream (prep requests, latencies, built preparations, cache
 //! counters) is ordered by trap id regardless of how many workers the
-//! partition used. That, plus per-trap RNG/queue/L1 ownership, is the
+//! partition used. That, plus per-trap RNG/queue ownership, is the
 //! whole determinism argument: a worker never touches state outside its
 //! shard, and the scheduler never observes replies in racy order.
 
 use crate::cache::{CacheSnapshot, PrepKey};
 use crate::trap_state::{FleetParams, PrepRequest, TrapDrain, TrapState, TrapStatus, TrapTickOut};
-use itqc_backend::{CacheCounters, XxPrepared};
+use itqc_backend::XxPrepared;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -60,8 +60,6 @@ pub struct ShardTickOut {
     pub built: Vec<(PrepKey, Arc<XxPrepared>)>,
     /// Snapshot hits (for LRU refresh).
     pub touched: Vec<PrepKey>,
-    /// L2 outcomes observed by the shard's traps.
-    pub l2: CacheCounters,
     /// Canaries run.
     pub canaries: u64,
     /// Canary trips.
@@ -81,7 +79,6 @@ impl ShardTickOut {
         self.latencies.extend(out.latencies);
         self.built.extend(out.built);
         self.touched.extend(out.touched);
-        self.l2 += out.l2;
         self.canaries += out.canaries;
         self.trips += out.trips;
         self.diagnoses += out.diagnoses;

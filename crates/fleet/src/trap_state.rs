@@ -13,7 +13,7 @@
 //!   preparation once.
 //! * **Phase B** (parallel): drain the work queue in priority order —
 //!   diagnosis, canary, then user jobs while the minute's budget lasts
-//!   — resolving every test circuit through the cache hierarchy, and
+//!   — resolving every test circuit through the shared cache, and
 //!   idle-fill to the minute boundary.
 //!
 //! Drift is *quasi-static*: calibration moves only at epoch boundaries
@@ -21,11 +21,11 @@
 //! byte-identical between epochs and the shared cache converts the
 //! repeat preparations into hits.
 
-use crate::cache::{CacheSnapshot, PrepKey, TrapCache};
+use crate::cache::{CacheSnapshot, PrepKey};
 use crate::exec::CachedTrapExecutor;
 use crate::queue::{WorkKind, WorkQueue, PRIO_CANARY, PRIO_DIAGNOSE, PRIO_JOB};
 use itqc_backend::cache::xx_key;
-use itqc_backend::{CacheCounters, XxPrepared};
+use itqc_backend::XxPrepared;
 use itqc_circuit::Coupling;
 use itqc_core::testplan::canary_for;
 use itqc_core::{diagnose_all, MultiFaultConfig, TestExecutor, TestSpec};
@@ -60,12 +60,6 @@ pub struct FleetParams {
     /// Diagnosis protocol configuration (canary threshold/shots live
     /// here too).
     pub diag: MultiFaultConfig,
-    /// Registry handle for L1 (tick-scoped) cache hits, shared across
-    /// every trap of the fleet — per-trap lookups are deterministic and
-    /// atomic sums commute, so the total is worker-invariant.
-    pub l1_hits: itqc_obs::Counter,
-    /// Registry handle for L1 cache misses (see [`Self::l1_hits`]).
-    pub l1_misses: itqc_obs::Counter,
 }
 
 /// A phase-A request for a prepared circuit, batched by the scheduler.
@@ -88,12 +82,10 @@ pub struct TrapTickOut {
     /// Completion latency (seconds from arrival) per completed job, in
     /// completion order.
     pub latencies: Vec<f64>,
-    /// Preparations built on an L1+L2 double miss.
+    /// Preparations built on a snapshot miss, one per shared-cache miss.
     pub built: Vec<(PrepKey, Arc<XxPrepared>)>,
-    /// Keys hit in the L2 snapshot (for LRU refresh).
+    /// Keys hit in the snapshot, one per shared-cache hit.
     pub touched: Vec<PrepKey>,
-    /// L2 hit/miss outcomes observed against the snapshot.
-    pub l2: CacheCounters,
     /// Canary tests run.
     pub canaries: u64,
     /// Canaries that tripped.
@@ -125,9 +117,7 @@ pub struct TrapStatus {
     pub recent_faults: Vec<(u64, Coupling)>,
 }
 
-/// Per-trap end-of-run accounting for the fleet summary. L1 cache
-/// totals are no longer carried here — they accumulate directly into
-/// the fleet registry's `fleet.cache.l1.*` handles.
+/// Per-trap end-of-run accounting for the fleet summary.
 #[derive(Clone, Debug)]
 pub struct TrapDrain {
     /// Seconds per activity, `Activity::ALL` order.
@@ -165,15 +155,14 @@ pub fn exponential(rng: &mut SmallRng, mean: f64) -> f64 {
     -mean * (1.0 - rng.gen::<f64>()).ln()
 }
 
-/// One trap of the fleet: the virtual machine, its work queue, its
-/// tick-scoped L1 cache, and the scheduling counters.
+/// One trap of the fleet: the virtual machine, its work queue, and the
+/// scheduling counters.
 pub struct TrapState {
     id: usize,
     params: Arc<FleetParams>,
     trap: VirtualTrap,
     arrival_rng: SmallRng,
     queue: WorkQueue,
-    l1: TrapCache,
     canary_spec: TestSpec,
     next_canary_min: u64,
     submitted_this_tick: u64,
@@ -194,14 +183,12 @@ impl TrapState {
         let arrival_rng = SmallRng::seed_from_u64(split_seed(master_seed ^ 0xF1EE_7D00, id as u64));
         let max_reps = *params.diag.reps_ladder.last().expect("non-empty ladder");
         let canary_spec = canary_for(&trap.couplings(), max_reps, params.diag.canary_score);
-        let l1 = TrapCache::with_counters(params.l1_hits.clone(), params.l1_misses.clone());
         TrapState {
             id,
             params,
             trap,
             arrival_rng,
             queue: WorkQueue::default(),
-            l1,
             canary_spec,
             next_canary_min: 0,
             submitted_this_tick: 0,
@@ -264,7 +251,6 @@ impl TrapState {
     /// Phase B of `tick`: drain the queue against `snap` and idle-fill
     /// to the minute boundary.
     pub fn phase_b(&mut self, tick: u64, snap: &CacheSnapshot) -> TrapTickOut {
-        self.l1.begin_tick();
         let minute_end = (tick + 1) as f64 * 60.0;
         let mut out = TrapTickOut { submitted: self.submitted_this_tick, ..Default::default() };
         self.submitted_this_tick = 0;
@@ -283,11 +269,9 @@ impl TrapState {
                     let score = {
                         let mut exec = CachedTrapExecutor::new(
                             &mut self.trap,
-                            &mut self.l1,
                             snap,
                             &mut out.built,
                             &mut out.touched,
-                            &mut out.l2,
                         );
                         exec.run_test(&self.canary_spec, self.params.diag.canary_shots)
                     };
@@ -303,11 +287,9 @@ impl TrapState {
                     let report = {
                         let mut exec = CachedTrapExecutor::new(
                             &mut self.trap,
-                            &mut self.l1,
                             snap,
                             &mut out.built,
                             &mut out.touched,
-                            &mut out.l2,
                         );
                         diagnose_all(&mut exec, self.params.n_qubits, &self.params.diag)
                     };
@@ -382,8 +364,6 @@ mod tests {
                 jump_scale: 0.3,
             },
             diag: fig2_diagnosis_config(),
-            l1_hits: itqc_obs::Counter::detached(),
-            l1_misses: itqc_obs::Counter::detached(),
         })
     }
 

@@ -178,26 +178,24 @@ fn adversarial_scenarios_agree_across_backends() {
 
 #[test]
 fn batched_prepare_and_blocked_sampling_match_the_unbatched_path_bit_for_bit() {
-    // The batch-first seam: `prepare_batch` must hand back circuits
-    // whose `sample_block` output — the path fig8/fig9/table2 and the
-    // fleet ride — is bit-identical to per-circuit `prepare` +
-    // per-shot `sample` from the same RNG state, at shot counts
-    // straddling the 4096-shot block boundary, on every backend.
+    // The blocked sampler — the path fig8/fig9/table2 and the fleet
+    // ride — must be bit-identical to per-shot `sample` from the same
+    // RNG state on every backend's preparations, at shot counts
+    // straddling the 4096-shot block boundary.
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xBA7C + case);
         let circuits: Vec<Circuit> = (0..3).map(|_| random_xx_circuit(&mut rng)).collect();
         for choice in [BackendChoice::Dense, BackendChoice::Analytic, BackendChoice::Auto] {
             let backend = Backend::new(choice);
-            let batched = backend.prepare_batch(&circuits);
-            for (circuit, batch_prep) in circuits.iter().zip(batched) {
-                let batch_prep = batch_prep.expect("pure-XX circuits prepare on every backend");
-                let single = backend.prepare(circuit).unwrap();
+            for circuit in &circuits {
+                let prep =
+                    backend.prepare(circuit).expect("pure-XX circuits prepare on every backend");
                 let seed = rng.gen::<u64>();
                 for shots in [0usize, 1, 300, 4095, 4099] {
                     let mut r1 = SmallRng::seed_from_u64(seed);
                     let mut r2 = SmallRng::seed_from_u64(seed);
-                    let a = single.sample(&mut r1, shots);
-                    let b = batch_prep.sample_block(&mut r2, shots);
+                    let a = prep.sample(&mut r1, shots);
+                    let b = prep.sample_block(&mut r2, shots);
                     assert_eq!(a, b, "case {case} {choice:?} shots {shots}");
                     assert_eq!(
                         r1.gen::<u64>(),
@@ -263,8 +261,6 @@ fn cost_model_prediction_brackets_measured_build_and_sample_time() {
         .map(|i| {
             let mut xx = itqc_sim::XxCircuit::new(14);
             for q in 0..13 {
-                // Distinct angles per build so the component cache
-                // cannot short-circuit the work being measured.
                 xx.add_xx(q, q + 1, 0.1 + 0.01 * (i * 13 + q) as f64);
             }
             let prep = XxPrepared::prepare(xx).unwrap();
