@@ -20,14 +20,16 @@
 //! would need `2^32` amplitudes. Prepared circuits (including their
 //! distributions) are memoized in a per-backend cache keyed by the
 //! noisy coupling angles, so repeated shot batteries at the same
-//! repetition rung reuse one preparation.
+//! repetition rung reuse one preparation. Single exact scores skip both
+//! the tables and the cache: they take the scalar path
+//! [`XxAnalyticBackend::score`], memoised across trials.
 
 use crate::cache::{xx_key, PrepCache};
 use crate::chain::{self, ChainDist, CHAIN_MAX_SPECIAL};
 use crate::dist::{
-    connected_components, sample_strings, sample_strings_blocked, walsh_hadamard, ComponentDist,
-    SampleComponent,
+    sample_strings, sample_strings_blocked, walsh_hadamard, ComponentDist, SampleComponent,
 };
+use crate::memo::{cached_score, ScoreKind, SCORE_MEMO_MIN_TERMS};
 use crate::{BackendError, PreparedCircuit, SimBackend};
 use itqc_circuit::Circuit;
 use itqc_math::gray;
@@ -122,16 +124,59 @@ impl XxAnalyticBackend {
         self.cache.borrow().stats()
     }
 
-    /// Prepares an accumulated [`XxCircuit`] directly (the circuit-free
-    /// entry point used by the executor fast path and tests).
-    pub fn prepare_xx(&self, xx: XxCircuit) -> Result<Rc<XxPrepared>, BackendError> {
-        let key = xx_key(&xx);
-        if let Some(hit) = self.cache.borrow_mut().get(&key) {
-            return Ok(hit);
+    /// The scalar exact-score path: one statistic of one circuit, with
+    /// no sampling tables for components of at most [`MAX_COMPONENT`]
+    /// qubits and no preparation-cache traffic.
+    ///
+    /// * [`ScoreKind::WorstQubit`] — the closed-form marginals.
+    /// * [`ScoreKind::ExactTarget`] — [`XxCircuit::fidelity`]'s
+    ///   per-component Gray walks while every component fits
+    ///   [`MAX_COMPONENT`]; above that, [`XxPrepared::probability`]'s
+    ///   chain tables.
+    ///
+    /// Circuits of at least [`SCORE_MEMO_MIN_TERMS`] couplings are
+    /// memoised across trials ([`crate::memo`]), which returns the first
+    /// evaluation's float verbatim. Refuses, typed, an oversize
+    /// component the chain sampler cannot take.
+    pub fn score(
+        &self,
+        xx: &XxCircuit,
+        target: BitString,
+        kind: ScoreKind,
+    ) -> Result<f64, BackendError> {
+        if xx.terms().nth(SCORE_MEMO_MIN_TERMS - 1).is_none() {
+            return evaluate(xx, target, kind);
         }
-        let prepared = Rc::new(XxPrepared::build(xx)?);
-        self.cache.borrow_mut().insert(key, Rc::clone(&prepared));
-        Ok(prepared)
+        cached_score(xx_key(xx), target, kind, || evaluate(xx, target, kind))
+    }
+}
+
+/// One unmemoised evaluation of [`XxAnalyticBackend::score`]. Component
+/// walks and closed-form evaluations are recorded by size for the
+/// observed cost report; which evaluations the per-thread memo absorbs
+/// depends on the sharding, so both are nondeterministic telemetry.
+fn evaluate(xx: &XxCircuit, target: BitString, kind: ScoreKind) -> Result<f64, BackendError> {
+    match kind {
+        ScoreKind::WorstQubit => {
+            if itqc_obs::enabled() {
+                let support = xx.support().len() as u64;
+                itqc_obs::event::observe_nd("backend.agreement.support_qubits", support, 1);
+            }
+            Ok(xx.min_qubit_agreement(target))
+        }
+        ScoreKind::ExactTarget => {
+            let masks = xx.component_masks();
+            if masks.iter().any(|m| m.count_ones() as usize > MAX_COMPONENT) {
+                return Ok(XxPrepared::prepare(xx.clone())?.probability(target));
+            }
+            if itqc_obs::enabled() {
+                for mask in masks {
+                    let c = mask.count_ones() as u64;
+                    itqc_obs::event::observe_nd("backend.walk.component_qubits", c, 1);
+                }
+            }
+            Ok(xx.fidelity(target))
+        }
     }
 }
 
@@ -142,7 +187,13 @@ impl SimBackend for XxAnalyticBackend {
 
     fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
         let xx = XxCircuit::from_circuit(circuit).ok_or(BackendError::NotCommutingXx)?;
-        Ok(self.prepare_xx(xx)? as Rc<dyn PreparedCircuit>)
+        let key = xx_key(&xx);
+        if let Some(hit) = self.cache.borrow_mut().get(&key) {
+            return Ok(hit);
+        }
+        let prepared = Rc::new(XxPrepared::prepare(xx)?);
+        self.cache.borrow_mut().insert(key, Rc::clone(&prepared));
+        Ok(prepared)
     }
 }
 
@@ -170,31 +221,8 @@ impl XxPrepared {
     /// stores preparations behind `Arc` instead of this crate's
     /// per-backend `Rc`).
     pub fn prepare(xx: XxCircuit) -> Result<Self, BackendError> {
-        Self::build(xx)
-    }
-
-    pub(crate) fn build(xx: XxCircuit) -> Result<Self, BackendError> {
         let support = xx.support();
-        let pos: BTreeMap<usize, usize> =
-            support.iter().enumerate().map(|(k, &q)| (q, k)).collect();
-        let edges: Vec<(usize, usize)> = xx.terms().map(|((a, b), _)| (pos[&a], pos[&b])).collect();
-        let comps = connected_components(support.len(), &edges);
-        let comp_circuits: Vec<(XxCircuit, BitString)> = comps
-            .iter()
-            .map(|members| {
-                let qubits: Vec<usize> = members.iter().map(|&k| support[k]).collect();
-                let set: std::collections::BTreeSet<usize> = qubits.iter().copied().collect();
-                let mut sub = XxCircuit::new(xx.n_qubits());
-                for ((a, b), theta) in xx.terms() {
-                    if set.contains(&a) {
-                        debug_assert!(set.contains(&b), "edge must stay inside its component");
-                        sub.add_xx(a, b, theta);
-                    }
-                }
-                let mask = qubits.iter().fold(0 as BitString, |m, &q| m | ((1 as BitString) << q));
-                (sub, mask)
-            })
-            .collect();
+        let comp_circuits = xx.components();
         // Oversize components must carry chain-sampleable structure;
         // the cheap O(c²) plan runs here so an unstructured giant
         // surfaces as a typed refusal at prepare time, never as a 2^c
@@ -354,29 +382,22 @@ impl PreparedCircuit for XxPrepared {
     }
 
     fn probability(&self, target: BitString) -> f64 {
-        // Off-support bits must stay |0⟩.
-        let mut mask: BitString = 0;
-        for &q in &self.support {
-            mask |= (1 as BitString) << q;
+        let small =
+            self.comp_circuits.iter().all(|(_, m)| m.count_ones() as usize <= MAX_COMPONENT);
+        if small && self.dists.get().is_none() {
+            // Small components: one exact 2^c Gray sum each, cheaper
+            // than materializing tables for a single target.
+            return self.xx.fidelity(target);
         }
+        // Off-support bits must stay |0⟩.
+        let mask = self.comp_circuits.iter().fold(0 as BitString, |m, (_, c)| m | c);
         if target & !mask != 0 {
             return 0.0;
         }
-        // Product of per-component probabilities — each an exact table
-        // lookup once sampling materialized the samplers.
-        if let Some(dists) = self.dists.get() {
-            return dists.iter().map(|d| d.probability_global(target)).product();
-        }
-        if self.comp_circuits.iter().all(|(_, m)| m.count_ones() as usize <= MAX_COMPONENT) {
-            // Small components: one exact 2^c Gray sum each, cheaper
-            // than materializing tables for a single target. Each
-            // component only sees its own bits of the target; bits of
-            // other components would (wrongly) zero its amplitude.
-            return self.comp_circuits.iter().map(|(sub, m)| sub.fidelity(target & m)).product();
-        }
-        // An oversize component makes the Gray sum intractable; the
-        // chain sampler's (z_T, k) table answers any target in O(c),
-        // so materialize the samplers and look up.
+        // Product of per-component table lookups: once sampling
+        // materialized the samplers, or because an oversize component
+        // makes the Gray sum intractable and the chain sampler's
+        // (z_T, k) table answers any target in O(c).
         self.distributions().iter().map(|d| d.probability_global(target)).product()
     }
 
@@ -428,7 +449,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         for _ in 0..10 {
             let xx = random_xx(&mut rng, 7, 9);
-            let prep = XxPrepared::build(xx.clone()).unwrap();
+            let prep = XxPrepared::prepare(xx.clone()).unwrap();
             for _ in 0..12 {
                 let target = rng.gen_range(0..(1usize << 7)) as BitString;
                 let direct = xx.fidelity(target);
@@ -448,7 +469,7 @@ mod tests {
         // Two disjoint pairs → two 2-qubit components, each P(00)=P(11)=½.
         let mut xx = XxCircuit::new(6);
         xx.add_xx(0, 2, FRAC_PI_2).add_xx(3, 5, FRAC_PI_2);
-        let prep = XxPrepared::build(xx).unwrap();
+        let prep = XxPrepared::prepare(xx).unwrap();
         let dists = prep.distributions();
         assert_eq!(dists.len(), 2);
         assert_eq!(dists[0].qubits(), &[0, 2]);
@@ -472,10 +493,10 @@ mod tests {
     #[test]
     fn cache_returns_shared_preparations() {
         let backend = XxAnalyticBackend::new();
-        let mut xx = XxCircuit::new(4);
-        xx.add_xx(0, 1, 0.7).add_xx(2, 3, -0.2);
-        let a = backend.prepare_xx(xx.clone()).unwrap();
-        let b = backend.prepare_xx(xx).unwrap();
+        let mut circuit = Circuit::new(4);
+        circuit.xx(0, 1, 0.7).xx(2, 3, -0.2);
+        let a = backend.prepare(&circuit).unwrap();
+        let b = backend.prepare(&circuit).unwrap();
         assert!(Rc::ptr_eq(&a, &b), "identical circuits must share one preparation");
         let (hits, misses) = backend.cache_stats();
         assert_eq!((hits, misses), (1, 1));
@@ -504,7 +525,7 @@ mod tests {
         for q in 1..MAX_COMPONENT + 2 {
             xx.add_xx(0, q, 0.1); // a star: one (MAX_COMPONENT+2)-qubit component
         }
-        match XxPrepared::build(xx) {
+        match XxPrepared::prepare(xx) {
             Err(BackendError::ChainUnsupported { support, special, limit }) => {
                 assert_eq!(support, MAX_COMPONENT + 2);
                 assert_eq!(special, MAX_COMPONENT + 2);
@@ -525,7 +546,7 @@ mod tests {
                 xx.add_xx(a, b, 2.0 * FRAC_PI_2 * 0.96);
             }
         }
-        let prep = XxPrepared::build(xx).unwrap();
+        let prep = XxPrepared::prepare(xx).unwrap();
         let dists = prep.distributions();
         assert_eq!(dists.len(), 1);
         assert!(matches!(dists[0], ComponentSampler::Chain(_)));
@@ -548,7 +569,7 @@ mod tests {
                 xx.add_xx(a, b, 2.0 * FRAC_PI_2 * 0.97);
             }
         }
-        let prep = XxPrepared::build(xx).unwrap();
+        let prep = XxPrepared::prepare(xx).unwrap();
         let dists = prep.distributions();
         assert_eq!(dists.len(), 1);
         assert_eq!(dists[0].qubits().len(), 16);

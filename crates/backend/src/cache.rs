@@ -199,7 +199,7 @@ mod tests {
         for i in 0..(CACHE_CAPACITY + 10) {
             let mut xx = XxCircuit::new(4);
             xx.add_xx(0, 1, i as f64 * 1e-3);
-            let prep = Rc::new(XxPrepared::build(xx).unwrap());
+            let prep = Rc::new(XxPrepared::prepare(xx).unwrap());
             cache.insert(xx_key(prep.xx()), prep);
             assert!(cache.len() <= CACHE_CAPACITY);
         }

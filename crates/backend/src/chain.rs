@@ -435,7 +435,7 @@ mod tests {
         let xx = complete_xx(10, &members, 2.0 * FRAC_PI_2 * 0.97, &[(1, 4, 1.1), (4, 7, -0.3)]);
         let chain = ChainDist::build(&xx).unwrap();
         assert_eq!(chain.special_count(), 3);
-        let joint = crate::analytic::XxPrepared::build(xx).unwrap();
+        let joint = crate::analytic::XxPrepared::prepare(xx).unwrap();
         let mut worst = 0.0f64;
         for local in 0..(1u32 << 10) {
             let target = local as BitString;
@@ -465,7 +465,7 @@ mod tests {
                 continue;
             }
             let chain = ChainDist::build(&xx).unwrap();
-            let prep = crate::analytic::XxPrepared::build(xx).unwrap();
+            let prep = crate::analytic::XxPrepared::prepare(xx).unwrap();
             // Spread local states onto the support: component samplers
             // ignore off-support bits, prep.probability zeroes them.
             for local in 0..(1u32 << support.len()) {
@@ -485,7 +485,7 @@ mod tests {
         let members: Vec<usize> = (0..12).collect();
         let xx = complete_xx(12, &members, 2.0 * FRAC_PI_2 * 0.95, &[(0, 3, 1.3)]);
         let chain = ChainDist::build(&xx).unwrap();
-        let prep = crate::analytic::XxPrepared::build(xx).unwrap();
+        let prep = crate::analytic::XxPrepared::prepare(xx).unwrap();
         let joint: Vec<ComponentDist> = prep.distributions().iter().map(joint_of).collect();
         let mut r1 = SmallRng::seed_from_u64(77);
         let mut r2 = SmallRng::seed_from_u64(77);

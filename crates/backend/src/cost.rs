@@ -10,8 +10,8 @@
 //!   resolves it against the component's cumulative table in
 //!   `log2(2^c)` bisection steps.
 //!
-//! Exact single-target scoring (the oracle fast path) pays the Gray
-//! walk without the transform. The constants are calibrated on the
+//! Exact single-target scoring (the analytic scalar path) pays one Gray
+//! walk per component without the transform. The constants are calibrated on the
 //! reference 1-vCPU container; they are *order-of-magnitude* honest,
 //! not microbenchmarks — the CI gate accepts a predicted/measured ratio
 //! anywhere in `[0.25, 4.0]` and exists to catch the model (or the

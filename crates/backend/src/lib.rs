@@ -214,7 +214,7 @@ impl Backend {
         self.choice
     }
 
-    /// The analytic engine (for cache statistics).
+    /// The analytic engine: its scalar score path and cache statistics.
     pub fn analytic(&self) -> &XxAnalyticBackend {
         &self.analytic
     }

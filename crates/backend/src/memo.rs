@@ -13,9 +13,10 @@
 //! table; values never cross threads, so scheduling cannot matter).
 //!
 //! The memo complements the [`crate::cache::PrepCache`] one level up:
-//! the prep cache amortises *table construction* for sampling and
-//! repeated-target queries, this memo amortises *single-target exact
-//! evaluation* on the oracle fast path that never builds tables at all.
+//! the prep cache amortises *table construction* for sampling, this memo
+//! amortises *single-target exact evaluation* on the analytic engine's
+//! scalar path ([`crate::XxAnalyticBackend::score`]), which never
+//! touches the prep cache.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -25,10 +26,9 @@ use std::collections::HashMap;
 /// gates) the table tops out around 100 MiB worst-case.
 pub const SCORE_MEMO_CAPACITY: usize = 1 << 15;
 
-/// Gate count below which memoisation is skipped: tiny circuits (point
-/// tests, canaries on a few couplings) evaluate faster than their key
-/// hashes.
-pub const SCORE_MEMO_MIN_GATES: usize = 6;
+/// Coupling count below which memoisation is skipped: a single-coupling
+/// point test evaluates faster than its key hashes.
+pub const SCORE_MEMO_MIN_TERMS: usize = 2;
 
 /// The memoised statistic, part of the key (one circuit serves both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -48,15 +48,16 @@ thread_local! {
 }
 
 /// Returns the memoised score for `(circuit_key, target, kind)`,
-/// computing and storing it on first sight. `circuit_key` must come
-/// from [`crate::cache::xx_key`] (or be equally exact): the memo is
-/// only sound because the key determines the score bit-for-bit.
-pub fn cached_score<F: FnOnce() -> f64>(
+/// computing and storing it on first sight (a refusal is returned, not
+/// stored). `circuit_key` must come from [`crate::cache::xx_key`] (or be
+/// equally exact): the memo is only sound because the key determines
+/// the score bit-for-bit.
+pub(crate) fn cached_score<E>(
     circuit_key: Vec<u64>,
     target: itqc_sim::BitString,
     kind: ScoreKind,
-    compute: F,
-) -> f64 {
+    compute: impl FnOnce() -> Result<f64, E>,
+) -> Result<f64, E> {
     let key = (circuit_key, target, kind);
     // Lookups are logical work (one per memo-eligible score request,
     // whatever the sharding) — deterministic. The hit/miss split
@@ -66,11 +67,11 @@ pub fn cached_score<F: FnOnce() -> f64>(
     if let Some(hit) = SCORE_MEMO.with(|m| m.borrow().get(&key).copied()) {
         SCORE_STATS.with(|s| s.borrow_mut().0 += 1);
         itqc_obs::event::add_nd("backend.memo.hits", 1);
-        return hit;
+        return Ok(hit);
     }
     SCORE_STATS.with(|s| s.borrow_mut().1 += 1);
     itqc_obs::event::add_nd("backend.memo.misses", 1);
-    let value = compute();
+    let value = compute()?;
     SCORE_MEMO.with(|m| {
         let mut m = m.borrow_mut();
         if m.len() >= SCORE_MEMO_CAPACITY {
@@ -78,7 +79,7 @@ pub fn cached_score<F: FnOnce() -> f64>(
         }
         m.insert(key, value);
     });
-    value
+    Ok(value)
 }
 
 /// (hits, misses) of this thread's memo since thread start.
@@ -92,17 +93,21 @@ mod tests {
 
     #[test]
     fn memo_returns_the_first_computation_bit_for_bit() {
-        let key = vec![4u64, 0, 1, 0.5f64.to_bits()];
-        let first = cached_score(key.clone(), 3, ScoreKind::ExactTarget, || 0.123456789);
+        let score = |key: &[u64], target, kind, v: f64| {
+            cached_score(key.to_vec(), target, kind, || Ok::<_, ()>(v)).unwrap()
+        };
+        let key = [4u64, 0, 1, 0.5f64.to_bits()];
+        let first = score(&key, 3, ScoreKind::ExactTarget, 0.123456789);
         // A conflicting recompute must be ignored: the memo serves the
         // original value.
-        let second = cached_score(key.clone(), 3, ScoreKind::ExactTarget, || 0.987654321);
+        let second = score(&key, 3, ScoreKind::ExactTarget, 0.987654321);
         assert_eq!(first.to_bits(), second.to_bits());
         // Different target or statistic is a different entry.
-        let other = cached_score(key.clone(), 4, ScoreKind::ExactTarget, || 0.5);
-        assert_eq!(other, 0.5);
-        let worst = cached_score(key, 3, ScoreKind::WorstQubit, || 0.25);
-        assert_eq!(worst, 0.25);
+        assert_eq!(score(&key, 4, ScoreKind::ExactTarget, 0.5), 0.5);
+        assert_eq!(score(&key, 3, ScoreKind::WorstQubit, 0.25), 0.25);
+        // A refusal is returned and not stored.
+        assert_eq!(cached_score(vec![9], 0, ScoreKind::ExactTarget, || Err("no")), Err("no"));
+        assert_eq!(score(&[9], 0, ScoreKind::ExactTarget, 0.75), 0.75);
     }
 
     #[test]
@@ -110,11 +115,11 @@ mod tests {
         // Overfill the thread's memo; the epoch flush must keep it
         // usable (and the flushed entry recomputes to the same value —
         // pure functions make eviction invisible).
-        for i in 0..(SCORE_MEMO_CAPACITY + 16) {
-            let v = cached_score(vec![i as u64], 0, ScoreKind::ExactTarget, || i as f64);
-            assert_eq!(v, i as f64);
+        let score =
+            |i: u64| cached_score(vec![i], 0, ScoreKind::ExactTarget, || Ok::<_, ()>(i as f64));
+        for i in 0..(SCORE_MEMO_CAPACITY as u64 + 16) {
+            assert_eq!(score(i), Ok(i as f64));
         }
-        let again = cached_score(vec![7u64], 0, ScoreKind::ExactTarget, || 7.0);
-        assert_eq!(again, 7.0);
+        assert_eq!(score(7), Ok(7.0));
     }
 }

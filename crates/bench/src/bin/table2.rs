@@ -25,7 +25,7 @@
 //! point-verification fallback extensions) on the 8-qubit cells.
 
 use itqc_bench::output::{pct, section, Table};
-use itqc_bench::{table2_identification_rate, table2_identification_rate_backed, Args};
+use itqc_bench::{table2_identification_rate, Args};
 use itqc_core::DecoderPolicy;
 
 fn main() {
@@ -81,20 +81,19 @@ fn main() {
     if xl {
         // Beyond-paper scale: N = 64 makes every first-round class a
         // 32-qubit complete component, past the joint-table cap — the
-        // exact scores route through the backend seam so the chain
-        // sampler's polynomial (z_T, k) tables answer each target.
+        // exact oracle answers those targets from the chain sampler's
+        // polynomial (z_T, k) tables.
         section("table2_xl: beyond-paper N = 64 row (backend-routed exact scores)");
         let mut txl = Table::new(["qubits", "1 fault", "2 faults", "3 faults"]);
         let mut cells = vec!["64".to_string()];
         for k in 1..=3usize {
             let trials = if k == 3 { args.trials / 4 } else { args.trials / 2 };
-            let p = table2_identification_rate_backed(
+            let p = table2_identification_rate(
                 64,
                 k,
                 trials.max(2),
                 args.threads,
                 decoder,
-                args.backend,
                 args.seed_for(&format!("t2xl/64/{k}")),
             );
             cells.push(pct(p));

@@ -240,8 +240,8 @@ fn hist<'a>(snap: &'a Snapshot, name: &str) -> &'a [(u64, u64)] {
 /// same static unit costs, next to the plan's prediction. This is what
 /// localises cost-model drift: a static plan prices every score
 /// evaluation as a full `2^c` walk, but the observed table splits them
-/// into real Gray walks (memo misses), closed-form worst-qubit
-/// evaluations, backend table lookups, and memo lookup traffic — so a
+/// into real per-component Gray walks (memo misses), closed-form
+/// worst-qubit evaluations, and memo lookup traffic — so a
 /// whole-run ratio of 3× decomposes into "the walk phase is over-counted
 /// 10×, everything else is fine". Returns `None` when the observability
 /// layer is off (plain `--cost-report` runs enable it).
@@ -260,19 +260,18 @@ pub fn observed_phases(prediction: &RunPrediction) -> Option<Vec<PhaseCost>> {
         .iter()
         .map(|&(c, w)| w as f64 * model.table_build_seconds(&[c as usize]))
         .fold(0.0, |acc, s| acc + s);
-    // Exact evaluation: real Gray walks at the exponential price,
-    // closed-form worst-qubit evaluations at their O(support²)
-    // trig cost, backend-path exact queries at table-lookup cost.
-    let walks: f64 = hist(&nd, "core.walk.support_qubits")
+    // Exact evaluation on the analytic scalar path: real Gray walks at
+    // the exponential price per component, closed-form worst-qubit
+    // evaluations at their O(support²) trig cost.
+    let walks: f64 = hist(&nd, "backend.walk.component_qubits")
         .iter()
         .map(|&(c, w)| w as f64 * model.exact_walk_seconds(&[c as usize]))
         .fold(0.0, |acc, s| acc + s);
-    let agreements: f64 = hist(&nd, "core.agreement.support_qubits")
+    let agreements: f64 = hist(&nd, "backend.agreement.support_qubits")
         .iter()
         .map(|&(c, w)| w as f64 * (c * c) as f64 * PHASE_STEP_SECONDS)
         .fold(0.0, |acc, s| acc + s);
-    let queries = det.counters.get("core.exact.queries").copied().unwrap_or(0);
-    let walk = walks + agreements + queries as f64 * SCORE_MEMO_LOOKUP_SECONDS;
+    let walk = walks + agreements;
     // Memoised score traffic the static plan cannot see: every lookup
     // pays key construction + hash, hits pay nothing more (their eval
     // was priced in the walk phase when it was a miss).

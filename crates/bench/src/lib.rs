@@ -48,5 +48,5 @@ pub use detectability::{fig8_curve, fig8_threshold, DetectabilityCurve};
 pub use fig9::{fig9_panel, Fig9Panel};
 pub use output::Table;
 pub use par_trials::{par_map, par_trials, split_seed};
-pub use protocol_stats::{table2_identification_rate, table2_identification_rate_backed};
+pub use protocol_stats::table2_identification_rate;
 pub use shot_exec::{ShotSampled, StringSampled};

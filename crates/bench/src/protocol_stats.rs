@@ -8,7 +8,6 @@
 
 use crate::ambient::random_couplings;
 use crate::{par_trials, split_seed};
-use itqc_backend::BackendChoice;
 use itqc_core::testplan::ScoreMode;
 use itqc_core::{diagnose_all, DecoderPolicy, ExactExecutor, MultiFaultConfig};
 
@@ -44,7 +43,10 @@ pub fn table2_config(k: usize, decoder: DecoderPolicy) -> MultiFaultConfig {
 /// (diagnosed set equals planted set) — one Table II cell.
 ///
 /// Each trial plants and diagnoses its own fault set from a private
-/// seeded stream, so the success count is `--threads`-invariant.
+/// seeded stream, so the success count is `--threads`-invariant. Exact
+/// scores come from the oracle's one scalar path at every size: at
+/// `n = 64` (the `table2 --xl` row) the chain sampler's tables answer
+/// the 32-qubit class components.
 pub fn table2_identification_rate(
     n: usize,
     k: usize,
@@ -54,35 +56,6 @@ pub fn table2_identification_rate(
     seed: u64,
 ) -> f64 {
     identification_rate_with(n, k, trials, threads, &table2_config(k, decoder), false, seed)
-}
-
-/// [`table2_identification_rate`] with every exact score routed through
-/// a simulation backend — the beyond-paper (`table2_xl`) path. The
-/// inline oracle evaluates `ExactTarget` by a `2^c` Gray sum per
-/// component, fine up to the paper's 16-qubit components but
-/// intractable at the 32-qubit components of an `N = 64` machine; a
-/// backend preparation answers the same target from the chain sampler's
-/// polynomial `(z_T, k)` table instead. Same trial structure, faults
-/// and seed streams as the inline path — thread-invariant.
-pub fn table2_identification_rate_backed(
-    n: usize,
-    k: usize,
-    trials: usize,
-    threads: usize,
-    decoder: DecoderPolicy,
-    backend: BackendChoice,
-    seed: u64,
-) -> f64 {
-    identification_rate_inner(
-        n,
-        k,
-        trials,
-        threads,
-        &table2_config(k, decoder),
-        false,
-        Some(backend),
-        seed,
-    )
 }
 
 /// [`table2_identification_rate`] with an explicit pipeline
@@ -99,20 +72,6 @@ pub fn identification_rate_with(
     shot_sampled: bool,
     seed: u64,
 ) -> f64 {
-    identification_rate_inner(n, k, trials, threads, config, shot_sampled, None, seed)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn identification_rate_inner(
-    n: usize,
-    k: usize,
-    trials: usize,
-    threads: usize,
-    config: &MultiFaultConfig,
-    shot_sampled: bool,
-    backend: Option<BackendChoice>,
-    seed: u64,
-) -> f64 {
     use rand::Rng;
     let outcomes = par_trials(
         threads,
@@ -122,9 +81,6 @@ fn identification_rate_inner(
             let faults = random_couplings(n, k, rng);
             let mut exec =
                 ExactExecutor::new(n).with_faults(faults.iter().map(|&c| (c, TABLE2_FAULT_U)));
-            if let Some(choice) = backend {
-                exec = exec.with_backend(choice);
-            }
             let mut truth = faults.clone();
             truth.sort();
             if shot_sampled {
@@ -134,7 +90,6 @@ fn identification_rate_inner(
                 let mut shot_exec = crate::ShotSampled::new(exec, rng.gen());
                 diagnose_all(&mut shot_exec, n, &cfg).couplings() == truth
             } else {
-                let mut exec = exec;
                 diagnose_all(&mut exec, n, config).couplings() == truth
             }
         },

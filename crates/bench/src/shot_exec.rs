@@ -63,7 +63,7 @@ impl<E: TestExecutor> TestExecutor for ShotSampled<E> {
     }
 }
 
-/// Wraps a backend-routed [`ExactExecutor`] and reports the statistic a
+/// Wraps an [`ExactExecutor`] and reports the statistic a
 /// hardware run computes from its measured strings: sample `shots`
 /// output strings from the prepared circuit's exact distribution, then
 /// score them under the spec's own [`ScoreMode`].
@@ -80,13 +80,7 @@ pub struct StringSampled {
 
 impl StringSampled {
     /// Wraps `exec` with a deterministic shot stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exec` has no routed backend
-    /// ([`ExactExecutor::with_backend`]) — string sampling needs one.
     pub fn new(exec: ExactExecutor, seed: u64) -> Self {
-        assert!(exec.backend().is_some(), "StringSampled needs a backend-routed executor");
         StringSampled { exec, rng: SmallRng::seed_from_u64(seed) }
     }
 

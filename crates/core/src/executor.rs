@@ -6,10 +6,9 @@
 //! hardware detail and directly checkable against oracles.
 
 use crate::testplan::{ScoreMode, TestSpec};
-use itqc_backend::memo::{cached_score, ScoreKind, SCORE_MEMO_MIN_GATES};
-use itqc_backend::{cache::xx_key, Backend, BackendChoice, PreparedCircuit, SimBackend as _};
+use itqc_backend::memo::ScoreKind;
+use itqc_backend::{Backend, BackendChoice, PreparedCircuit, SimBackend as _};
 use itqc_circuit::{Circuit, Coupling};
-use itqc_sim::XxCircuit;
 use itqc_trap::{Activity, VirtualTrap};
 use std::collections::BTreeMap;
 use std::f64::consts::FRAC_PI_2;
@@ -32,38 +31,42 @@ pub trait TestExecutor {
 
 /// A noiseless, shot-free oracle executor driven by a known fault map —
 /// used by property tests and the Table II decoder study. Fidelities are
-/// computed exactly on the commuting-XX engine.
+/// computed exactly on a [`Backend`] ([`BackendChoice::Auto`] unless
+/// [`ExactExecutor::with_backend`] selects another), which also prepares
+/// circuits for the output-string samplers of the scaling studies.
 ///
-/// By default scores are evaluated on an inline commuting-XX fast path
-/// (bit-identical to the historical behaviour every pinned experiment
-/// seed depends on). [`ExactExecutor::with_backend`] routes evaluation
-/// through the pluggable [`itqc_backend`] subsystem instead, which adds
-/// a prepared-circuit cache and genuine output-string sampling for the
-/// scaling studies.
+/// Exact scores take the analytic engine's scalar path
+/// ([`itqc_backend::XxAnalyticBackend::score`]): closed-form marginals or
+/// per-component Gray walks, memoised across trials. The dense engine is
+/// the reference: a dense-routed executor evaluates the gate-by-gate
+/// circuit, unmemoised.
 #[derive(Clone, Debug)]
 pub struct ExactExecutor {
     n_qubits: usize,
     faults: BTreeMap<Coupling, f64>,
-    backend: Option<Backend>,
+    backend: Backend,
 }
 
 impl ExactExecutor {
     /// Creates a fault-free oracle.
     pub fn new(n_qubits: usize) -> Self {
-        ExactExecutor { n_qubits, faults: BTreeMap::new(), backend: None }
+        ExactExecutor {
+            n_qubits,
+            faults: BTreeMap::new(),
+            backend: Backend::new(BackendChoice::Auto),
+        }
     }
 
-    /// Routes score evaluation through a simulation backend
-    /// (`dense`/`analytic`/`auto`) instead of the inline fast path.
+    /// Selects the simulation backend (`dense`/`analytic`/`auto`).
     /// Clones of this executor share the backend's preparation cache.
     pub fn with_backend(mut self, choice: BackendChoice) -> Self {
-        self.backend = Some(Backend::new(choice));
+        self.backend = Backend::new(choice);
         self
     }
 
-    /// The routed backend, if [`Self::with_backend`] selected one.
-    pub fn backend(&self) -> Option<&Backend> {
-        self.backend.as_ref()
+    /// The simulation backend.
+    pub fn backend(&self) -> &Backend {
+        &self.backend
     }
 
     /// Sets the under-rotation of one coupling.
@@ -78,130 +81,71 @@ impl ExactExecutor {
         self
     }
 
-    /// The noisy XX circuit a spec compiles to on this machine.
-    fn noisy_xx(&self, spec: &TestSpec) -> XxCircuit {
-        let mut xx = XxCircuit::new(self.n_qubits);
-        for &(coupling, theta) in &spec.gates {
-            let u = self.faults.get(&coupling).copied().unwrap_or(0.0);
-            let (a, b) = coupling.endpoints();
-            xx.add_xx(a, b, theta * (1.0 - u));
-        }
-        xx
+    fn under_rotation(&self, coupling: Coupling) -> f64 {
+        self.faults.get(&coupling).copied().unwrap_or(0.0)
     }
 
     /// The noisy [`Circuit`] a spec compiles to on this machine — every
     /// gate's angle scaled by its coupling's under-rotation. This is
-    /// what the simulation backends consume.
+    /// what [`Self::prepare`] hands the backend.
     pub fn noisy_circuit(&self, spec: &TestSpec) -> Circuit {
         let mut circuit = Circuit::new(self.n_qubits);
         for &(coupling, theta) in &spec.gates {
-            let u = self.faults.get(&coupling).copied().unwrap_or(0.0);
             let (a, b) = coupling.endpoints();
-            circuit.xx(a, b, theta * (1.0 - u));
+            circuit.xx(a, b, theta * (1.0 - self.under_rotation(coupling)));
         }
         circuit
     }
 
-    /// Prepares a spec's noisy circuit on the routed backend (shot
-    /// samplers use this to draw genuine output strings).
+    /// Prepares a spec's noisy circuit on the backend (shot samplers use
+    /// this to draw genuine output strings).
     ///
     /// # Panics
     ///
-    /// Panics if no backend was selected ([`Self::with_backend`]) or the
-    /// backend refuses the circuit (forced `dense` beyond the register
-    /// wall, forced `analytic` on non-XX gates — `auto` never refuses a
-    /// protocol test circuit).
+    /// Panics if the backend refuses the circuit (forced `dense` beyond
+    /// the register wall, forced `analytic` on non-XX gates — `auto`
+    /// never refuses a protocol test circuit).
     pub fn prepare(&self, spec: &TestSpec) -> Rc<dyn PreparedCircuit> {
-        let backend = self.backend.as_ref().expect("no backend routed; call with_backend first");
-        match backend.prepare(&self.noisy_circuit(spec)) {
+        match self.backend.prepare(&self.noisy_circuit(spec)) {
             Ok(prepared) => prepared,
-            Err(e) => panic!("backend '{}' refused test '{}': {e}", backend.name(), spec.label),
+            Err(e) => {
+                panic!("backend '{}' refused test '{}': {e}", self.backend.name(), spec.label)
+            }
         }
     }
 
     /// The exact target-state fidelity of a spec on this machine
     /// (ExactTarget scoring regardless of the spec's score mode).
     pub fn exact_fidelity(&self, spec: &TestSpec) -> f64 {
-        match &self.backend {
-            None => {
-                let xx = self.noisy_xx(spec);
-                if spec.gates.len() >= SCORE_MEMO_MIN_GATES {
-                    cached_score(xx_key(&xx), spec.target, ScoreKind::ExactTarget, || {
-                        record_gray_walk(&xx);
-                        xx.fidelity(spec.target)
-                    })
-                } else {
-                    record_gray_walk(&xx);
-                    xx.fidelity(spec.target)
-                }
-            }
-            Some(_) => {
-                itqc_obs::event::add("core.exact.queries", 1);
-                self.prepare(spec).probability(spec.target)
-            }
-        }
+        self.score(spec, ScoreKind::ExactTarget)
     }
 
     /// The exact score of a spec under its own [`ScoreMode`].
-    ///
-    /// On the inline oracle path scores of non-trivial circuits are
-    /// memoised across trials through [`itqc_backend::memo`] — the
-    /// Monte-Carlo sweeps replay byte-identical class batteries both
-    /// within a trial (threshold re-tunes) and across trials (classes
-    /// untouched by the planted faults), and the memo returns the first
-    /// evaluation's float verbatim, so every pinned output is unchanged.
     pub fn exact_score(&self, spec: &TestSpec) -> f64 {
-        match &self.backend {
-            None => {
-                let xx = self.noisy_xx(spec);
-                let eval = |xx: &XxCircuit| match spec.score {
-                    ScoreMode::ExactTarget => {
-                        record_gray_walk(xx);
-                        xx.fidelity(spec.target)
-                    }
-                    ScoreMode::WorstQubit => {
-                        record_agreement_eval(xx);
-                        xx.min_qubit_agreement(spec.target)
-                    }
-                };
-                if spec.gates.len() >= SCORE_MEMO_MIN_GATES {
-                    let kind = match spec.score {
-                        ScoreMode::ExactTarget => ScoreKind::ExactTarget,
-                        ScoreMode::WorstQubit => ScoreKind::WorstQubit,
-                    };
-                    cached_score(xx_key(&xx), spec.target, kind, || eval(&xx))
-                } else {
-                    eval(&xx)
-                }
-            }
-            Some(_) => {
-                itqc_obs::event::add("core.exact.queries", 1);
-                let prepared = self.prepare(spec);
-                match spec.score {
-                    ScoreMode::ExactTarget => prepared.probability(spec.target),
-                    ScoreMode::WorstQubit => prepared.min_qubit_agreement(spec.target),
-                }
+        let kind = match spec.score {
+            ScoreMode::ExactTarget => ScoreKind::ExactTarget,
+            ScoreMode::WorstQubit => ScoreKind::WorstQubit,
+        };
+        self.score(spec, kind)
+    }
+
+    /// Every exact query: the analytic scalar path, or [`Self::prepare`]
+    /// on a dense-routed executor and for circuits the scalar path
+    /// refuses (`auto` then falls back to dense; a forced engine reports
+    /// the refusal).
+    fn score(&self, spec: &TestSpec, kind: ScoreKind) -> f64 {
+        itqc_obs::event::add("core.exact.queries", 1);
+        if self.backend.choice() != BackendChoice::Dense {
+            let xx = spec.noisy_xx(self.n_qubits, |c| self.under_rotation(c));
+            if let Ok(score) = self.backend.analytic().score(&xx, spec.target, kind) {
+                return score;
             }
         }
-    }
-}
-
-/// Records one actual `2^m` Gray-code walk (an unmemoised ExactTarget
-/// evaluation) into the observed-cost histogram. Which evaluations the
-/// per-thread score memo absorbs depends on the sharding, so this is
-/// nondeterministic telemetry.
-fn record_gray_walk(xx: &XxCircuit) {
-    if itqc_obs::enabled() {
-        itqc_obs::event::observe_nd("core.walk.support_qubits", xx.support().len() as u64, 1);
-    }
-}
-
-/// Records one closed-form worst-qubit evaluation (`O(support·gates)`,
-/// no exponential walk) — priced separately from Gray walks by the
-/// observed cost report.
-fn record_agreement_eval(xx: &XxCircuit) {
-    if itqc_obs::enabled() {
-        itqc_obs::event::observe_nd("core.agreement.support_qubits", xx.support().len() as u64, 1);
+        let prepared = self.prepare(spec);
+        match kind {
+            ScoreKind::ExactTarget => prepared.probability(spec.target),
+            ScoreKind::WorstQubit => prepared.min_qubit_agreement(spec.target),
+        }
     }
 }
 
@@ -485,33 +429,68 @@ mod tests {
 
     #[test]
     fn backend_routed_scores_match_inline_fast_path() {
+        // The default engine (analytic scalar path) against the dense
+        // reference, on a multi-component circuit under both statistics.
         use itqc_backend::BackendChoice;
         let faults =
             [(Coupling::new(0, 3), 0.22), (Coupling::new(1, 2), -0.07), (Coupling::new(4, 5), 0.4)];
-        let inline = ExactExecutor::new(8).with_faults(faults);
+        let default = ExactExecutor::new(8).with_faults(faults);
         let spec2 = TestSpec::for_couplings(
             "t",
             &[Coupling::new(0, 3), Coupling::new(1, 2), Coupling::new(4, 5), Coupling::new(6, 7)],
             2,
         );
         let spec4 = spec2.clone().with_score(crate::testplan::ScoreMode::WorstQubit);
-        for choice in [BackendChoice::Dense, BackendChoice::Analytic, BackendChoice::Auto] {
-            let routed = inline.clone().with_backend(choice);
+        for choice in [BackendChoice::Dense, BackendChoice::Analytic] {
+            let routed = default.clone().with_backend(choice);
             for spec in [&spec2, &spec4] {
                 assert!(
-                    (inline.exact_score(spec) - routed.exact_score(spec)).abs() < 1e-9,
+                    (default.exact_score(spec) - routed.exact_score(spec)).abs() < 1e-9,
                     "{choice:?} disagrees on {}",
                     spec.label
                 );
-                assert!((inline.exact_fidelity(spec) - routed.exact_fidelity(spec)).abs() < 1e-9);
+                assert!((default.exact_fidelity(spec) - routed.exact_fidelity(spec)).abs() < 1e-9);
             }
         }
-        // The analytic route reuses one preparation per distinct circuit.
-        let routed = inline.with_backend(BackendChoice::Analytic);
-        let _ = routed.exact_score(&spec2);
-        let _ = routed.exact_score(&spec2);
-        let (hits, _) = routed.backend().unwrap().analytic().cache_stats();
+        // Preparation reuses one analytic build per distinct circuit.
+        let _ = default.prepare(&spec2);
+        let _ = default.prepare(&spec2);
+        let (hits, _) = default.backend().analytic().cache_stats();
         assert!(hits >= 1, "repeated spec must hit the preparation cache");
+    }
+
+    #[test]
+    fn scalar_path_scores_the_32_qubit_all_coupling_canary() {
+        // Fig. 9's N = 32 canary under a ±0.10 uniform ambient is one
+        // unstructured 32-qubit component: neither the chain sampler nor
+        // the dense engine takes it, but the closed-form worst-qubit
+        // marginals do, without any preparation.
+        use crate::testplan::{canary_for, ScoreMode};
+        use rand::{Rng, SeedableRng};
+        let n = 32;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
+        let couplings: Vec<Coupling> =
+            (0..n).flat_map(|a| (a + 1..n).map(move |b| Coupling::new(a, b))).collect();
+        let exec = ExactExecutor::new(n)
+            .with_faults(couplings.iter().map(|&c| (c, rng.gen_range(-0.10..0.10))));
+        let canary = canary_for(&couplings, 2, ScoreMode::WorstQubit);
+        let score = exec.exact_score(&canary);
+        assert!(score > 0.5 && score <= 1.0, "canary score {score}");
+        assert_eq!(exec.backend().analytic().cache_stats(), (0, 0), "no preparation");
+    }
+
+    #[test]
+    fn dense_routed_scores_bypass_the_memo() {
+        use itqc_backend::memo::score_memo_stats;
+        use itqc_backend::BackendChoice;
+        let exec = ExactExecutor::new(6)
+            .with_fault(Coupling::new(0, 1), 0.2)
+            .with_backend(BackendChoice::Dense);
+        let spec = TestSpec::for_couplings("t", &[Coupling::new(0, 1), Coupling::new(2, 3)], 4);
+        let before = score_memo_stats();
+        let _ = exec.exact_score(&spec);
+        let _ = exec.exact_score(&spec.clone().with_score(crate::testplan::ScoreMode::WorstQubit));
+        assert_eq!(score_memo_stats(), before, "the dense reference engine is unmemoised");
     }
 
     #[test]

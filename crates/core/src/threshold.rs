@@ -1,85 +1,12 @@
-//! Pass/fail threshold calibration.
+//! Pass/fail threshold calibration helpers.
 //!
 //! The paper sets test thresholds empirically (0.45/0.25 in Fig. 6,
 //! 0.38/0.46 in Fig. 7) and notes the threshold "is adjusted … to maximise
-//! the fault vs no-fault contrast" (Fig. 5). This module calibrates a
-//! threshold by Monte-Carlo: simulate fault-free class tests under the
-//! ambient calibration spread and place the threshold at a low quantile of
-//! the resulting fidelity distribution, so healthy tests rarely fail.
-
-use crate::classes::{first_round_classes, LabelSpace};
-use crate::testplan::TestSpec;
-use itqc_math::rng::standard_normal;
-use itqc_math::stats;
-use itqc_sim::XxCircuit;
-use rand::Rng;
-use std::collections::BTreeSet;
-
-/// Simulated fidelities of all fault-free first-round tests with ambient
-/// calibration error of mean `|u| = ambient_mean_abs`, over `trials`
-/// random calibration draws.
-pub fn ambient_test_fidelities<R: Rng + ?Sized>(
-    n_qubits: usize,
-    reps: usize,
-    ambient_mean_abs: f64,
-    trials: usize,
-    rng: &mut R,
-) -> Vec<f64> {
-    let space = LabelSpace::new(n_qubits);
-    let classes = first_round_classes(&space);
-    let excluded = BTreeSet::new();
-    let sigma = ambient_mean_abs * (std::f64::consts::PI / 2.0).sqrt();
-    let mut out = Vec::with_capacity(trials * classes.len());
-    for _ in 0..trials {
-        // One ambient calibration draw shared by all tests of the round.
-        let mut errors = std::collections::BTreeMap::new();
-        for c in space.all_couplings() {
-            errors.insert(c, sigma * standard_normal(rng));
-        }
-        for class in &classes {
-            let couplings = class.couplings(&space, &excluded);
-            if couplings.is_empty() {
-                continue;
-            }
-            let spec = TestSpec::for_couplings("ambient", &couplings, reps);
-            let mut xx = XxCircuit::new(n_qubits);
-            for &(c, theta) in &spec.gates {
-                let u = errors[&c];
-                let (a, b) = c.endpoints();
-                xx.add_xx(a, b, theta * (1.0 - u));
-            }
-            out.push(xx.fidelity(spec.target));
-        }
-    }
-    out
-}
-
-/// Calibrates a pass/fail threshold at the `quantile` of the ambient
-/// fidelity distribution (healthy tests fail with roughly that rate).
-///
-/// # Panics
-///
-/// Panics if `quantile` is outside `(0, 1)` or `trials == 0`.
-pub fn calibrate_threshold<R: Rng + ?Sized>(
-    n_qubits: usize,
-    reps: usize,
-    ambient_mean_abs: f64,
-    quantile: f64,
-    trials: usize,
-    rng: &mut R,
-) -> f64 {
-    assert!(quantile > 0.0 && quantile < 1.0, "quantile must be in (0,1)");
-    assert!(trials > 0, "need at least one trial");
-    let fids = ambient_test_fidelities(n_qubits, reps, ambient_mean_abs, trials, rng);
-    stats::quantile(&fids, quantile)
-}
-
-/// The signed fidelity margin of a fault of magnitude `u` on an isolated
-/// point test relative to a threshold — positive when the fault is
-/// detectable.
-pub fn detection_margin(u: f64, reps: usize, threshold: f64) -> f64 {
-    threshold - crate::executor::point_test_fidelity(u, reps)
-}
+//! the fault vs no-fault contrast" (Fig. 5). The Monte-Carlo calibrators
+//! (a low quantile of fault-free class-test scores under the ambient
+//! calibration spread) live in `itqc_bench::ambient`; this module holds
+//! the pieces the protocols share: shot-grid snapping, the decoder's
+//! observation noise, and the per-round contrast re-calibration.
 
 /// Snaps a calibrated threshold down onto the `shots`-shot score grid.
 ///
@@ -160,35 +87,6 @@ pub fn gap_thresholds(scores: &[f64], below: f64, max: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn noiseless_ambient_gives_unit_fidelities() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let fids = ambient_test_fidelities(8, 4, 0.0, 3, &mut rng);
-        assert!(fids.iter().all(|&f| (f - 1.0).abs() < 1e-9));
-    }
-
-    #[test]
-    fn threshold_decreases_with_ambient_noise() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let clean = calibrate_threshold(8, 4, 0.01, 0.05, 40, &mut rng);
-        let noisy = calibrate_threshold(8, 4, 0.10, 0.05, 40, &mut rng);
-        assert!(clean > noisy, "{clean} vs {noisy}");
-        assert!(clean > 0.9);
-        assert!(noisy < 0.9);
-    }
-
-    #[test]
-    fn deeper_tests_have_lower_thresholds() {
-        // Fig. 6's 0.45 (2-MS) vs 0.25 (4-MS) ordering: more amplification
-        // means more ambient accumulation, so the healthy band sits lower.
-        let mut rng = SmallRng::seed_from_u64(3);
-        let t2 = calibrate_threshold(8, 2, 0.10, 0.05, 60, &mut rng);
-        let t4 = calibrate_threshold(8, 4, 0.10, 0.05, 60, &mut rng);
-        assert!(t4 < t2, "t4 {t4} must sit below t2 {t2}");
-    }
 
     #[test]
     fn contrast_threshold_separates_fault_from_healthy() {
@@ -231,13 +129,5 @@ mod tests {
         assert!((rescale_sigma(0.08, 4, 8) - 0.16).abs() < 1e-12);
         assert_eq!(rescale_sigma(0.04, 4, 2), MODEL_ERROR_FLOOR);
         assert!(rescale_sigma(0.10, 4, 2) >= MODEL_ERROR_FLOOR);
-    }
-
-    #[test]
-    fn detection_margin_signs() {
-        // A 47% fault under 4-MS amplification is far below threshold…
-        assert!(detection_margin(0.47, 4, 0.25) > 0.0);
-        // …while a 2% wobble is safely above even a high 2-MS threshold.
-        assert!(detection_margin(0.02, 2, 0.45) < 0.0);
     }
 }

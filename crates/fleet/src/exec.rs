@@ -8,11 +8,12 @@
 //! an [`XxPrepared`] when both miss, logging the build so the scheduler
 //! can admit it into the shared cache at the tick barrier.
 //!
-//! Shot outcomes are still drawn from the trap's own RNG
-//! ([`VirtualTrap::observe_binomial`]), so a machine behaves
-//! bit-identically whether its tests run through this executor, another
-//! trap warmed the cache first, or no cache exists at all. This is the
-//! property that makes the fleet summary independent of worker count.
+//! Shots are still read out by the trap itself
+//! ([`VirtualTrap::read_out_xx_test`], on the trap's own RNG), so a
+//! machine behaves bit-identically whether its tests run through this
+//! executor, another trap warmed the cache first, or no cache exists at
+//! all. This is the property that makes the fleet summary independent
+//! of worker count.
 //!
 //! Requires a trap with zero amplitude jitter (the fleet runs the
 //! quasi-static drift model, where noise moves only at drift epochs):
@@ -24,13 +25,13 @@ use itqc_backend::cache::xx_key;
 use itqc_backend::{PreparedCircuit, XxPrepared};
 use itqc_core::testplan::ScoreMode;
 use itqc_core::{TestExecutor, TestSpec};
-use itqc_trap::VirtualTrap;
+use itqc_trap::{Activity, VirtualTrap, XxStats};
 use std::sync::Arc;
 
-/// Samples and bills one test against an already-prepared circuit,
-/// mirroring `VirtualTrap::run_xx_test` / `run_xx_test_population`
-/// exactly (same probabilities, same RNG stream, same billing).
-/// Returns the observed score in `[0, 1]`.
+/// Samples and bills one test against an already-prepared circuit
+/// through the trap's own readout step, so the outcome matches
+/// `VirtualTrap::run_xx_test` / `run_xx_test_population` on the same
+/// circuit. Returns the observed score in `[0, 1]`.
 pub fn score_prepared(
     trap: &mut VirtualTrap,
     prep: &XxPrepared,
@@ -40,25 +41,14 @@ pub fn score_prepared(
     if shots == 0 {
         return 0.0;
     }
-    let n = trap.n_qubits();
-    let hits = match spec.score {
-        ScoreMode::ExactTarget => {
-            let retention = trap.config().spam.retention(spec.target, n);
-            trap.observe_binomial(shots, prep.probability(spec.target) * retention)
-        }
-        ScoreMode::WorstQubit => {
-            let spam = &trap.config().spam;
-            let spam_keep = 1.0 - (spam.p01 + spam.p10) / 2.0;
-            let mut worst = shots;
-            for &q in prep.support() {
-                let p = prep.qubit_agreement(q, spec.target) * spam_keep;
-                worst = worst.min(trap.observe_binomial(shots, p));
-            }
-            worst
-        }
+    let stats = match spec.score {
+        ScoreMode::ExactTarget => XxStats::Target(prep.probability(spec.target)),
+        ScoreMode::WorstQubit => XxStats::Agreements(
+            prep.support().iter().map(|&q| prep.qubit_agreement(q, spec.target)).collect(),
+        ),
     };
-    let dt = trap.config().timing.shots(n, spec.gate_count(), 0, shots);
-    trap.bill_test_time(dt);
+    let hits =
+        trap.read_out_xx_test(stats, spec.target, spec.gate_count(), shots, Activity::Testing);
     hits as f64 / shots as f64
 }
 
@@ -134,7 +124,7 @@ impl TestExecutor for CachedTrapExecutor<'_> {
 mod tests {
     use super::*;
     use itqc_circuit::Coupling;
-    use itqc_trap::{Activity, TrapConfig};
+    use itqc_trap::TrapConfig;
 
     #[test]
     fn cached_executor_matches_direct_trap_execution() {

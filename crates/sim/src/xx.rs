@@ -12,7 +12,10 @@
 //! (no sampling, no truncation) and turns the paper's 32-qubit simulations
 //! — far beyond the `2^32`-amplitude state-vector memory wall — into
 //! millisecond computations, because a first-round test class on `N = 2^n`
-//! qubits touches only `m = N/2` qubits.
+//! qubits touches only `m = N/2` qubits. Qubits in different connected
+//! components of the coupling graph never entangle, so
+//! [`XxCircuit::fidelity`] runs one such walk per component and
+//! multiplies the results.
 //!
 //! Amplitude miscalibrations (the fault model the paper sweeps in its
 //! Figs. 8/9 and Table II, which deliberately "suppress phase noise and
@@ -104,48 +107,111 @@ impl XxCircuit {
         s
     }
 
-    /// The exact amplitude `⟨target|U|0…0⟩`.
+    /// The exact amplitude `⟨target|U|0…0⟩`: one Gray-code walk over the
+    /// whole support.
     ///
     /// # Panics
     ///
     /// Panics if `target` addresses bits beyond the register, or if the
     /// support exceeds [`MAX_SUPPORT`].
     pub fn amplitude(&self, target: BitString) -> Complex64 {
+        self.assert_in_register(target);
+        let support = self.terms.keys().fold(0, |m, &(a, b)| m | 1 << a | 1 << b);
+        // Untouched qubits stay |0⟩: amplitude vanishes unless their target
+        // bits are 0.
+        if target & !support != 0 {
+            return Complex64::ZERO;
+        }
+        self.walk(support, target)
+    }
+
+    /// The exact outcome probability `|⟨target|U|0…0⟩|²` — the paper's
+    /// single-output-test fidelity when `target` is the expected string:
+    /// the product of one Gray-code walk per connected component, on that
+    /// component's bits of `target`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` addresses bits beyond the register, or if a
+    /// component exceeds [`MAX_SUPPORT`] qubits.
+    pub fn fidelity(&self, target: BitString) -> f64 {
+        self.assert_in_register(target);
+        let masks = self.component_masks();
+        if target & !masks.iter().fold(0, |all, m| all | m) != 0 {
+            return 0.0;
+        }
+        masks.into_iter().map(|mask| self.walk(mask, target & mask).norm_sqr()).product()
+    }
+
+    /// The qubit masks of the coupling graph's connected components,
+    /// ascending by lowest qubit.
+    pub fn component_masks(&self) -> Vec<BitString> {
+        let mut masks: Vec<BitString> = Vec::new();
+        for &(a, b) in self.terms.keys() {
+            // A coupling joins every component it touches.
+            let pair = (1 as BitString) << a | (1 as BitString) << b;
+            let mut joined = pair;
+            masks.retain(|&m| {
+                let touches = m & pair != 0;
+                if touches {
+                    joined |= m;
+                }
+                !touches
+            });
+            masks.push(joined);
+        }
+        masks.sort_unstable_by_key(|m| m.trailing_zeros());
+        masks
+    }
+
+    /// The connected components as accumulated sub-circuits (global
+    /// qubit numbering, same register size), each with its qubit mask,
+    /// in [`Self::component_masks`] order.
+    pub fn components(&self) -> Vec<(XxCircuit, BitString)> {
+        self.component_masks()
+            .into_iter()
+            .map(|mask| {
+                let mut sub = XxCircuit::new(self.n_qubits);
+                sub.terms.extend(self.terms.iter().filter(|&(&(a, _), _)| (mask >> a) & 1 == 1));
+                (sub, mask)
+            })
+            .collect()
+    }
+
+    fn assert_in_register(&self, target: BitString) {
         assert!(
             self.n_qubits >= BitString::BITS as usize || target < (1 as BitString) << self.n_qubits,
             "target bitstring out of range"
         );
-        let support = self.support();
-        let m = support.len();
-        assert!(m <= MAX_SUPPORT, "support of {m} qubits exceeds MAX_SUPPORT");
+    }
 
-        // Untouched qubits stay |0⟩: amplitude vanishes unless their target
-        // bits are 0.
-        let mut support_mask: BitString = 0;
-        for &q in &support {
-            support_mask |= (1 as BitString) << q;
-        }
-        if target & !support_mask != 0 {
-            return Complex64::ZERO;
-        }
+    /// The Gray-code character sum over the qubits of `mask`, from the
+    /// couplings inside it (`mask` must be a union of components).
+    fn walk(&self, mask: BitString, target: BitString) -> Complex64 {
+        let m = mask.count_ones() as usize;
+        assert!(m <= MAX_SUPPORT, "support of {m} qubits exceeds MAX_SUPPORT");
         if m == 0 {
             return Complex64::ONE;
         }
+        // A qubit's position is its rank among the mask's qubits.
+        let pos = |q: usize| (mask & (((1 as BitString) << q) - 1)).count_ones() as usize;
 
-        // Dense weight matrix over the support.
-        let mut pos = BTreeMap::new();
-        for (k, &q) in support.iter().enumerate() {
-            pos.insert(q, k);
-        }
+        // Dense weight matrix over the mask's qubits.
         let mut w = vec![0.0f64; m * m];
         for (&(a, b), &theta) in &self.terms {
-            let ia = pos[&a];
-            let ib = pos[&b];
-            w[ia * m + ib] += theta;
-            w[ib * m + ia] += theta;
+            if (mask >> a) & 1 == 1 {
+                let (ia, ib) = (pos(a), pos(b));
+                w[ia * m + ib] += theta;
+                w[ib * m + ia] += theta;
+            }
         }
-        // Target parity bits restricted to the support.
-        let zbits: Vec<bool> = support.iter().map(|&q| (target >> q) & 1 == 1).collect();
+        // Target parity bits restricted to the mask, by position.
+        let mut zbits = Vec::with_capacity(m);
+        let mut rest = mask;
+        while rest != 0 {
+            zbits.push((target >> rest.trailing_zeros()) & 1 == 1);
+            rest &= rest - 1;
+        }
 
         // Gray-code walk over the 2^m X-basis configurations.
         let mut s = vec![1.0f64; m]; // spins ±1
@@ -171,12 +237,6 @@ impl XxCircuit {
             sum += Complex64::cis(-phi) * sign;
         }
         sum / (1usize << m) as f64
-    }
-
-    /// The exact outcome probability `|⟨target|U|0…0⟩|²` — the paper's
-    /// single-output-test fidelity when `target` is the expected string.
-    pub fn fidelity(&self, target: BitString) -> f64 {
-        self.amplitude(target).norm_sqr()
     }
 
     /// The exact probability that qubit `q` measures `|1⟩`.
@@ -319,6 +379,56 @@ mod tests {
                 "target {target:05b}"
             );
         }
+    }
+
+    #[test]
+    fn factored_fidelity_matches_the_whole_support_walk() {
+        // The per-component product against one Gray walk over the whole
+        // support: ≤ 1e-12 on multi-component circuits, bit for bit when
+        // the support is a single component.
+        let mut rng = SmallRng::seed_from_u64(71);
+        let mut multi = 0;
+        for trial in 0..200 {
+            let n = rng.gen_range(2..=14);
+            let mut xx = XxCircuit::new(n);
+            for _ in 0..rng.gen_range(1..=12) {
+                let a = rng.gen_range(0..n);
+                let mut b = rng.gen_range(0..n);
+                while b == a {
+                    b = rng.gen_range(0..n);
+                }
+                xx.add_xx(a, b, rng.gen_range(-3.0..3.0));
+            }
+            let components = xx.components();
+            multi += usize::from(components.len() > 1);
+            let support = components.iter().fold(0, |m, &(_, mask)| m | mask);
+            for _ in 0..4 {
+                let target = rng.gen_range(0..(1usize << n)) as BitString & support;
+                let factored = xx.fidelity(target);
+                let whole = xx.amplitude(target).norm_sqr();
+                if components.len() == 1 {
+                    assert_eq!(factored.to_bits(), whole.to_bits(), "trial {trial}");
+                } else {
+                    assert!(
+                        (factored - whole).abs() <= 1e-12,
+                        "trial {trial}: {factored} vs {whole}"
+                    );
+                }
+            }
+        }
+        assert!(multi > 50, "only {multi} multi-component circuits drawn");
+    }
+
+    #[test]
+    fn components_split_by_lowest_qubit() {
+        let mut xx = XxCircuit::new(8);
+        xx.add_xx(5, 1, 0.25).add_xx(2, 6, -0.1).add_xx(6, 7, 0.2).add_xx(1, 5, 0.25);
+        let components = xx.components();
+        let masks: Vec<BitString> = components.iter().map(|&(_, m)| m).collect();
+        assert_eq!(masks, vec![0b0010_0010, 0b1100_0100]);
+        assert_eq!(components[0].0.terms().collect::<Vec<_>>(), vec![((1, 5), 0.5)]);
+        assert_eq!(components[1].0.support(), vec![2, 6, 7]);
+        assert!(XxCircuit::new(3).components().is_empty());
     }
 
     #[test]

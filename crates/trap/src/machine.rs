@@ -96,6 +96,17 @@ impl TrapConfig {
     }
 }
 
+/// Exact statistics of one commuting-XX test circuit, as
+/// [`VirtualTrap::read_out_xx_test`] consumes them.
+#[derive(Clone, Debug, PartialEq)]
+pub enum XxStats {
+    /// The probability of the target string.
+    Target(f64),
+    /// Each support qubit's probability of reading its target bit, in
+    /// ascending qubit order.
+    Agreements(Vec<f64>),
+}
+
 /// The virtual machine. See the module docs.
 #[derive(Clone, Debug)]
 pub struct VirtualTrap {
@@ -238,13 +249,9 @@ impl VirtualTrap {
     }
 
     /// Draws `shots` Bernoulli(`p`) outcomes from the machine's own RNG
-    /// stream and returns the hit count — the sampling half of
-    /// [`Self::run_xx_test`] for external executors that computed `p`
-    /// elsewhere (e.g. through a shared prepared-circuit cache). The
-    /// caller is responsible for billing the test time (see
-    /// [`Self::bill_test_time`]); keeping the draw on the trap's RNG
-    /// keeps the machine fully deterministic in its seed no matter which
-    /// executor runs its tests.
+    /// stream and returns the hit count (`p` clamped to `[0, 1]`). The
+    /// caller is responsible for billing any test time (see
+    /// [`Self::bill_test_time`]).
     pub fn observe_binomial(&mut self, shot_count: usize, p: f64) -> usize {
         shots::binomial(&mut self.rng, shot_count, p.clamp(0.0, 1.0))
     }
@@ -331,24 +338,9 @@ impl VirtualTrap {
         shot_count: usize,
         activity: Activity,
     ) -> usize {
-        let mut xx = XxCircuit::new(self.config.n_qubits);
-        for &(coupling, theta) in gates {
-            let u_static = self.true_under_rotation(coupling);
-            let jitter = if self.config.amplitude_jitter_std > 0.0 {
-                self.config.amplitude_jitter_std * standard_normal(&mut self.rng)
-            } else {
-                0.0
-            };
-            let (a, b) = coupling.endpoints();
-            xx.add_xx(a, b, theta * (1.0 - u_static - jitter));
-        }
-        let fidelity = xx.fidelity(target);
-        let retention = self.config.spam.retention(target, self.config.n_qubits);
-        let hits = shots::binomial(&mut self.rng, shot_count, fidelity * retention);
-        let dt = self.config.timing.shots(self.config.n_qubits, gates.len(), 0, shot_count);
-        self.clock_seconds += dt;
-        self.duty.record(activity, dt);
-        hits
+        let xx = self.jittered_xx(gates);
+        let stats = XxStats::Target(xx.fidelity(target));
+        self.read_out_xx_test(stats, target, gates.len(), shot_count, activity)
     }
 
     /// Population-scored variant of [`Self::run_xx_test`]: computes every
@@ -367,6 +359,18 @@ impl VirtualTrap {
         shot_count: usize,
         activity: Activity,
     ) -> usize {
+        let xx = self.jittered_xx(gates);
+        let stats = XxStats::Agreements(
+            xx.support().into_iter().map(|q| xx.qubit_agreement(q, target)).collect(),
+        );
+        self.read_out_xx_test(stats, target, gates.len(), shot_count, activity)
+    }
+
+    /// The commuting-XX circuit the machine actually executes for
+    /// `gates`: each angle scaled by its coupling's static
+    /// under-rotation plus, when configured, a fresh per-gate amplitude
+    /// jitter draw.
+    fn jittered_xx(&mut self, gates: &[(Coupling, f64)]) -> XxCircuit {
         let mut xx = XxCircuit::new(self.config.n_qubits);
         for &(coupling, theta) in gates {
             let u_static = self.true_under_rotation(coupling);
@@ -378,17 +382,43 @@ impl VirtualTrap {
             let (a, b) = coupling.endpoints();
             xx.add_xx(a, b, theta * (1.0 - u_static - jitter));
         }
-        let spam_keep = 1.0 - (self.config.spam.p01 + self.config.spam.p10) / 2.0;
-        let mut worst = shot_count;
-        for q in xx.support() {
-            let p = xx.qubit_agreement(q, target) * spam_keep;
-            let hits = shots::binomial(&mut self.rng, shot_count, p.clamp(0.0, 1.0));
-            worst = worst.min(hits);
-        }
-        let dt = self.config.timing.shots(self.config.n_qubits, gates.len(), 0, shot_count);
+        xx
+    }
+
+    /// The readout step every exact XX test shares, for executors that
+    /// computed the circuit's statistics themselves (e.g. through a
+    /// shared prepared-circuit cache): SPAM attenuation, one binomial
+    /// draw per statistic on the machine's own RNG, and the test time of
+    /// `gate_count` two-qubit gates billed to `activity`. Returns the
+    /// target hit count, or the worst qubit's agreement count. Keeping
+    /// the draws on the trap's RNG keeps the machine deterministic in its
+    /// seed no matter which executor runs its tests.
+    pub fn read_out_xx_test(
+        &mut self,
+        stats: XxStats,
+        target: itqc_sim::BitString,
+        gate_count: usize,
+        shot_count: usize,
+        activity: Activity,
+    ) -> usize {
+        let spam = self.config.spam;
+        let hits = match stats {
+            XxStats::Target(p) => {
+                let retention = spam.retention(target, self.config.n_qubits);
+                self.observe_binomial(shot_count, p * retention)
+            }
+            XxStats::Agreements(agreements) => {
+                let keep = 1.0 - (spam.p01 + spam.p10) / 2.0;
+                agreements
+                    .into_iter()
+                    .map(|p| self.observe_binomial(shot_count, p * keep))
+                    .fold(shot_count, usize::min)
+            }
+        };
+        let dt = self.config.timing.shots(self.config.n_qubits, gate_count, 0, shot_count);
         self.clock_seconds += dt;
         self.duty.record(activity, dt);
-        worst
+        hits
     }
 
     /// Directly monitors every coupling's XX angle with `shot_count` shots

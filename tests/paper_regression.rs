@@ -265,19 +265,18 @@ fn fig8_xl_chain_path_is_thread_invariant() {
 #[test]
 fn table2_xl_64q_row_tracks_recorded_values() {
     // EXPERIMENTS.md table2_xl row (seed 20220402): 100 / 12.7 / 1.3 %
-    // for 1/2/3 faults at N = 64 — the backend-routed pipeline answers
-    // every ExactTarget score from the chain sampler's (z_T, k) tables.
-    // Windows are the recorded value ± the 95 % half-width at the
-    // reduced trial counts (n = 60: ±8.4 points at p = 0.127; the
-    // 3-fault cell at p ≈ 0.01 gets a pure ceiling).
+    // for 1/2/3 faults at N = 64 — the exact oracle answers every
+    // 32-qubit-component ExactTarget score from the chain sampler's
+    // (z_T, k) tables. Windows are the recorded value ± the 95 %
+    // half-width at the reduced trial counts (n = 60: ±8.4 points at
+    // p = 0.127; the 3-fault cell at p ≈ 0.01 gets a pure ceiling).
     let cell = |k: usize, trials: usize| {
-        itqc_bench::table2_identification_rate_backed(
+        table2_identification_rate(
             64,
             k,
             trials,
             0,
             DecoderPolicy::Ranked,
-            BackendChoice::Auto,
             seed_for(&format!("t2xl/64/{k}")),
         )
     };
