@@ -6,7 +6,7 @@ CARGO ?= cargo
 # The 13 evaluation binaries, in paper order (extensions last).
 REPRO_BINS := table1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 table2 rb ablations fig_adv
 
-.PHONY: build test bench fleet-bench repro cost-report chain-bench obs-check fmt lint clean
+.PHONY: build test bench fleet-bench repro attribution obs-check fmt lint clean
 
 ## build: release build of every workspace member
 build:
@@ -32,46 +32,41 @@ fleet-bench:
 	@cat loadgen.w1.out
 	@rm -f loadgen.w1.out loadgen.wauto.out
 
-## cost-report: cost model vs measured wall-clock (the CI gate). With
-## `--cost-report` the obs layer reprices each phase from observed
-## counters (memoized trials at lookup cost), so the gated ratio is
-## observed/measured: fig8 N=8 stays in [0.25, 4.0]; table2 — whose
-## static walk prediction historically over-counted ~3x — must now land
-## in the tighter [0.25, 2.0]
-cost-report:
-	$(CARGO) build --release -p itqc-bench --bin fig8 --bin table2
-	./target/release/fig8 --sizes=8 --cost-report >/dev/null 2>cost-report.err
-	@cat cost-report.err
-	@awk '/^cost-report fig8:/ { r = $$NF + 0; found = 1; \
-		if (r < 0.25 || r > 4.0) { print "cost-model ratio " r " outside [0.25, 4.0]"; exit 1 } } \
-		END { if (!found) { print "no cost-report line on stderr"; exit 1 } }' cost-report.err
-	./target/release/table2 --cost-report >/dev/null 2>cost-report.err
-	@cat cost-report.err
-	@awk '/^cost-report table2:/ { r = $$NF + 0; found = 1; \
-		if (r < 0.25 || r > 2.0) { print "table2 cost-model ratio " r " outside [0.25, 2.0]"; exit 1 } } \
-		END { if (!found) { print "no cost-report line on stderr"; exit 1 } }' cost-report.err
-	@rm -f cost-report.err
+## attribution: measured per-layer attribution, the layer-accounting
+## gate. Each run goes at --threads=1 with --metrics, and the wall-clock
+## of the leaf spans below must cover [0.90, 1.02] of the run's
+## wall_seconds. Leaves never nest, so a sum above 1 means one was
+## opened inside another. Every leaf's share is printed; if a run falls
+## short, give the uncovered work a leaf of its own.
+ATTRIBUTION_LEAVES := core.executor.run_test core.protocol.plan core.decoder.covers core.decoder.rank
 
-## chain-bench: chain-sampler cost gate — the fig8 N=64 panel runs on
-## 32-qubit chain-sampled components (beyond the joint-table cap); the
-## chain cost terms' predicted/measured ratio must stay in [0.25, 4.0]
-chain-bench:
-	$(CARGO) build --release -p itqc-bench --bin fig8
-	./target/release/fig8 --sizes=64 --cost-report >/dev/null 2>chain-bench.err
-	@cat chain-bench.err
-	@awk '/^cost-report fig8:/ { r = $$NF + 0; found = 1; \
-		if (r < 0.25 || r > 4.0) { print "chain cost-model ratio " r " outside [0.25, 4.0]"; exit 1 } } \
-		END { if (!found) { print "no cost-report line on stderr"; exit 1 } }' chain-bench.err
-	@rm -f chain-bench.err
+attribution:
+	$(CARGO) build --release -p itqc-bench --bin fig8 --bin fig9 --bin table2
+	@set -e; for run in "fig8 --sizes=8" "fig8 --sizes=64" "fig9 --fast" "table2"; do \
+		./target/release/$$run --threads=1 --metrics=attribution.json > /dev/null; \
+		awk -v run="$$run" -v leaves="$(ATTRIBUTION_LEAVES)" ' \
+			/"spans":/ { spans = $$0 } \
+			/"wall_seconds":/ { wall = $$2 + 0 } \
+			END { n = split(leaves, leaf, " "); sum = 0; shares = ""; \
+				for (i = 1; i <= n; i++) { t = 0; k = index(spans, "\"" leaf[i] "\":{"); \
+					if (k) { rest = substr(spans, k); match(rest, /"total_ns":[0-9]+/); \
+						t = substr(rest, RSTART + 11, RLENGTH - 11) / 1e9 } \
+					sum += t / wall; shares = shares sprintf(" %s %.3f", leaf[i], t / wall) } \
+				printf "attribution %s: wall %.2f s, leaf sum %.3f |%s\n", run, wall, sum, shares; \
+				if (sum < 0.90 || sum > 1.02) { print "leaf sum outside [0.90, 1.02]"; exit 1 } }' \
+			attribution.json; \
+	done
+	@rm -f attribution.json
 
 ## obs-check: the observability contract, binary level — (1) the fig8
-## deterministic metrics snapshot is bit-identical at 1 vs 8 threads and
+## and table2 --fast deterministic metrics snapshots are bit-identical
+## at 1 vs 8 threads (table2 is the one that exercises the decoder) and
 ## --metrics leaves stdout byte-identical; (2) same for loadgen at 1 vs
-## 8 workers; (3) the registry adds no measurable overhead to the fig9
-## hot path (metrics run within 5% + 0.5 s of the plain run); (4) the
-## counter micro-bench runs clean
+## 8 workers; (3) the registry, spans included, adds no measurable
+## overhead to the fig9 hot path (metrics run within 5% + 0.5 s of the
+## plain run); (4) the counter micro-bench runs clean
 obs-check:
-	$(CARGO) build --release -p itqc-bench --bin fig8 --bin fig9 --bin loadgen
+	$(CARGO) build --release -p itqc-bench --bin fig8 --bin fig9 --bin table2 --bin loadgen
 	./target/release/fig8 --fast --sizes=8 --threads=1 --metrics=obs.t1.json > obs.t1.out
 	./target/release/fig8 --fast --sizes=8 --threads=8 --metrics=obs.t8.json > obs.t8.out
 	./target/release/fig8 --fast --sizes=8 --threads=1 > obs.plain.out
@@ -81,6 +76,16 @@ obs-check:
 	@grep '"deterministic"' obs.t8.json > obs.t8.det
 	diff obs.t1.det obs.t8.det
 	@echo "obs-check fig8: deterministic snapshot thread-invariant, stdout unchanged"
+	./target/release/table2 --fast --threads=1 --metrics=obs.t2t1.json > obs.t2t1.out
+	./target/release/table2 --fast --threads=8 --metrics=obs.t2t8.json > obs.t2t8.out
+	./target/release/table2 --fast --threads=1 > obs.t2plain.out
+	diff obs.t2t1.out obs.t2t8.out
+	diff obs.t2t1.out obs.t2plain.out
+	@grep '"deterministic"' obs.t2t1.json > obs.t2t1.det
+	@grep '"deterministic"' obs.t2t8.json > obs.t2t8.det
+	diff obs.t2t1.det obs.t2t8.det
+	@grep -q '"core.decoder.covers_ranked"' obs.t2t1.det
+	@echo "obs-check table2: deterministic snapshot thread-invariant, stdout unchanged"
 	./target/release/loadgen --traps=32 --minutes=10 --workers=1 --metrics=obs.w1.json \
 		> obs.w1.out 2>/dev/null
 	./target/release/loadgen --traps=32 --minutes=10 --workers=8 --metrics=obs.w8.json \
@@ -98,7 +103,8 @@ obs-check:
 		printf "obs-check fig9 overhead: plain %.2f s, metrics %.2f s\n", td, te; \
 		if (te > td * 1.05 + 0.5) { print "metrics overhead above the 5% gate"; exit 1 } }'
 	$(CARGO) bench -p itqc-obs
-	@rm -f obs.t1.* obs.t8.* obs.plain.out obs.w1.* obs.w8.* obs.fig9.json
+	@rm -f obs.t1.* obs.t8.* obs.plain.out obs.t2t1.* obs.t2t8.* obs.t2plain.out obs.w1.* obs.w8.* \
+		obs.fig9.json
 
 ## repro: regenerate every paper table/figure (see EXPERIMENTS.md)
 repro: build

@@ -31,7 +31,6 @@
 pub mod analytic;
 pub mod cache;
 pub mod chain;
-pub mod cost;
 pub mod dense;
 pub mod dist;
 pub mod memo;
@@ -39,7 +38,6 @@ pub mod memo;
 pub use analytic::{ComponentSampler, XxAnalyticBackend, XxPrepared, MAX_COMPONENT};
 pub use cache::CacheCounters;
 pub use chain::{ChainDist, CHAIN_MAX_SPECIAL};
-pub use cost::{CostReport, SimCostModel};
 pub use dense::DenseBackend;
 pub use dist::{sample_strings_blocked, SampleComponent, SAMPLE_BLOCK_SHOTS};
 pub use itqc_sim::BitString;

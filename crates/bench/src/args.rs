@@ -14,7 +14,7 @@ pub enum MetricsSink {
 }
 
 /// Common harness options:
-/// `--trials=N  --seed=S  --threads=N|auto  --decoder=P  --backend=B  --csv  --fast  --cost-report  --metrics[=PATH]`.
+/// `--trials=N  --seed=S  --threads=N|auto  --decoder=P  --backend=B  --csv  --fast  --metrics[=PATH]`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Args {
     /// Monte-Carlo trials per configuration.
@@ -39,27 +39,53 @@ pub struct Args {
     pub csv: bool,
     /// Shrink workloads for smoke testing.
     pub fast: bool,
-    /// Print the static cost-model prediction next to the measured
-    /// wall-clock on stderr after the run (stdout stays byte-identical,
-    /// so the determinism diffs are unaffected).
-    pub cost_report: bool,
     /// Emit the end-of-run metrics document (`--metrics` → stderr,
     /// `--metrics=PATH` → sidecar file); also enables the `itqc_obs`
     /// event layer for the run.
     pub metrics: Option<MetricsSink>,
 }
 
+/// The common flags, for usage messages.
+const USAGE: &str = "--trials=N --seed=S --threads=N|auto \
+                     --decoder=greedy|ranked|interrogate|set-cover \
+                     --backend=dense|analytic|auto --csv --fast --metrics[=PATH]";
+
+/// Prints `error: {msg}` and the common flags to stderr and exits with
+/// status 2 — the harness binaries' answer to a bad command line.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("flags: {USAGE}");
+    std::process::exit(2);
+}
+
+fn value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("{flag}: malformed value '{v}'"))
+}
+
 impl Args {
     /// Parses `std::env::args`, with the given default trial count.
-    ///
-    /// Unknown arguments are ignored (forward compatibility); malformed
-    /// values fall back to the defaults.
+    /// An unknown flag or a malformed value exits with status 2 and a
+    /// message naming it ([`usage_error`]).
     pub fn parse(default_trials: usize) -> Self {
-        Self::parse_from(default_trials, std::env::args().skip(1))
+        Self::parse_with(default_trials, &[]).0
     }
 
-    /// [`Self::parse`] over an explicit argument list (testable core).
-    pub fn parse_from(default_trials: usize, args: impl Iterator<Item = String>) -> Self {
+    /// [`Self::parse`] for a binary with flags of its own. Each entry
+    /// of `extra` is an exact flag (`--xl`) or, ending in `=`, a flag
+    /// prefix (`--sizes=`); matching arguments come back verbatim, in
+    /// command-line order, for the binary to interpret.
+    pub fn parse_with(default_trials: usize, extra: &[&str]) -> (Self, Vec<String>) {
+        Self::parse_from(default_trials, extra, std::env::args().skip(1))
+            .unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// [`Self::parse_with`] over an explicit argument list, returning
+    /// the error instead of exiting (testable core).
+    pub fn parse_from(
+        default_trials: usize,
+        extra: &[&str],
+        args: impl Iterator<Item = String>,
+    ) -> Result<(Self, Vec<String>), String> {
         let mut out = Args {
             trials: default_trials,
             seed: 20220402,
@@ -68,51 +94,44 @@ impl Args {
             backend: BackendChoice::Auto,
             csv: false,
             fast: false,
-            cost_report: false,
             metrics: None,
         };
+        let mut own = Vec::new();
         for arg in args {
             if let Some(v) = arg.strip_prefix("--trials=") {
-                if let Ok(n) = v.parse() {
-                    out.trials = n;
+                out.trials = value("--trials", v)?;
+                if out.trials == 0 {
+                    return Err("--trials=0: at least one trial is needed".to_string());
                 }
             } else if let Some(v) = arg.strip_prefix("--seed=") {
-                if let Ok(s) = v.parse() {
-                    out.seed = s;
-                }
+                out.seed = value("--seed", v)?;
             } else if let Some(v) = arg.strip_prefix("--threads=") {
-                if v == "auto" {
-                    out.threads = 0;
-                } else if let Ok(t) = v.parse() {
-                    out.threads = t;
-                }
+                out.threads = if v == "auto" { 0 } else { value("--threads", v)? };
             } else if let Some(v) = arg.strip_prefix("--decoder=") {
-                if let Ok(p) = v.parse() {
-                    out.decoder = Some(p);
-                }
+                out.decoder = Some(value("--decoder", v)?);
             } else if let Some(v) = arg.strip_prefix("--backend=") {
-                if let Ok(b) = v.parse() {
-                    out.backend = b;
-                }
+                out.backend = value("--backend", v)?;
             } else if arg == "--csv" {
                 out.csv = true;
             } else if arg == "--fast" {
                 out.fast = true;
-            } else if arg == "--cost-report" {
-                out.cost_report = true;
             } else if arg == "--metrics" {
                 out.metrics = Some(MetricsSink::Stderr);
             } else if let Some(path) = arg.strip_prefix("--metrics=") {
+                if path.is_empty() {
+                    return Err("--metrics=: empty path".to_string());
+                }
                 out.metrics = Some(MetricsSink::File(path.to_string()));
+            } else if extra.iter().any(|&e| arg == e || (e.ends_with('=') && arg.starts_with(e))) {
+                own.push(arg);
+            } else {
+                return Err(format!("unknown flag '{arg}'"));
             }
         }
         if out.fast {
             out.trials = out.trials.div_ceil(10).max(2);
         }
-        // Zero trials would make every Monte-Carlo mean 0/0 (NaN
-        // tables); one trial is the smallest meaningful budget.
-        out.trials = out.trials.max(1);
-        out
+        Ok((out, own))
     }
 
     /// The worker thread count with `0` resolved to the machine's
@@ -141,6 +160,18 @@ impl Args {
     }
 }
 
+/// Parses a comma-separated `--sizes=` list, accepting only sizes in
+/// `measured`: an empty, malformed or unmeasured entry is an error
+/// rather than an empty table.
+pub fn parse_sizes(v: &str, measured: &[usize]) -> Result<Vec<usize>, String> {
+    v.split(',')
+        .map(|s| match s.parse() {
+            Ok(n) if measured.contains(&n) => Ok(n),
+            _ => Err(format!("--sizes: '{s}' is not one of the measured sizes {measured:?}")),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,33 +185,34 @@ mod tests {
             backend: BackendChoice::Auto,
             csv: false,
             fast: false,
-            cost_report: false,
             metrics: None,
         }
     }
 
-    #[test]
-    fn cost_report_flag_parses() {
-        let argv = ["--cost-report".to_string()].into_iter();
-        assert!(Args::parse_from(10, argv).cost_report);
-        assert!(!args().cost_report);
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_extra(argv, &[]).map(|(a, _)| a)
+    }
+
+    fn parse_extra(argv: &[&str], extra: &[&str]) -> Result<(Args, Vec<String>), String> {
+        Args::parse_from(10, extra, argv.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn metrics_flag_parses_both_sinks() {
-        let argv = |s: &str| [s.to_string()].into_iter();
         assert_eq!(args().metrics, None);
-        assert_eq!(Args::parse_from(10, argv("--metrics")).metrics, Some(MetricsSink::Stderr));
+        assert_eq!(parse(&["--metrics"]).unwrap().metrics, Some(MetricsSink::Stderr));
         assert_eq!(
-            Args::parse_from(10, argv("--metrics=/tmp/m.json")).metrics,
+            parse(&["--metrics=/tmp/m.json"]).unwrap().metrics,
             Some(MetricsSink::File("/tmp/m.json".to_string()))
         );
+        assert!(parse(&["--metrics="]).is_err());
     }
 
     #[test]
     fn backend_choice_parses() {
         assert_eq!("analytic".parse::<BackendChoice>(), Ok(BackendChoice::Analytic));
         assert_eq!(args().backend, BackendChoice::Auto);
+        assert_eq!(parse(&["--backend=dense"]).unwrap().backend, BackendChoice::Dense);
     }
 
     #[test]
@@ -200,14 +232,12 @@ mod tests {
 
     #[test]
     fn threads_auto_parses_like_zero() {
-        let argv = |s: &str| [s.to_string()].into_iter();
-        let auto = Args::parse_from(10, argv("--threads=auto"));
+        let auto = parse(&["--threads=auto"]).unwrap();
         assert_eq!(auto.threads, 0, "`auto` defers to available_parallelism");
         assert!(auto.threads() >= 1);
-        let fixed = Args::parse_from(10, argv("--threads=3"));
-        assert_eq!(fixed.threads, 3);
-        let junk = Args::parse_from(10, argv("--threads=lots"));
-        assert_eq!(junk.threads, 0, "malformed values keep the default");
+        assert_eq!(parse(&["--threads=3"]).unwrap().threads, 3);
+        let junk = parse(&["--threads=lots"]).unwrap_err();
+        assert!(junk.contains("--threads"), "{junk}");
     }
 
     #[test]
@@ -216,5 +246,59 @@ mod tests {
         let b = Args { decoder: Some(DecoderPolicy::Greedy), ..args() };
         assert_eq!(b.decoder(), DecoderPolicy::Greedy);
         assert_eq!("set-cover".parse::<DecoderPolicy>(), Ok(DecoderPolicy::SetCoverFallback));
+        assert_eq!(parse(&["--decoder=greedy"]).unwrap().decoder(), DecoderPolicy::Greedy);
+    }
+
+    #[test]
+    fn common_flags_parse_and_fast_shrinks_trials() {
+        let a = parse(&["--trials=40", "--seed=7", "--csv", "--fast"]).unwrap();
+        assert_eq!((a.trials, a.seed, a.csv, a.fast), (4, 7, true, true));
+        assert_eq!(parse(&[]).unwrap(), Args { seed: 20220402, ..args() });
+        // `--fast` never shrinks below two trials.
+        assert_eq!(parse(&["--trials=1", "--fast"]).unwrap().trials, 2);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for bad in ["--trails=10", "--report", "--xl", "--sizes=8", "-v", "fast"] {
+            let err = parse(&[bad]).unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn malformed_values_are_rejected_by_flag() {
+        for (bad, flag) in [
+            ("--trials=abc", "--trials"),
+            ("--trials=0", "--trials"),
+            ("--trials=-3", "--trials"),
+            ("--seed=x", "--seed"),
+            ("--decoder=best", "--decoder"),
+            ("--backend=gpu", "--backend"),
+        ] {
+            let err = parse(&[bad]).unwrap_err();
+            assert!(err.contains(flag), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn declared_binary_flags_come_back_in_order() {
+        let (a, own) =
+            parse_extra(&["--xl", "--fast", "--sizes=8,16"], &["--sizes=", "--xl"]).unwrap();
+        assert!(a.fast);
+        assert_eq!(own, ["--xl", "--sizes=8,16"]);
+        // An exact flag does not match as a prefix.
+        assert!(parse_extra(&["--xlarge"], &["--xl"]).is_err());
+    }
+
+    #[test]
+    fn sizes_accept_only_measured_machines() {
+        let measured = [8, 16, 32, 64, 128];
+        assert_eq!(parse_sizes("8", &measured), Ok(vec![8]));
+        assert_eq!(parse_sizes("8,16,64", &measured), Ok(vec![8, 16, 64]));
+        for bad in ["0", "3", "abc", "", "8,", "8,3"] {
+            let err = parse_sizes(bad, &measured).unwrap_err();
+            assert!(err.contains("--sizes"), "{bad}: {err}");
+        }
     }
 }

@@ -20,33 +20,24 @@
 //! feasible at N = 8). `--sizes=8,16` restricts the panel sizes (the CI
 //! cross-check runs `--sizes=8` under both backends and diffs stdout).
 
+use itqc_bench::args::parse_sizes;
 use itqc_bench::detectability::{fig8_curve, fig8_threshold, FIG8_SHOTS};
 use itqc_bench::output::{f3, pct, section, Table};
 use itqc_bench::Args;
 
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse(120);
+    let (args, own) = Args::parse_with(120, &["--sizes="]);
     itqc_bench::metrics::init(&args);
-    let sizes: Vec<usize> = std::env::args()
-        .skip(1)
-        .find_map(|a| a.strip_prefix("--sizes=").map(str::to_owned))
-        .map(|v| {
-            let parsed: Vec<usize> = v
-                .split(',')
-                .map(|s| {
-                    s.parse().unwrap_or_else(|_| panic!("--sizes: '{s}' is not a machine size"))
-                })
-                .collect();
-            // A silently empty or unmatched selection would print empty
-            // tables and exit 0 — vacuously passing the CI cross-check.
-            assert!(
-                parsed.iter().any(|n| [8, 16, 32, 64, 128].contains(n)),
-                "--sizes={v} selects none of the measured sizes 8,16,32,64,128"
-            );
-            parsed
-        })
-        .unwrap_or_else(|| vec![8, 16, 32]);
+    // 64 and 128 qubits are beyond-paper sizes (chain-sampled
+    // components, common-mode ambient — see itqc_bench::ambient); the
+    // default selection stays at the paper's panels.
+    let measured = [8usize, 16, 32, 64, 128];
+    let sizes = match own.first() {
+        Some(arg) => parse_sizes(&arg["--sizes=".len()..], &measured)
+            .unwrap_or_else(|e| itqc_bench::args::usage_error(&e)),
+        None => vec![8, 16, 32],
+    };
     section("Fig. 8: fault contrast and identification vs under-rotation");
     println!("backend: {}  shots/test: {FIG8_SHOTS}", args.backend);
 
@@ -54,10 +45,7 @@ fn main() {
     let paper_min = [[(8, 0.25), (16, 0.30), (32, 0.35)], [(8, 0.20), (16, 0.25), (32, 0.30)]];
 
     for (ri, reps) in [2usize, 4].into_iter().enumerate() {
-        // 64 and 128 qubits are beyond-paper sizes (chain-sampled
-        // components, common-mode ambient — see itqc_bench::ambient);
-        // the default selection stays at the paper's panels.
-        for n in [8usize, 16, 32, 64, 128] {
+        for n in measured {
             if !sizes.contains(&n) {
                 continue;
             }
@@ -118,9 +106,5 @@ fn main() {
         "expected shape: 4-MS amplifies faults harder than 2-MS (smaller minimum\n\
          detectable under-rotation) and larger machines need larger outliers."
     );
-    if args.cost_report {
-        let prediction = itqc_bench::cost_report::fig8_prediction(&sizes, args.trials, FIG8_SHOTS);
-        itqc_bench::cost_report::emit("fig8", &prediction, started.elapsed());
-    }
     itqc_bench::metrics::emit_if_requested("fig8", &args, started.elapsed());
 }

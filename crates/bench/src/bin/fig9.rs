@@ -95,9 +95,5 @@ fn main() {
          fault magnitudes); multi-fault identification is harder at larger N; the\n\
          4-MS ladder improves faster than 2-MS (higher contrast)."
     );
-    if args.cost_report {
-        let prediction = itqc_bench::cost_report::fig9_prediction(args.trials);
-        itqc_bench::cost_report::emit("fig9", &prediction, started.elapsed());
-    }
     itqc_bench::metrics::emit_if_requested("fig9", &args, started.elapsed());
 }

@@ -30,9 +30,9 @@ use itqc_core::DecoderPolicy;
 
 fn main() {
     let started = std::time::Instant::now();
-    let args = Args::parse(300);
+    let (args, own) = Args::parse_with(300, &["--xl"]);
     itqc_bench::metrics::init(&args);
-    let xl = std::env::args().skip(1).any(|a| a == "--xl");
+    let xl = !own.is_empty();
     let decoder = args.decoder();
     section(&format!("Table II: P(identify) for k same-magnitude faults ({decoder} decoder)"));
 
@@ -111,9 +111,5 @@ fn main() {
          and set-cover policies go beyond the paper's pipeline by point-testing\n\
          disputed members (targeted) or every implicated coupling (exhaustive)."
     );
-    if args.cost_report {
-        let prediction = itqc_bench::cost_report::table2_prediction(args.trials);
-        itqc_bench::cost_report::emit("table2", &prediction, started.elapsed());
-    }
     itqc_bench::metrics::emit_if_requested("table2", &args, started.elapsed());
 }

@@ -1,9 +1,8 @@
 //! `--metrics[=PATH]` plumbing for the harness binaries.
 //!
 //! [`init`] flips the `itqc_obs` event layer on when the run asked for
-//! metrics (or for an observed `--cost-report`); [`emit_if_requested`]
-//! renders the global registry's versioned JSON document at the end of
-//! the run. The document goes to stderr or a sidecar file, never
+//! metrics; [`emit_if_requested`] renders the global registry's
+//! versioned JSON document at the end of the run. The document goes to stderr or a sidecar file, never
 //! stdout: every determinism gate in CI diffs stdout, and `--metrics`
 //! must leave it byte-identical.
 
@@ -11,11 +10,10 @@ use crate::args::{Args, MetricsSink};
 use std::time::Duration;
 
 /// Enables the observability layer if this run wants it (either sink
-/// form of `--metrics`, or `--cost-report`, whose per-phase table is
-/// driven by observed counters). Call once at binary startup, before
-/// any work worth counting.
+/// form of `--metrics`). Call once at binary startup, before any work
+/// worth counting.
 pub fn init(args: &Args) {
-    if args.metrics.is_some() || args.cost_report {
+    if args.metrics.is_some() {
         itqc_obs::set_enabled(true);
     }
 }

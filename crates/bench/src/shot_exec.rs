@@ -11,7 +11,7 @@
 //!   per-qubit agreement counts minimized over the support). The Fig. 8
 //!   detectability study runs on this wrapper.
 
-use itqc_core::executor::TestExecutor;
+use itqc_core::executor::{TestExecutor, RUN_TEST_SPAN};
 use itqc_core::testplan::ScoreMode;
 use itqc_core::{ExactExecutor, TestSpec};
 use itqc_sim::shots::binomial;
@@ -105,6 +105,7 @@ impl TestExecutor for StringSampled {
         if shots == 0 {
             return self.exec.exact_score(spec);
         }
+        let _span = itqc_obs::span::timed(RUN_TEST_SPAN);
         let prepared = self.exec.prepare(spec);
         // Blocked sampling: bit-identical to the per-shot path (the
         // equivalence suite pins it), but resolves each component's

@@ -266,6 +266,7 @@ pub fn covers_up_to(
     max_size: usize,
     cap: usize,
 ) -> Vec<Vec<Coupling>> {
+    let _span = itqc_obs::span::timed("core.decoder.covers");
     if failing.is_empty() {
         return vec![Vec::new()];
     }
@@ -592,6 +593,8 @@ impl CoverPosterior {
     /// matches [`rank_covers`] (smaller cover, then lexicographic), so
     /// with a single vetoless round this *is* `rank_covers`.
     pub fn rank(&self, covers: &[Vec<Coupling>]) -> Vec<RankedCover> {
+        let _span = itqc_obs::span::timed("core.decoder.rank");
+        itqc_obs::event::add("core.decoder.covers_ranked", covers.len() as u64);
         let prior =
             self.rounds.first().map(|r| r.model.log_fault_prior).unwrap_or(COVER_LOG_FAULT_PRIOR);
         let has_veto = self.rounds.iter().any(|r| r.veto_threshold.is_some());

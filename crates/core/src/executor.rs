@@ -14,6 +14,12 @@ use std::collections::BTreeMap;
 use std::f64::consts::FRAC_PI_2;
 use std::rc::Rc;
 
+/// Wall-clock span around one test execution — compile, prepare,
+/// sample and score. Executors open it at their leaf (the exact score,
+/// or a string sampler's prepare-and-draw), never in a wrapper that
+/// delegates, so instances do not nest.
+pub const RUN_TEST_SPAN: &str = "core.executor.run_test";
+
 /// Runs test circuits and reports observed target-state fidelity.
 pub trait TestExecutor {
     /// Register size of the machine under test.
@@ -134,6 +140,7 @@ impl ExactExecutor {
     /// refuses (`auto` then falls back to dense; a forced engine reports
     /// the refusal).
     fn score(&self, spec: &TestSpec, kind: ScoreKind) -> f64 {
+        let _span = itqc_obs::span::timed(RUN_TEST_SPAN);
         itqc_obs::event::add("core.exact.queries", 1);
         if self.backend.choice() != BackendChoice::Dense {
             let xx = spec.noisy_xx(self.n_qubits, |c| self.under_rotation(c));

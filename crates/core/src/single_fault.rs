@@ -9,7 +9,7 @@
 use crate::classes::{decode_pair, first_round_classes, second_round_classes, LabelSpace};
 use crate::executor::TestExecutor;
 use crate::syndrome::Syndrome;
-use crate::testplan::{ScoreMode, TestSpec};
+use crate::testplan::{ScoreMode, TestSpec, PLAN_SPAN};
 use itqc_circuit::Coupling;
 use std::collections::BTreeSet;
 
@@ -200,13 +200,16 @@ impl SingleFaultProtocol {
         let mut syndrome = Syndrome::empty();
         let mut conflict = false;
         for class in first_round_classes(&self.space) {
-            let couplings = class.couplings(&self.space, &self.excluded);
-            let spec = TestSpec::for_couplings(
-                format!("round1 {class} x{}MS", self.reps),
-                &couplings,
-                self.reps,
-            )
-            .with_score(self.score);
+            let spec = {
+                let _plan = itqc_obs::span::timed(PLAN_SPAN);
+                let couplings = class.couplings(&self.space, &self.excluded);
+                TestSpec::for_couplings(
+                    format!("round1 {class} x{}MS", self.reps),
+                    &couplings,
+                    self.reps,
+                )
+                .with_score(self.score)
+            };
             let failed = self.run_spec(exec, &spec, tests);
             if failed && !syndrome.insert(class.bit, class.value) {
                 conflict = true;
@@ -249,13 +252,16 @@ impl SingleFaultProtocol {
                 second.iter().map(|c| c.couplings(&self.space, &self.excluded).len()).sum();
             exec.note_adaptation(compiled);
             for class in &second {
-                let couplings = class.couplings(&self.space, &self.excluded);
-                let spec = TestSpec::for_couplings(
-                    format!("round2 {class} x{}MS", self.reps),
-                    &couplings,
-                    self.reps,
-                )
-                .with_score(self.score);
+                let spec = {
+                    let _plan = itqc_obs::span::timed(PLAN_SPAN);
+                    let couplings = class.couplings(&self.space, &self.excluded);
+                    TestSpec::for_couplings(
+                        format!("round2 {class} x{}MS", self.reps),
+                        &couplings,
+                        self.reps,
+                    )
+                    .with_score(self.score)
+                };
                 let failed = self.run_spec(exec, &spec, &mut tests);
                 // A failing [j,=] test means the pair's bits there are equal.
                 equal_flags.push(failed);
@@ -268,12 +274,15 @@ impl SingleFaultProtocol {
             Some(coupling) if !self.excluded.contains(&coupling) => {
                 adaptations += 1;
                 exec.note_adaptation(1);
-                let spec = TestSpec::for_couplings(
-                    format!("verify {coupling} x{}MS", self.reps),
-                    &[coupling],
-                    self.reps,
-                )
-                .with_score(self.score);
+                let spec = {
+                    let _plan = itqc_obs::span::timed(PLAN_SPAN);
+                    TestSpec::for_couplings(
+                        format!("verify {coupling} x{}MS", self.reps),
+                        &[coupling],
+                        self.reps,
+                    )
+                    .with_score(self.score)
+                };
                 let verify_cut = if self.verify_contrast {
                     self.contrast_verify_threshold(&tests)
                 } else {

@@ -16,6 +16,12 @@ use std::collections::BTreeMap;
 use std::f64::consts::FRAC_PI_2;
 use std::fmt;
 
+/// Wall-clock span around a protocol planning one test: enumerating the
+/// class's couplings, labelling it and laying out its gate list. A leaf
+/// beside [`crate::executor::RUN_TEST_SPAN`]: planning finishes before
+/// the test runs.
+pub const PLAN_SPAN: &str = "core.protocol.plan";
+
 /// How a test's pass/fail statistic is computed from measurements.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScoreMode {

@@ -135,6 +135,40 @@ impl FleetStats {
     }
 }
 
+/// Most jobs one [`Fleet::submit`] call may queue.
+pub const MAX_SUBMIT_COUNT: usize = 10_000;
+
+/// Why [`Fleet::submit`] refused a submission.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SubmitError {
+    /// No trap has this id.
+    TrapOutOfRange {
+        /// The requested trap id.
+        trap: usize,
+    },
+    /// The service time is negative, NaN or infinite.
+    BadServiceTime(f64),
+    /// More than [`MAX_SUBMIT_COUNT`] jobs in one submission.
+    TooMany {
+        /// The requested job count.
+        count: usize,
+    },
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::TrapOutOfRange { trap } => write!(f, "trap {trap} out of range"),
+            SubmitError::BadServiceTime(s) => {
+                write!(f, "service time {s} is not a finite, non-negative number of seconds")
+            }
+            SubmitError::TooMany { count } => {
+                write!(f, "count {count} exceeds {MAX_SUBMIT_COUNT}")
+            }
+        }
+    }
+}
+
 /// The running fleet service. Dropping it shuts the workers down.
 pub struct Fleet {
     config: FleetConfig,
@@ -212,15 +246,27 @@ impl Fleet {
         (self.cache.len(), self.cache.bytes())
     }
 
-    /// Queues a user job on `trap`; it arrives at the start of the next
-    /// tick (arrivals are quantized to the minute).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trap` is out of range.
-    pub fn submit(&mut self, trap: usize, service_seconds: f64) {
-        assert!(trap < self.config.traps, "trap {trap} out of range");
-        self.pending_submissions.push((trap, service_seconds));
+    /// Queues `count` identical user jobs on `trap`; they arrive at the
+    /// start of the next tick (arrivals are quantized to the minute).
+    /// Refuses an out-of-range trap, a negative or non-finite service
+    /// time and more than [`MAX_SUBMIT_COUNT`] jobs, queueing nothing.
+    pub fn submit(
+        &mut self,
+        trap: usize,
+        service_seconds: f64,
+        count: usize,
+    ) -> Result<(), SubmitError> {
+        if trap >= self.config.traps {
+            return Err(SubmitError::TrapOutOfRange { trap });
+        }
+        if !(service_seconds.is_finite() && service_seconds >= 0.0) {
+            return Err(SubmitError::BadServiceTime(service_seconds));
+        }
+        if count > MAX_SUBMIT_COUNT {
+            return Err(SubmitError::TooMany { count });
+        }
+        self.pending_submissions.extend(std::iter::repeat_n((trap, service_seconds), count));
+        Ok(())
     }
 
     /// Advances the simulation by `minutes` ticks.
@@ -507,9 +553,9 @@ mod tests {
         let mut renders = Vec::new();
         for workers in [1usize, 2, 3] {
             let mut fleet = Fleet::new(small_config(workers));
-            fleet.submit(1, 12.5);
+            fleet.submit(1, 12.5, 1).unwrap();
             fleet.run_minutes(8);
-            fleet.submit(2, 3.0);
+            fleet.submit(2, 3.0, 1).unwrap();
             fleet.run_minutes(4);
             renders.push(fleet.summary().to_string());
         }
@@ -540,9 +586,7 @@ mod tests {
     #[test]
     fn submitted_jobs_complete_and_are_measured() {
         let mut fleet = Fleet::new(FleetConfig { arrival_rate_per_min: 0.0, ..small_config(1) });
-        for _ in 0..5 {
-            fleet.submit(0, 6.0);
-        }
+        fleet.submit(0, 6.0, 5).unwrap();
         fleet.run_minutes(2);
         let s = fleet.summary();
         assert_eq!(s.submitted, 5);
@@ -551,6 +595,21 @@ mod tests {
         let status = fleet.status(0);
         assert_eq!(status.jobs_completed, 5);
         assert_eq!(status.queue_depth, 0);
+    }
+
+    #[test]
+    fn bad_submissions_are_refused_and_queue_nothing() {
+        let mut fleet = Fleet::new(FleetConfig { arrival_rate_per_min: 0.0, ..small_config(1) });
+        assert_eq!(fleet.submit(3, 1.0, 1), Err(SubmitError::TrapOutOfRange { trap: 3 }));
+        assert_eq!(fleet.submit(3, 1.0, 0), Err(SubmitError::TrapOutOfRange { trap: 3 }));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            assert!(matches!(fleet.submit(0, bad, 1), Err(SubmitError::BadServiceTime(_))));
+        }
+        let count = MAX_SUBMIT_COUNT + 1;
+        assert_eq!(fleet.submit(0, 1.0, count), Err(SubmitError::TooMany { count }));
+        assert_eq!(fleet.submit(0, 0.0, 1), Ok(()));
+        fleet.run_minutes(1);
+        assert_eq!(fleet.summary().submitted, 1);
     }
 
     #[test]

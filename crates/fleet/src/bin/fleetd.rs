@@ -17,7 +17,9 @@
 //! results never depend on it.
 //!
 //! Commands: `run <minutes>`, `submit <trap> <service_s> [count]`,
-//! `status <trap>`, `stats`, `metrics`, `summary`, `help`, `quit`.
+//! `status <trap>`, `stats`, `metrics`, `summary`, `help`, `quit`
+//! (answered by [`itqc_fleet::service::handle_line`]; a malformed or
+//! out-of-range command gets an `error: …` reply).
 //!
 //! `metrics` prints the deterministic counter snapshot — the fleet
 //! registry's cache/scheduler counters merged with the ambient backend
@@ -26,6 +28,7 @@
 //! and stdout stays diffable. The daemon enables the `itqc_obs` event
 //! layer at startup (it is a service, not a gated benchmark).
 
+use itqc_fleet::service::{handle_line, Reply};
 use itqc_fleet::{Fleet, FleetConfig};
 use std::io::{BufRead, Write};
 
@@ -83,84 +86,13 @@ fn main() {
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let line = line.expect("stdin");
-        let mut words = line.split_whitespace();
-        let reply = match words.next() {
-            None => continue,
-            Some("quit") | Some("exit") => break,
-            Some("help") => "commands: run <minutes> | submit <trap> <service_s> [count] | \
-                             status <trap> | stats | metrics | summary | quit"
-                .to_string(),
-            Some("run") => match words.next().and_then(|w| w.parse::<u64>().ok()) {
-                Some(m) => {
-                    fleet.run_minutes(m);
-                    format!("ok ran {m} minutes (now at {})", fleet.ticks())
-                }
-                None => "error: run <minutes>".to_string(),
-            },
-            Some("submit") => {
-                let trap = words.next().and_then(|w| w.parse::<usize>().ok());
-                let service = words.next().and_then(|w| w.parse::<f64>().ok());
-                let count = words.next().and_then(|w| w.parse::<usize>().ok()).unwrap_or(1);
-                match (trap, service) {
-                    (Some(trap), Some(service)) if trap < fleet.config().traps => {
-                        for _ in 0..count {
-                            fleet.submit(trap, service);
-                        }
-                        format!("ok queued {count} job(s) on trap {trap}")
-                    }
-                    (Some(trap), Some(_)) => format!("error: trap {trap} out of range"),
-                    _ => "error: submit <trap> <service_s> [count]".to_string(),
-                }
+        match handle_line(&mut fleet, &line) {
+            Reply::Quit => break,
+            Reply::Nothing => {}
+            Reply::Text(reply) => {
+                writeln!(out, "{}", reply.trim_end()).expect("stdout");
+                out.flush().expect("stdout");
             }
-            Some("status") => match words.next().and_then(|w| w.parse::<usize>().ok()) {
-                Some(trap) if trap < fleet.config().traps => {
-                    let s = fleet.status(trap);
-                    let faults: Vec<String> =
-                        s.recent_faults.iter().map(|(tick, c)| format!("{c}@min{tick}")).collect();
-                    format!(
-                        "trap {} clock_s {:.1} queue {} last_canary {:.3} jobs_done {} \
-                         faults_fixed {} recent [{}]",
-                        s.id,
-                        s.clock_seconds,
-                        s.queue_depth,
-                        s.last_canary,
-                        s.jobs_completed,
-                        s.faults_fixed,
-                        faults.join(" ")
-                    )
-                }
-                Some(trap) => format!("error: trap {trap} out of range"),
-                None => "error: status <trap>".to_string(),
-            },
-            Some("stats") => {
-                let c = fleet.cache_counters();
-                let (entries, bytes) = fleet.cache_resident();
-                format!(
-                    "minute {} shared_cache hits {} misses {} evictions {} hit_rate {:.4} \
-                     entries {} bytes {}",
-                    fleet.ticks(),
-                    c.hits,
-                    c.misses,
-                    c.evictions,
-                    c.hit_rate(),
-                    entries,
-                    bytes
-                )
-            }
-            Some("metrics") => {
-                // Worker shards flushed at the last tick barrier; fold
-                // the scheduler thread's own shard, then merge the
-                // fleet registry with the ambient (global) one.
-                itqc_obs::event::flush();
-                let merged = itqc_obs::Registry::new();
-                merged.absorb(itqc_obs::global());
-                merged.absorb(fleet.obs());
-                merged.deterministic_snapshot().to_json()
-            }
-            Some("summary") => fleet.summary().to_string(),
-            Some(other) => format!("error: unknown command '{other}' (try help)"),
-        };
-        writeln!(out, "{}", reply.trim_end()).expect("stdout");
-        out.flush().expect("stdout");
+        }
     }
 }

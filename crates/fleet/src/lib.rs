@@ -4,7 +4,7 @@
 //! The paper studies one machine's maintenance economics (Fig. 2); an
 //! operator runs *fleets*. This crate scales the machine-day model to N
 //! virtual traps under one long-running service — `fleetd` — built from
-//! four pieces:
+//! five pieces:
 //!
 //! * [`machine_day`] — the Fig. 2 scheduling model itself, extracted
 //!   here so the `fig2` figure and the fleet run the *same* policies
@@ -17,7 +17,8 @@
 //!   prep → queue drain);
 //! * [`pool`]/[`api`] — the shard worker pool (std threads + channels,
 //!   contiguous trap ownership) and the in-process [`Fleet`] handle
-//!   with its [`FleetSummary`].
+//!   with its [`FleetSummary`];
+//! * [`service`] — `fleetd`'s line protocol, answered in-process.
 //!
 //! **Determinism is the contract**: given a seed, the end-of-run
 //! summary is bit-identical at any worker count, because every RNG
@@ -35,9 +36,10 @@ pub mod exec;
 pub mod machine_day;
 pub mod pool;
 pub mod queue;
+pub mod service;
 pub mod trap_state;
 
-pub use api::{Fleet, FleetConfig, FleetSummary, MINUTES_PER_DAY};
+pub use api::{Fleet, FleetConfig, FleetSummary, SubmitError, MAX_SUBMIT_COUNT, MINUTES_PER_DAY};
 pub use cache::{CacheSnapshot, SharedPrepCache};
 pub use exec::CachedTrapExecutor;
 pub use queue::{WorkItem, WorkKind, WorkQueue};

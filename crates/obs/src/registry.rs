@@ -128,12 +128,21 @@ impl Registry {
     /// Records one completed span instance of `elapsed_ns` under
     /// `name`. Span data is wall-clock and lives only in the
     /// nondeterministic section of [`Registry::document`].
+    /// Looks the name up by `&str` first, so only a name's first
+    /// sighting allocates — spans stay cheap on per-call paths.
     pub fn record_span(&self, name: &str, elapsed_ns: u64) {
         let mut inner = self.inner.lock().unwrap();
-        let stat = inner.spans.entry(name.to_string()).or_default();
-        stat.count += 1;
-        stat.total_ns += elapsed_ns;
-        stat.max_ns = stat.max_ns.max(elapsed_ns);
+        match inner.spans.get_mut(name) {
+            Some(stat) => {
+                stat.count += 1;
+                stat.total_ns += elapsed_ns;
+                stat.max_ns = stat.max_ns.max(elapsed_ns);
+            }
+            None => {
+                let first = SpanStat { count: 1, total_ns: elapsed_ns, max_ns: elapsed_ns };
+                inner.spans.insert(name.to_string(), first);
+            }
+        }
     }
 
     /// The deterministic section: plain counters merged with registered
@@ -388,6 +397,17 @@ mod tests {
         assert!(doc.contains("\"total_ns\":17"));
         a.reset();
         assert!(a.deterministic_snapshot().is_empty());
+    }
+
+    #[test]
+    fn spans_accumulate_count_total_and_max() {
+        let r = Registry::new();
+        for ns in [5, 20, 3] {
+            r.record_span("leaf", ns);
+        }
+        assert!(r
+            .document("t", 1.0)
+            .contains("\"leaf\":{\"count\":3,\"total_ns\":28,\"max_ns\":20}"));
     }
 
     #[test]

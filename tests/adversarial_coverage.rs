@@ -34,7 +34,6 @@ fn seed_for(tag: &str) -> u64 {
         backend: itqc_backend::BackendChoice::Auto,
         csv: false,
         fast: false,
-        cost_report: false,
         metrics: None,
     }
     .seed_for(tag)

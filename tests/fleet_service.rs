@@ -37,11 +37,11 @@ fn summary_bit_identical_at_one_two_and_eight_workers() {
     let mut reference = None;
     for workers in [1usize, 2, 8] {
         let mut fleet = Fleet::new(exercised_config(workers));
-        fleet.submit(0, 25.0);
-        fleet.submit(5, 4.0);
+        fleet.submit(0, 25.0, 1).unwrap();
+        fleet.submit(5, 4.0, 1).unwrap();
         fleet.run_minutes(20);
         for trap in 0..6 {
-            fleet.submit(trap, 10.0);
+            fleet.submit(trap, 10.0, 1).unwrap();
         }
         fleet.run_minutes(15);
         let summary = fleet.summary();
@@ -223,4 +223,108 @@ fn fleet_maintains_itself_under_drift() {
     assert!(s.tests_run > 0);
     // Jobs kept flowing while maintenance ran.
     assert!(s.completed > 0 && s.duty[0] > 0.0);
+}
+
+/// `fleetd`'s line protocol under a seeded command fuzz: malformed
+/// lines, out-of-range traps, non-finite and negative service times,
+/// huge counts and run lengths, and `run 0`. Every non-blank line must
+/// get a reply, no line may panic, and the fleet must keep serving.
+#[test]
+fn fleetd_protocol_answers_every_fuzzed_line_without_panicking() {
+    use itqc::fleet::api::MAX_SUBMIT_COUNT;
+    use itqc::fleet::service::{handle_line, Reply, MAX_RUN_MINUTES};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut fleet = Fleet::new(FleetConfig {
+        traps: 3,
+        workers: 2,
+        n_qubits: 6,
+        arrival_rate_per_min: 1.0,
+        ..FleetConfig::default()
+    });
+    // The daemon killers this protocol used to accept.
+    for (line, reply) in [
+        (
+            "submit 0 nan 1",
+            "error: service time NaN is not a finite, non-negative number of seconds",
+        ),
+        ("submit 0 inf", "error: service time inf is not a finite, non-negative number of seconds"),
+        ("submit 0 -1 2", "error: service time -1 is not a finite, non-negative number of seconds"),
+        ("submit 0 5.0 99999999999", "error: count 99999999999 exceeds 10000"),
+        ("submit 3 5.0", "error: trap 3 out of range"),
+        ("submit 3 5.0 0", "error: trap 3 out of range"),
+        ("submit 0 5.0 abc", "error: submit <trap> <service_s> [count]"),
+        ("run 99999999999", "error: run 99999999999 exceeds 10080 minutes"),
+        ("run 0", "ok ran 0 minutes (now at 0)"),
+        ("run 1", "ok ran 1 minutes (now at 1)"),
+    ] {
+        assert_eq!(handle_line(&mut fleet, line), Reply::Text(reply.to_string()), "{line}");
+    }
+
+    let words =
+        ["run", "submit", "status", "stats", "metrics", "summary", "help", "frobnicate", ""];
+    let args = [
+        "0",
+        "1",
+        "2",
+        "3",
+        "7",
+        "-1",
+        "nan",
+        "NaN",
+        "inf",
+        "-inf",
+        "1e308",
+        "0.5",
+        "abc",
+        "",
+        "18446744073709551616",
+        "99999999999",
+    ];
+    // `run` lengths stay short or beyond the cap, so the fuzz never
+    // simulates long stretches: a long one must be refused unexecuted.
+    let runs = ["0", "1", "3", "-1", "abc", "", "99999999999", "18446744073709551616"];
+    let too_long = (MAX_RUN_MINUTES + 1).to_string();
+    let huge = [(MAX_SUBMIT_COUNT + 1).to_string(), usize::MAX.to_string()];
+    let mut rng = SmallRng::seed_from_u64(0xF1EE7D);
+    for i in 0..400 {
+        let cmd = words[rng.gen_range(0..words.len())];
+        let mut line = cmd.to_string();
+        for _ in 0..rng.gen_range(0..4) {
+            line.push(' ');
+            line.push_str(args[rng.gen_range(0..args.len())]);
+        }
+        let mut refused = cmd == "frobnicate";
+        if cmd == "run" {
+            let arg =
+                if rng.gen_bool(0.8) { runs[rng.gen_range(0..runs.len())] } else { &too_long };
+            line = format!("run {arg}");
+            refused = !matches!(arg, "0" | "1" | "3");
+        } else if cmd == "submit" && rng.gen_bool(0.2) {
+            line = format!(
+                "submit {} 2.0 {}",
+                rng.gen_range(0..5),
+                huge[rng.gen_range(0..huge.len())]
+            );
+            refused = true;
+        }
+        match handle_line(&mut fleet, &line) {
+            Reply::Text(reply) => {
+                assert!(!reply.is_empty(), "line {i} '{line}' got an empty reply");
+                if refused {
+                    assert!(reply.starts_with("error: "), "line {i} '{line}': {reply}");
+                }
+            }
+            Reply::Nothing => assert!(line.trim().is_empty(), "line {i} '{line}' got no reply"),
+            Reply::Quit => panic!("line {i} '{line}' quit"),
+        }
+    }
+    assert_eq!(handle_line(&mut fleet, "quit"), Reply::Quit);
+    // Still serving after the fuzz.
+    assert!(
+        matches!(handle_line(&mut fleet, "run 1"), Reply::Text(r) if r.starts_with("ok ran 1"))
+    );
+    let s = fleet.summary();
+    assert_eq!(s.submitted - s.completed, s.queued as u64, "job conservation");
 }

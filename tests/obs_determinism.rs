@@ -15,7 +15,8 @@
 use itqc::fleet::{Fleet, FleetConfig};
 use itqc::obs::{self, Snapshot};
 use itqc::prelude::BackendChoice;
-use itqc_bench::{fig8_curve, fig8_threshold};
+use itqc_bench::{fig8_curve, fig8_threshold, table2_identification_rate};
+use itqc_core::DecoderPolicy;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serialises tests that use the process-global ambient registry.
@@ -157,6 +158,45 @@ fn spans_and_nd_events_never_enter_the_deterministic_snapshot() {
     // span field, so the deterministic JSON cannot mention one.
     let json = det.to_json();
     assert!(!json.contains("span"), "det snapshot must carry no span data: {json}");
+}
+
+/// The measured-attribution leaves: a decoder-bound Table II cell
+/// opens every leaf span `make attribution` sums, and its decoder work
+/// counter (`core.decoder.covers_ranked`) is thread-invariant. With the
+/// layer off, no span is recorded at all.
+#[test]
+fn attribution_leaf_spans_appear_when_the_layer_is_on() {
+    let _guard = obs_lock();
+    let leaves = [
+        "core.executor.run_test",
+        "core.protocol.plan",
+        "core.decoder.covers",
+        "core.decoder.rank",
+    ];
+    let cell = |threads| table2_identification_rate(8, 3, 6, threads, DecoderPolicy::Ranked, 5);
+
+    obs::global().reset();
+    obs::set_enabled(false);
+    cell(1);
+    let idle = obs::global().document("unit", 0.0);
+    for leaf in leaves {
+        assert!(!idle.contains(leaf), "{leaf} recorded while the layer was off");
+    }
+
+    let mut ranked = Vec::new();
+    for threads in [1usize, 8] {
+        let (_, snap) = capture_det(|| {
+            cell(threads);
+            let doc = obs::global().document("unit", 0.0);
+            for leaf in leaves {
+                assert!(doc.contains(&format!("\"{leaf}\":{{\"count\":")), "{leaf} missing");
+            }
+        });
+        let covers = snap.counters.get("core.decoder.covers_ranked").copied().unwrap_or(0);
+        assert!(covers > 0, "a 3-fault cell must rank covers");
+        ranked.push(covers);
+    }
+    assert_eq!(ranked[0], ranked[1], "covers ranked at threads=1 vs 8");
 }
 
 /// The reserved `nd.`/`span.` prefixes are rejected at the
