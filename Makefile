@@ -85,6 +85,7 @@ obs-check:
 	@grep '"deterministic"' obs.t2t8.json > obs.t2t8.det
 	diff obs.t2t1.det obs.t2t8.det
 	@grep -q '"core.decoder.covers_ranked"' obs.t2t1.det
+	@grep -q '"core.decoder.forward_rows"' obs.t2t1.det
 	@echo "obs-check table2: deterministic snapshot thread-invariant, stdout unchanged"
 	./target/release/loadgen --traps=32 --minutes=10 --workers=1 --metrics=obs.w1.json \
 		> obs.w1.out 2>/dev/null

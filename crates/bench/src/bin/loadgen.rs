@@ -71,6 +71,10 @@ fn parse_flags() -> (FleetConfig, u64, Option<MetricsSink>) {
             usage();
         }
     }
+    if let Err(why) = config.validate() {
+        eprintln!("loadgen: {why}");
+        usage();
+    }
     (config, minutes, metrics)
 }
 

@@ -39,7 +39,7 @@ use crate::syndrome::Syndrome;
 use crate::testplan::ScoreMode;
 use itqc_circuit::Coupling;
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// A failing-test set, as `(bit, value)` pairs.
@@ -393,30 +393,13 @@ pub fn cover_log_likelihood(
     observed: &[(SubcubeClass, f64)],
     model: &CoverModel,
 ) -> f64 {
-    log_likelihood_of_partition(&partition_by_class(cover, observed), u, model)
-}
-
-/// The cover's members per observed class, paired with that class's
-/// observed score — the `u`-independent part of the likelihood, hoisted
-/// out of the magnitude-grid profiling loop.
-fn partition_by_class(
-    cover: &[Coupling],
-    observed: &[(SubcubeClass, f64)],
-) -> Vec<(Vec<Coupling>, f64)> {
+    let inv = 0.5 / (model.sigma * model.sigma);
     observed
         .iter()
         .map(|&(class, obs)| {
-            (cover.iter().copied().filter(|&c| class.contains_coupling(c)).collect(), obs)
-        })
-        .collect()
-}
-
-fn log_likelihood_of_partition(parts: &[(Vec<Coupling>, f64)], u: f64, model: &CoverModel) -> f64 {
-    let inv = 0.5 / (model.sigma * model.sigma);
-    parts
-        .iter()
-        .map(|(members, obs)| {
-            let d = obs - predicted_class_score(members, u, model.reps, model.score);
+            let members: Vec<Coupling> =
+                cover.iter().copied().filter(|&c| class.contains_coupling(c)).collect();
+            let d = obs - predicted_class_score(&members, u, model.reps, model.score);
             -d * d * inv
         })
         .sum()
@@ -459,6 +442,69 @@ pub struct EvidenceRound {
     pub veto_threshold: Option<f64>,
 }
 
+/// Number of points on the magnitude grid ([`COVER_U_GRID`]).
+const GRID_STEPS: usize = COVER_U_GRID.2;
+
+/// The magnitude at grid point `s` of [`COVER_U_GRID`].
+fn grid_u(s: usize) -> f64 {
+    let (u_lo, u_hi, steps) = COVER_U_GRID;
+    u_lo + (u_hi - u_lo) * s as f64 / (steps - 1) as f64
+}
+
+/// Index of the all-ones row: a class with no cover member scores 1.
+const CLEAN_ROW: usize = 0;
+
+/// The ranked decoder's forward model tabulated over the magnitude grid
+/// for one [`CoverPosterior::rank`] call. A class's predicted score
+/// depends only on its [`ClassScorePredictor`] (gate repetitions, score
+/// mode, and the members' degree multiset or interference masks), and
+/// those repeat across the covers of one call, so each distinct
+/// predictor is evaluated once per grid point and every cover reads its
+/// rows. Each row holds the same `at(u)` values on the same `u` as a
+/// per-cover evaluation would, so every sum built from it is
+/// bit-identical. The table lives only as long as the call.
+struct ForwardTable {
+    rows: Vec<[f64; GRID_STEPS]>,
+    index: HashMap<ClassScorePredictor, usize>,
+    /// Scratch for one class's cover members, reused across classes.
+    members: Vec<Coupling>,
+}
+
+impl ForwardTable {
+    fn new() -> Self {
+        ForwardTable { rows: vec![[1.0; GRID_STEPS]], index: HashMap::new(), members: Vec::new() }
+    }
+
+    /// Rows tabulated so far (the constant clean row not counted).
+    fn tabulated(&self) -> usize {
+        self.rows.len() - 1
+    }
+
+    /// Fills `out` with `cover`'s row index for every round × observed
+    /// class, in round then class order, tabulating rows not seen yet.
+    fn cover_rows(&mut self, rounds: &[EvidenceRound], cover: &[Coupling], out: &mut Vec<usize>) {
+        out.clear();
+        for round in rounds {
+            for &(class, _) in &round.observed {
+                self.members.clear();
+                self.members.extend(cover.iter().copied().filter(|&c| class.contains_coupling(c)));
+                if self.members.is_empty() {
+                    out.push(CLEAN_ROW);
+                    continue;
+                }
+                let predictor =
+                    ClassScorePredictor::new(&self.members, round.model.reps, round.model.score);
+                let rows = &mut self.rows;
+                let row = *self.index.entry(predictor).or_insert_with_key(|predictor| {
+                    rows.push(std::array::from_fn(|s| predictor.at(grid_u(s))));
+                    rows.len() - 1
+                });
+                out.push(row);
+            }
+        }
+    }
+}
+
 /// The cross-round evidence-fusion posterior over candidate covers.
 ///
 /// PR 3's ranked decoder re-ranked every disambiguation round from the
@@ -498,43 +544,30 @@ impl CoverPosterior {
         self.rounds.len()
     }
 
-    /// The fused log-likelihood profile of one cover: at each magnitude
-    /// grid point the per-round log-likelihoods *sum* (joint-magnitude
-    /// profiling), and the returned pair is the profile maximum and its
-    /// grid location.
-    fn fused_profile(&self, cover: &[Coupling]) -> (f64, f64) {
-        type RoundPredictors = (Vec<(ClassScorePredictor, f64)>, f64);
-        let (u_lo, u_hi, steps) = COVER_U_GRID;
-        // Hoist the u-independent work — class membership, forward-model
-        // branch selection, degree/mask construction — out of the
-        // magnitude grid; each grid point pays only the trigonometry.
-        // The per-u arithmetic matches `log_likelihood_of_partition`
-        // exactly (same values, same summation order).
-        let rounds: Vec<RoundPredictors> = self
-            .rounds
-            .iter()
-            .map(|r| {
-                let inv = 0.5 / (r.model.sigma * r.model.sigma);
-                let preds = partition_by_class(cover, &r.observed)
-                    .into_iter()
-                    .map(|(members, obs)| {
-                        (ClassScorePredictor::new(&members, r.model.reps, r.model.score), obs)
-                    })
-                    .collect();
-                (preds, inv)
-            })
-            .collect();
+    /// The fused log-likelihood profile of one cover, read from its
+    /// forward-model `rows` (one per round × observed class, in order;
+    /// see [`ForwardTable::cover_rows`]): at each magnitude grid point
+    /// the per-round log-likelihoods *sum* (joint-magnitude profiling),
+    /// and the returned pair is the profile maximum and its grid index.
+    /// The per-u arithmetic is [`cover_log_likelihood`]'s (same values,
+    /// same summation order).
+    fn fused_profile(&self, rows: &[usize], table: &ForwardTable) -> (f64, usize) {
         let mut best = f64::NEG_INFINITY;
-        let mut best_u = u_lo;
-        for s in 0..steps {
-            let u = u_lo + (u_hi - u_lo) * s as f64 / (steps - 1) as f64;
-            let ll: f64 = rounds
+        let mut best_s = 0;
+        for s in 0..GRID_STEPS {
+            let mut rest = rows;
+            let ll: f64 = self
+                .rounds
                 .iter()
-                .map(|(preds, inv)| {
-                    preds
+                .map(|r| {
+                    let (round_rows, tail) = rest.split_at(r.observed.len());
+                    rest = tail;
+                    let inv = 0.5 / (r.model.sigma * r.model.sigma);
+                    r.observed
                         .iter()
-                        .map(|(pred, obs)| {
-                            let d = obs - pred.at(u);
+                        .zip(round_rows)
+                        .map(|(&(_, obs), &row)| {
+                            let d = obs - table.rows[row][s];
                             -d * d * inv
                         })
                         .sum::<f64>()
@@ -542,10 +575,10 @@ impl CoverPosterior {
                 .sum();
             if ll > best {
                 best = ll;
-                best_u = u;
+                best_s = s;
             }
         }
-        (best, best_u)
+        (best, best_s)
     }
 
     /// `true` when a round with a veto cut decisively contradicts the
@@ -563,27 +596,29 @@ impl CoverPosterior {
     /// set (the magnitude-peel reading of Fig. 5), and those
     /// legitimately leave shallower failures unexplained.
     pub fn contradicted(&self, cover: &[Coupling]) -> bool {
-        let (_, u_hat) = self.fused_profile(cover);
-        self.contradicted_at(cover, u_hat)
+        let mut table = ForwardTable::new();
+        let mut rows = Vec::new();
+        table.cover_rows(&self.rounds, cover, &mut rows);
+        let (_, s_hat) = self.fused_profile(&rows, &table);
+        self.contradicted_at(&rows, &table, s_hat)
     }
 
-    /// [`Self::contradicted`] at a pre-computed fused-MAP magnitude
+    /// [`Self::contradicted`] at a pre-computed fused-MAP grid index
     /// (so [`Self::rank`] profiles each cover exactly once).
-    fn contradicted_at(&self, cover: &[Coupling], u_hat: f64) -> bool {
+    fn contradicted_at(&self, rows: &[usize], table: &ForwardTable, s_hat: usize) -> bool {
+        let mut rest = rows;
         self.rounds.iter().any(|round| {
+            let (round_rows, tail) = rest.split_at(round.observed.len());
+            rest = tail;
             let Some(t) = round.veto_threshold else {
                 return false;
             };
             let margin = round.model.sigma;
-            round.observed.iter().any(|&(class, obs)| {
+            round.observed.iter().zip(round_rows).any(|(&(_, obs), &row)| {
                 if obs < t + margin {
                     return false; // class not decisively clean this round
                 }
-                let members: Vec<Coupling> =
-                    cover.iter().copied().filter(|&c| class.contains_coupling(c)).collect();
-                !members.is_empty()
-                    && predicted_class_score(&members, u_hat, round.model.reps, round.model.score)
-                        <= t - margin
+                row != CLEAN_ROW && table.rows[row][s_hat] <= t - margin
             })
         })
     }
@@ -594,15 +629,17 @@ impl CoverPosterior {
     /// with a single vetoless round this *is* `rank_covers`.
     pub fn rank(&self, covers: &[Vec<Coupling>]) -> Vec<RankedCover> {
         let _span = itqc_obs::span::timed("core.decoder.rank");
-        itqc_obs::event::add("core.decoder.covers_ranked", covers.len() as u64);
         let prior =
             self.rounds.first().map(|r| r.model.log_fault_prior).unwrap_or(COVER_LOG_FAULT_PRIOR);
         let has_veto = self.rounds.iter().any(|r| r.veto_threshold.is_some());
+        let mut table = ForwardTable::new();
+        let mut rows = Vec::new();
         let mut out: Vec<RankedCover> = covers
             .iter()
             .filter_map(|cover| {
-                let (best, best_u) = self.fused_profile(cover);
-                if has_veto && self.contradicted_at(cover, best_u) {
+                table.cover_rows(&self.rounds, cover, &mut rows);
+                let (best, best_s) = self.fused_profile(&rows, &table);
+                if has_veto && self.contradicted_at(&rows, &table, best_s) {
                     return None;
                 }
                 let mut couplings = cover.clone();
@@ -610,10 +647,12 @@ impl CoverPosterior {
                 Some(RankedCover {
                     couplings,
                     log_posterior: best + prior * cover.len() as f64,
-                    magnitude: best_u,
+                    magnitude: grid_u(best_s),
                 })
             })
             .collect();
+        itqc_obs::event::add("core.decoder.covers_ranked", covers.len() as u64);
+        itqc_obs::event::add("core.decoder.forward_rows", table.tabulated() as u64);
         out.sort_by(|a, b| {
             b.log_posterior
                 .partial_cmp(&a.log_posterior)
@@ -1262,6 +1301,148 @@ mod tests {
         for rc in &pruned {
             assert!(!posterior.contradicted(&rc.couplings));
         }
+    }
+
+    #[test]
+    fn tabulated_profile_matches_per_u_reference() {
+        // `rank` reads its forward model from a per-call table of grid
+        // rows; it must agree bit for bit with the per-u definition: at
+        // every grid magnitude the rounds' `cover_log_likelihood`s sum,
+        // the profile maximum wins, and a veto round contradicts a cover
+        // when `predicted_class_score` at the fused-MAP magnitude
+        // overreaches. Random covers of 1–5 couplings (plus 3–5 members
+        // packed into one class, the interference branch), 1–3 rounds of
+        // mixed statistics and depths, with and without veto cuts.
+        let mut rng = SmallRng::seed_from_u64(0x7AB1E);
+        let (u_lo, u_hi, steps) = COVER_U_GRID;
+        let none = BTreeSet::new();
+        let mut vetoed = 0usize;
+        let mut interference = 0usize;
+        for n in [8usize, 16] {
+            let space = LabelSpace::new(n);
+            let all = space.all_couplings();
+            let classes = first_round_classes(&space);
+            for case in 0..24 {
+                let mut posterior = CoverPosterior::new();
+                for _ in 0..rng.gen_range(1..=3usize) {
+                    let reps = if rng.gen::<bool>() { 2 } else { 4 };
+                    let score = if rng.gen::<bool>() {
+                        ScoreMode::ExactTarget
+                    } else {
+                        ScoreMode::WorstQubit
+                    };
+                    let observed = classes.iter().map(|&class| (class, rng.gen::<f64>())).collect();
+                    let veto_threshold =
+                        if rng.gen::<bool>() { Some(rng.gen_range(0.2..0.7)) } else { None };
+                    posterior.observe_round(EvidenceRound {
+                        observed,
+                        model: CoverModel::new(reps, score, rng.gen_range(0.02..0.1)),
+                        veto_threshold,
+                    });
+                }
+                let mut covers: Vec<Vec<Coupling>> = Vec::new();
+                for _ in 0..12 {
+                    let size = rng.gen_range(1..=5usize);
+                    let mut cover: Vec<Coupling> = Vec::new();
+                    while cover.len() < size {
+                        let c = all[rng.gen_range(0..all.len())];
+                        if !cover.contains(&c) {
+                            cover.push(c);
+                        }
+                    }
+                    covers.push(cover);
+                }
+                for _ in 0..4 {
+                    let class = classes[rng.gen_range(0..classes.len())];
+                    let mut pool = class.couplings(&space, &none);
+                    let size = rng.gen_range(3..=5usize).min(pool.len());
+                    let cover: Vec<Coupling> =
+                        (0..size).map(|_| pool.swap_remove(rng.gen_range(0..pool.len()))).collect();
+                    interference += usize::from(cover.len() >= 3);
+                    covers.push(cover);
+                }
+                // Repeats, reordered, so the table is read as well as filled.
+                let again: Vec<Coupling> = covers[0].iter().rev().copied().collect();
+                covers.push(again);
+
+                let reference_ll = |cover: &[Coupling], u: f64| -> f64 {
+                    posterior
+                        .rounds
+                        .iter()
+                        .map(|r| cover_log_likelihood(cover, u, &r.observed, &r.model))
+                        .sum()
+                };
+                let reference_contradicted = |cover: &[Coupling], u_hat: f64| {
+                    posterior.rounds.iter().any(|round| {
+                        let Some(t) = round.veto_threshold else {
+                            return false;
+                        };
+                        let margin = round.model.sigma;
+                        round.observed.iter().any(|&(class, obs)| {
+                            if obs < t + margin {
+                                return false;
+                            }
+                            let members: Vec<Coupling> = cover
+                                .iter()
+                                .copied()
+                                .filter(|&c| class.contains_coupling(c))
+                                .collect();
+                            !members.is_empty()
+                                && predicted_class_score(
+                                    &members,
+                                    u_hat,
+                                    round.model.reps,
+                                    round.model.score,
+                                ) <= t - margin
+                        })
+                    })
+                };
+                let prior = posterior.rounds[0].model.log_fault_prior;
+                let has_veto = posterior.rounds.iter().any(|r| r.veto_threshold.is_some());
+                let mut reference: Vec<RankedCover> = Vec::new();
+                for cover in &covers {
+                    let mut best = f64::NEG_INFINITY;
+                    let mut best_u = u_lo;
+                    for s in 0..steps {
+                        let u = u_lo + (u_hi - u_lo) * s as f64 / (steps - 1) as f64;
+                        let ll = reference_ll(cover, u);
+                        if ll > best {
+                            best = ll;
+                            best_u = u;
+                        }
+                    }
+                    let contradicted = has_veto && reference_contradicted(cover, best_u);
+                    assert_eq!(posterior.contradicted(cover), contradicted, "n={n} case {case}");
+                    if contradicted {
+                        vetoed += 1;
+                        continue;
+                    }
+                    let mut couplings = cover.clone();
+                    couplings.sort();
+                    reference.push(RankedCover {
+                        couplings,
+                        log_posterior: best + prior * cover.len() as f64,
+                        magnitude: best_u,
+                    });
+                }
+                reference.sort_by(|a, b| {
+                    b.log_posterior
+                        .partial_cmp(&a.log_posterior)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.couplings.len().cmp(&b.couplings.len()))
+                        .then(a.couplings.cmp(&b.couplings))
+                });
+                let ranked = posterior.rank(&covers);
+                assert_eq!(ranked.len(), reference.len(), "n={n} case {case}");
+                for (got, want) in ranked.iter().zip(&reference) {
+                    assert_eq!(got.couplings, want.couplings, "n={n} case {case}");
+                    assert_eq!(got.log_posterior.to_bits(), want.log_posterior.to_bits());
+                    assert_eq!(got.magnitude.to_bits(), want.magnitude.to_bits());
+                }
+            }
+        }
+        assert!(vetoed > 0, "the sweep must exercise veto pruning");
+        assert!(interference > 0, "the sweep must exercise the interference branch");
     }
 
     #[test]

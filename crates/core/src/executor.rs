@@ -270,17 +270,19 @@ fn interference_sum(masks: &[u128], u: f64, reps: usize) -> f64 {
     re * re + im * im
 }
 
-/// The forward model of [`predicted_class_score`], built once per cover:
-/// branch selection, worst-qubit degree counting, and interference mask
-/// construction happen at build time, so the magnitude-profiling grid
-/// pays only the per-`u` trigonometry.
-#[derive(Clone, Debug)]
+/// The forward model of [`predicted_class_score`] for one class's
+/// members: branch selection, worst-qubit degree counting, and
+/// interference mask construction happen at build time, so the
+/// magnitude-profiling grid pays only the per-`u` trigonometry. Two
+/// predictors that compare equal predict the same score at every `u`, so
+/// the ranked decoder keys its tabulated forward model on them.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ClassScorePredictor {
     reps: usize,
     kind: PredictorKind,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum PredictorKind {
     /// No faulty members in the class: the test scores exactly 1.
     Clean,
@@ -289,8 +291,9 @@ enum PredictorKind {
     /// `ExactTarget` even-subgraph interference sum over pre-built
     /// endpoint masks.
     Interference { masks: Vec<u128> },
-    /// `WorstQubit`: per-qubit incident-fault degrees, in ascending
-    /// qubit order.
+    /// `WorstQubit`: the multiset of per-qubit incident-fault degrees,
+    /// sorted (the minimum over them does not depend on which qubit
+    /// carries which degree).
     WorstQubit { degrees: Vec<i32> },
 }
 
@@ -332,7 +335,9 @@ impl ClassScorePredictor {
                         *degree.entry(a).or_insert(0) += 1;
                         *degree.entry(b).or_insert(0) += 1;
                     }
-                    PredictorKind::WorstQubit { degrees: degree.into_values().collect() }
+                    let mut degrees: Vec<i32> = degree.into_values().collect();
+                    degrees.sort_unstable();
+                    PredictorKind::WorstQubit { degrees }
                 }
             }
         };

@@ -85,6 +85,39 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
+    /// Checks the settings [`Fleet::new`] and the trap workers rely on:
+    /// at least one trap, a register of 2 to
+    /// [`itqc_backend::MAX_COMPONENT`] qubits (the canary spans all
+    /// couplings, so its component is the whole register), and a finite,
+    /// non-negative arrival rate and mean service time. The error names
+    /// the offending setting.
+    pub fn validate(&self) -> Result<(), String> {
+        let max_qubits = itqc_backend::MAX_COMPONENT;
+        if self.traps == 0 {
+            return Err("a fleet needs at least one trap".into());
+        }
+        if !(2..=max_qubits).contains(&self.n_qubits) {
+            return Err(format!(
+                "a trap needs 2 to {max_qubits} qubits (the canary must fit the analytic \
+                 backend), not {}",
+                self.n_qubits
+            ));
+        }
+        if !(self.arrival_rate_per_min >= 0.0 && self.arrival_rate_per_min.is_finite()) {
+            return Err(format!(
+                "the arrival rate must be finite and non-negative, not {}",
+                self.arrival_rate_per_min
+            ));
+        }
+        if !(self.service_secs_mean >= 0.0 && self.service_secs_mean.is_finite()) {
+            return Err(format!(
+                "the mean service time must be finite and non-negative, not {}",
+                self.service_secs_mean
+            ));
+        }
+        Ok(())
+    }
+
     fn params(&self) -> FleetParams {
         FleetParams {
             n_qubits: self.n_qubits,
@@ -185,16 +218,11 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `traps == 0`, or if the register size exceeds the
-    /// analytic backend's component limit (the canary spans all
-    /// couplings, so its component is the whole register).
+    /// Panics if [`FleetConfig::validate`] refuses `config`.
     pub fn new(config: FleetConfig) -> Self {
-        assert!(config.traps >= 1, "a fleet needs at least one trap");
-        assert!(
-            config.n_qubits <= itqc_backend::MAX_COMPONENT,
-            "canary components must fit the analytic backend ({} qubits max)",
-            itqc_backend::MAX_COMPONENT
-        );
+        if let Err(why) = config.validate() {
+            panic!("invalid fleet config: {why}");
+        }
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -537,6 +565,45 @@ fn activity_tag(a: Activity) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_refuses_what_the_fleet_cannot_run() {
+        assert_eq!(FleetConfig::default().validate(), Ok(()));
+        let max = itqc_backend::MAX_COMPONENT;
+        let ok = [
+            FleetConfig { n_qubits: 2, ..FleetConfig::default() },
+            FleetConfig { n_qubits: max, ..FleetConfig::default() },
+            FleetConfig {
+                arrival_rate_per_min: 0.0,
+                service_secs_mean: 0.0,
+                ..FleetConfig::default()
+            },
+        ];
+        for config in ok {
+            assert_eq!(config.validate(), Ok(()), "{config:?}");
+        }
+        let refused = [
+            (FleetConfig { traps: 0, ..FleetConfig::default() }, "trap"),
+            (FleetConfig { n_qubits: 0, ..FleetConfig::default() }, "qubits"),
+            (FleetConfig { n_qubits: 1, ..FleetConfig::default() }, "qubits"),
+            (FleetConfig { n_qubits: max + 1, ..FleetConfig::default() }, "qubits"),
+            (FleetConfig { arrival_rate_per_min: -1.0, ..FleetConfig::default() }, "arrival rate"),
+            (
+                FleetConfig { arrival_rate_per_min: f64::NAN, ..FleetConfig::default() },
+                "arrival rate",
+            ),
+            (
+                FleetConfig { arrival_rate_per_min: f64::INFINITY, ..FleetConfig::default() },
+                "arrival rate",
+            ),
+            (FleetConfig { service_secs_mean: -5.0, ..FleetConfig::default() }, "service time"),
+            (FleetConfig { service_secs_mean: f64::NAN, ..FleetConfig::default() }, "service time"),
+        ];
+        for (config, names) in refused {
+            let why = config.validate().expect_err("must be refused");
+            assert!(why.contains(names), "{why:?} should name {names}");
+        }
+    }
 
     fn small_config(workers: usize) -> FleetConfig {
         FleetConfig {

@@ -69,6 +69,10 @@ fn parse_flags() -> (FleetConfig, u64) {
             usage();
         }
     }
+    if let Err(why) = config.validate() {
+        eprintln!("fleetd: {why}");
+        usage();
+    }
     (config, minutes)
 }
 

@@ -259,12 +259,7 @@ impl XxCircuit {
     /// The probability that qubit `q` reads the corresponding bit of
     /// `target`.
     pub fn qubit_agreement(&self, q: usize, target: BitString) -> f64 {
-        let p1 = self.marginal_one(q);
-        if (target >> q) & 1 == 1 {
-            p1
-        } else {
-            1.0 - p1
-        }
+        agreement(self.marginal_one(q), q, target)
     }
 
     /// The worst per-qubit agreement with `target` over the circuit's
@@ -273,9 +268,42 @@ impl XxCircuit {
     /// exponentially with class size under ambient miscalibration, so
     /// hardware-style tests threshold qubit populations instead).
     ///
+    /// One pass over the terms multiplies each qubit's incident cosines
+    /// in term order (as [`Self::marginal_one`] does), then the minimum
+    /// is folded in ascending qubit order, so the result equals the
+    /// per-qubit [`Self::qubit_agreement`] fold bit for bit.
+    ///
     /// Returns 1 for an empty circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a touched qubit lies beyond the [`BitString`] width.
     pub fn min_qubit_agreement(&self, target: BitString) -> f64 {
-        self.support().into_iter().map(|q| self.qubit_agreement(q, target)).fold(1.0, f64::min)
+        let mut z = [1.0f64; BitString::BITS as usize];
+        let mut support: BitString = 0;
+        for (&(a, b), &theta) in &self.terms {
+            let c = theta.cos();
+            z[a] *= c;
+            z[b] *= c;
+            support |= 1 << a | 1 << b;
+        }
+        let mut worst = 1.0;
+        while support != 0 {
+            let q = support.trailing_zeros() as usize;
+            support &= support - 1;
+            worst = f64::min(worst, agreement((1.0 - z[q]) / 2.0, q, target));
+        }
+        worst
+    }
+}
+
+/// The probability that a qubit measuring `|1⟩` with probability `p1`
+/// reads bit `q` of `target`.
+fn agreement(p1: f64, q: usize, target: BitString) -> f64 {
+    if (target >> q) & 1 == 1 {
+        p1
+    } else {
+        1.0 - p1
     }
 }
 
@@ -498,6 +526,29 @@ mod tests {
         let xx = XxCircuit::from_circuit(&c).unwrap();
         for target in [0u128, 0b101010, 0b111111] {
             assert!(xx.fidelity(target) <= xx.min_qubit_agreement(target) + 1e-12);
+        }
+    }
+
+    #[test]
+    fn one_pass_min_agreement_matches_the_per_qubit_fold() {
+        // Bit for bit against the per-qubit definition, on random
+        // circuits with repeated couplings and sparse supports.
+        let mut rng = SmallRng::seed_from_u64(0xA9E);
+        for _ in 0..200 {
+            let n = rng.gen_range(2..=40usize);
+            let mut xx = XxCircuit::new(n);
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let a = rng.gen_range(0..n);
+                let mut b = rng.gen_range(0..n);
+                while b == a {
+                    b = rng.gen_range(0..n);
+                }
+                xx.add_xx(a, b, rng.gen_range(-3.2..3.2));
+            }
+            let target: BitString = rng.gen::<u64>() as BitString & ((1 << n) - 1);
+            let reference =
+                xx.support().into_iter().map(|q| xx.qubit_agreement(q, target)).fold(1.0, f64::min);
+            assert_eq!(xx.min_qubit_agreement(target).to_bits(), reference.to_bits());
         }
     }
 

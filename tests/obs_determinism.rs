@@ -199,6 +199,39 @@ fn attribution_leaf_spans_appear_when_the_layer_is_on() {
     assert_eq!(ranked[0], ranked[1], "covers ranked at threads=1 vs 8");
 }
 
+/// The decoder's forward-model counter on a cell of `table2 --fast`
+/// (8 qubits, 3 faults, its trial count and seed): the rows the ranked
+/// decoder tabulates are a function of the trial inputs alone, so
+/// `core.decoder.forward_rows` is identical at 1 and 8 threads. Each
+/// row stands for one predictor on the whole magnitude grid, shared by
+/// every cover of a `rank` call, so there are fewer rows than covers.
+#[test]
+fn forward_rows_counter_is_thread_invariant_on_table2_fast() {
+    let _guard = obs_lock();
+    let (args, _) =
+        itqc_bench::args::Args::parse_from(300, &["--xl"], ["--fast".to_string()].into_iter())
+            .expect("--fast parses");
+    let mut counts = Vec::new();
+    for threads in [1usize, 8] {
+        let (_, snap) = capture_det(|| {
+            table2_identification_rate(
+                8,
+                3,
+                args.trials,
+                threads,
+                DecoderPolicy::Ranked,
+                args.seed_for("t2/8/3"),
+            )
+        });
+        let rows = snap.counters.get("core.decoder.forward_rows").copied().unwrap_or(0);
+        let covers = snap.counters.get("core.decoder.covers_ranked").copied().unwrap_or(0);
+        assert!(rows > 0, "a 3-fault cell must tabulate forward rows");
+        assert!(rows < covers, "rows {rows} must be shared across {covers} covers");
+        counts.push(rows);
+    }
+    assert_eq!(counts[0], counts[1], "forward rows at threads=1 vs 8");
+}
+
 /// The reserved `nd.`/`span.` prefixes are rejected at the
 /// deterministic registration points, so a partition-dependent name
 /// cannot be smuggled into the bit-identical snapshot by typo.
