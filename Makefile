@@ -63,8 +63,9 @@ attribution:
 ## at 1 vs 8 threads (table2 is the one that exercises the decoder) and
 ## --metrics leaves stdout byte-identical; (2) same for loadgen at 1 vs
 ## 8 workers; (3) the registry, spans included, adds no measurable
-## overhead to the fig9 hot path (metrics run within 5% + 0.5 s of the
-## plain run); (4) the counter micro-bench runs clean
+## overhead to the fig9 hot path: over 5 alternating plain/metrics
+## pairs, the median metrics run is within 5% + 0.5 s of the median
+## plain run; (4) the counter micro-bench runs clean
 obs-check:
 	$(CARGO) build --release -p itqc-bench --bin fig8 --bin fig9 --bin table2 --bin loadgen
 	./target/release/fig8 --fast --sizes=8 --threads=1 --metrics=obs.t1.json > obs.t1.out
@@ -96,13 +97,24 @@ obs-check:
 	@grep '"deterministic"' obs.w8.json > obs.w8.det
 	diff obs.w1.det obs.w8.det
 	@echo "obs-check loadgen: deterministic snapshot worker-invariant, stdout unchanged"
-	@t0=$$(date +%s.%N); ./target/release/fig9 --fast --threads=1 >/dev/null; \
-	t1=$$(date +%s.%N); \
-	./target/release/fig9 --fast --threads=1 --metrics=obs.fig9.json >/dev/null; \
-	t2=$$(date +%s.%N); \
-	awk -v a="$$t0" -v b="$$t1" -v c="$$t2" 'BEGIN { td = b - a; te = c - b; \
-		printf "obs-check fig9 overhead: plain %.2f s, metrics %.2f s\n", td, te; \
-		if (te > td * 1.05 + 0.5) { print "metrics overhead above the 5% gate"; exit 1 } }'
+	@set -e; stamps=""; for i in 1 2 3 4 5; do \
+		t0=$$(date +%s.%N); ./target/release/fig9 --fast --threads=1 >/dev/null; \
+		t1=$$(date +%s.%N); \
+		./target/release/fig9 --fast --threads=1 --metrics=obs.fig9.json >/dev/null; \
+		t2=$$(date +%s.%N); \
+		stamps="$$stamps $$t0 $$t1 $$t2"; \
+	done; \
+	awk -v stamps="$$stamps" ' \
+		function median(v, n, i, j, t) { \
+			for (i = 1; i <= n; i++) for (j = i + 1; j <= n; j++) \
+				if (v[j] < v[i]) { t = v[i]; v[i] = v[j]; v[j] = t } \
+			return v[(n + 1) / 2] } \
+		BEGIN { n = split(stamps, s, " ") / 3; \
+			for (i = 1; i <= n; i++) { k = 3 * (i - 1); \
+				plain[i] = s[k + 2] - s[k + 1]; metered[i] = s[k + 3] - s[k + 2] } \
+			td = median(plain, n); te = median(metered, n); \
+			printf "obs-check fig9 overhead: median of %d plain %.2f s, metrics %.2f s\n", n, td, te; \
+			if (te > td * 1.05 + 0.5) { print "metrics overhead above the 5% gate"; exit 1 } }'
 	$(CARGO) bench -p itqc-obs
 	@rm -f obs.t1.* obs.t8.* obs.plain.out obs.t2t1.* obs.t2t8.* obs.t2plain.out obs.w1.* obs.w8.* \
 		obs.fig9.json

@@ -72,14 +72,6 @@ impl ComponentSampler {
             ComponentSampler::Chain(d) => d.probability_global(global),
         }
     }
-
-    /// Resident bytes of the sampler's probability tables.
-    pub fn table_bytes(&self) -> usize {
-        match self {
-            ComponentSampler::Joint(d) => (1usize << d.qubits().len()) * std::mem::size_of::<f64>(),
-            ComponentSampler::Chain(d) => d.table_bytes(),
-        }
-    }
 }
 
 impl SampleComponent for ComponentSampler {
@@ -136,14 +128,10 @@ impl XxAnalyticBackend {
     ///
     /// Circuits of at least [`SCORE_MEMO_MIN_TERMS`] couplings are
     /// memoised across trials ([`crate::memo`]), which returns the first
-    /// evaluation's float verbatim. Refuses, typed, an oversize
-    /// component the chain sampler cannot take.
-    pub fn score(
-        &self,
-        xx: &XxCircuit,
-        target: BitString,
-        kind: ScoreKind,
-    ) -> Result<f64, BackendError> {
+    /// evaluation's float verbatim. Reads no backend state, so it takes
+    /// no backend value. Refuses, typed, an oversize component the chain
+    /// sampler cannot take.
+    pub fn score(xx: &XxCircuit, target: BitString, kind: ScoreKind) -> Result<f64, BackendError> {
         if xx.terms().nth(SCORE_MEMO_MIN_TERMS - 1).is_none() {
             return evaluate(xx, target, kind);
         }
@@ -201,8 +189,7 @@ impl SimBackend for XxAnalyticBackend {
 /// materialized lazily on the first sampling request.
 ///
 /// `Send + Sync` (distributions materialize through a [`OnceLock`]), so
-/// preparations can be shared across threads behind an `Arc` — the
-/// property the fleet's cross-trap prepared-circuit cache builds on.
+/// preparations can be shared across threads behind an `Arc`.
 #[derive(Debug)]
 pub struct XxPrepared {
     xx: XxCircuit,
@@ -216,10 +203,7 @@ pub struct XxPrepared {
 
 impl XxPrepared {
     /// Prepares an accumulated commuting-XX circuit outside any backend
-    /// — the entry point for external cache layers that manage sharing
-    /// themselves (e.g. the fleet's concurrent cross-trap cache, which
-    /// stores preparations behind `Arc` instead of this crate's
-    /// per-backend `Rc`).
+    /// (no preparation cache).
     pub fn prepare(xx: XxCircuit) -> Result<Self, BackendError> {
         let support = xx.support();
         let comp_circuits = xx.components();
@@ -274,30 +258,6 @@ impl XxPrepared {
     /// Connected-component sizes in qubits, in preparation order.
     pub fn component_sizes(&self) -> Vec<usize> {
         self.comp_circuits.iter().map(|(_, mask)| mask.count_ones() as usize).collect()
-    }
-
-    /// Resident-size estimate of the fully materialized preparation:
-    /// per component the `2^c` f64 CDF table (joint) or the layered
-    /// `(z_T, k)` prefix tables (chain, `Σ_τ 2^{t−τ}·(n+1)` entries) —
-    /// the expensive, shareable part — plus the accumulated gate list.
-    /// Used by byte-budgeted cache layers.
-    pub fn table_bytes(&self) -> usize {
-        let tables: usize = self
-            .comp_circuits
-            .iter()
-            .map(|(sub, mask)| {
-                let c = mask.count_ones() as usize;
-                if c <= MAX_COMPONENT {
-                    (1usize << c) * std::mem::size_of::<f64>()
-                } else {
-                    let plan =
-                        chain::plan(sub).expect("oversize structure validated at prepare time");
-                    let t = plan.special.len();
-                    ((1usize << (t + 1)) - 1) * (c - t + 1) * std::mem::size_of::<f64>()
-                }
-            })
-            .sum();
-        tables + self.xx.terms().count() * 3 * std::mem::size_of::<u64>()
     }
 }
 
@@ -506,13 +466,11 @@ mod tests {
     fn prepared_circuits_are_send_sync_with_size_accounting() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<XxPrepared>();
-        // Two disjoint pairs → components of 2 qubits each; table bytes
-        // dominated by two 2^2 CDFs plus the 2-term gate list.
+        // Two disjoint pairs → components of 2 qubits each.
         let mut xx = XxCircuit::new(6);
         xx.add_xx(0, 2, 0.3).add_xx(3, 5, 0.4);
         let prep = XxPrepared::prepare(xx).unwrap();
         assert_eq!(prep.component_sizes(), vec![2, 2]);
-        assert_eq!(prep.table_bytes(), 2 * 4 * 8 + 2 * 3 * 8);
     }
 
     #[test]

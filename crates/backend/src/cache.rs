@@ -14,7 +14,6 @@
 use crate::analytic::XxPrepared;
 use itqc_sim::XxCircuit;
 use std::collections::HashMap;
-use std::ops::{Add, AddAssign};
 use std::rc::Rc;
 
 /// Number of prepared circuits held before the cache is flushed. A
@@ -49,61 +48,13 @@ pub fn xx_key(xx: &XxCircuit) -> Vec<u64> {
     key
 }
 
-/// Hit/miss/eviction totals of a prepared-circuit cache — the common
-/// observability currency of every cache layer in the workspace (this
-/// per-backend cache, and the fleet's shared cross-trap cache which
-/// layers over it).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to build a preparation.
-    pub misses: u64,
-    /// Entries dropped to enforce a capacity or size budget.
-    pub evictions: u64,
-}
-
-impl CacheCounters {
-    /// Hits as a fraction of all lookups (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Total lookups observed.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
-impl Add for CacheCounters {
-    type Output = CacheCounters;
-
-    fn add(self, rhs: CacheCounters) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits + rhs.hits,
-            misses: self.misses + rhs.misses,
-            evictions: self.evictions + rhs.evictions,
-        }
-    }
-}
-
-impl AddAssign for CacheCounters {
-    fn add_assign(&mut self, rhs: CacheCounters) {
-        *self = *self + rhs;
-    }
-}
-
 /// A bounded map from [`xx_key`] to shared preparations, with hit/miss
 /// counters for observability.
 #[derive(Debug, Default)]
 pub struct PrepCache {
     map: HashMap<Vec<u64>, Rc<XxPrepared>>,
-    counters: CacheCounters,
+    hits: u64,
+    misses: u64,
 }
 
 impl PrepCache {
@@ -111,14 +62,14 @@ impl PrepCache {
     pub fn get(&mut self, key: &[u64]) -> Option<Rc<XxPrepared>> {
         match self.map.get(key) {
             Some(hit) => {
-                self.counters.hits += 1;
+                self.hits += 1;
                 // Per-backend caches live on one thread each, so the
                 // hit/miss split varies with the sharding — nd class.
                 itqc_obs::event::add_nd("backend.prep_cache.hits", 1);
                 Some(Rc::clone(hit))
             }
             None => {
-                self.counters.misses += 1;
+                self.misses += 1;
                 itqc_obs::event::add_nd("backend.prep_cache.misses", 1);
                 None
             }
@@ -127,11 +78,9 @@ impl PrepCache {
 
     /// Stores a preparation, flushing the whole cache first when full
     /// (epoch eviction: simpler than LRU and the working set of one
-    /// diagnosis fits comfortably under the capacity; the fleet's shared
-    /// cross-trap layer does true LRU with a byte budget instead).
+    /// diagnosis fits comfortably under the capacity).
     pub fn insert(&mut self, key: Vec<u64>, prepared: Rc<XxPrepared>) {
         if self.map.len() >= CACHE_CAPACITY {
-            self.counters.evictions += self.map.len() as u64;
             itqc_obs::event::add_nd("backend.prep_cache.evictions", self.map.len() as u64);
             self.map.clear();
         }
@@ -140,12 +89,7 @@ impl PrepCache {
 
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
-        (self.counters.hits, self.counters.misses)
-    }
-
-    /// Full hit/miss/eviction counters since construction.
-    pub fn counters(&self) -> CacheCounters {
-        self.counters
+        (self.hits, self.misses)
     }
 
     /// Number of cached preparations.
@@ -204,18 +148,7 @@ mod tests {
             assert!(cache.len() <= CACHE_CAPACITY);
         }
         assert!(!cache.is_empty());
-        // The flush was recorded as CACHE_CAPACITY evictions.
-        assert_eq!(cache.counters().evictions, CACHE_CAPACITY as u64);
-    }
-
-    #[test]
-    fn counters_accumulate_and_merge() {
-        let a = CacheCounters { hits: 3, misses: 1, evictions: 0 };
-        let b = CacheCounters { hits: 1, misses: 1, evictions: 2 };
-        let sum = a + b;
-        assert_eq!(sum, CacheCounters { hits: 4, misses: 2, evictions: 2 });
-        assert!((sum.hit_rate() - 4.0 / 6.0).abs() < 1e-12);
-        assert_eq!(sum.lookups(), 6);
-        assert_eq!(CacheCounters::default().hit_rate(), 0.0);
+        // One flush emptied the full map: only the overflow remains.
+        assert_eq!(cache.len(), 10);
     }
 }

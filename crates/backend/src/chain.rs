@@ -294,11 +294,6 @@ impl ChainDist {
         self.special_pos.len()
     }
 
-    /// Resident bytes of the layered tables (the shareable part).
-    pub fn table_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.len() * std::mem::size_of::<f64>()).sum()
-    }
-
     /// The exact probability of the full-register basis string `global`
     /// on this component (bits of other components are ignored, exactly
     /// like the joint sampler's `local_state` extraction).

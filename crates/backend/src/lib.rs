@@ -36,7 +36,6 @@ pub mod dist;
 pub mod memo;
 
 pub use analytic::{ComponentSampler, XxAnalyticBackend, XxPrepared, MAX_COMPONENT};
-pub use cache::CacheCounters;
 pub use chain::{ChainDist, CHAIN_MAX_SPECIAL};
 pub use dense::DenseBackend;
 pub use dist::{sample_strings_blocked, SampleComponent, SAMPLE_BLOCK_SHOTS};

@@ -12,8 +12,7 @@
 //! ```
 //!
 //! Flags (all optional): `--traps=N --workers=N|auto --minutes=N`
-//! `--seed=N --qubits=N --rate=F --service-mean=F --cache-budget-mb=N`
-//! `--metrics[=PATH]`. Defaults: 256 traps for one simulated hour at
+//! `--seed=N --qubits=N --rate=F --service-mean=F --metrics[=PATH]`. Defaults: 256 traps for one simulated hour at
 //! the fleet's default operating point (4 jobs/trap/min, 8 s mean
 //! service ≈ 1.4 M jobs/simulated-day).
 //!
@@ -29,7 +28,7 @@ use std::time::Instant;
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--traps=N] [--workers=N|auto] [--minutes=N] [--seed=N] \
-         [--qubits=N] [--rate=F] [--service-mean=F] [--cache-budget-mb=N] [--metrics[=PATH]]"
+         [--qubits=N] [--rate=F] [--service-mean=F] [--metrics[=PATH]]"
     );
     std::process::exit(2);
 }
@@ -62,9 +61,6 @@ fn parse_flags() -> (FleetConfig, u64, Option<MetricsSink>) {
             "--qubits" => value.parse().map(|v| config.n_qubits = v).is_ok(),
             "--rate" => value.parse().map(|v| config.arrival_rate_per_min = v).is_ok(),
             "--service-mean" => value.parse().map(|v| config.service_secs_mean = v).is_ok(),
-            "--cache-budget-mb" => {
-                value.parse().map(|v: usize| config.cache_budget_bytes = v << 20).is_ok()
-            }
             _ => usage(),
         };
         if !ok {
@@ -113,9 +109,9 @@ fn main() {
         eprintln!("loadgen: WARNING below the 1M jobs/machine-day target");
     }
     if let Some(sink) = &metrics {
-        // Merge the fleet's per-instance registry (cache/scheduler
-        // counters) into the ambient one (backend/core events flushed
-        // at tick barriers) and emit one document.
+        // Merge the fleet's per-instance registry (scheduler counters)
+        // into the ambient one (backend/core events flushed at tick
+        // barriers) and emit one document.
         itqc_obs::event::flush();
         let registry = itqc_obs::global();
         registry.absorb(fleet.obs());

@@ -7,7 +7,7 @@
 
 use crate::testplan::{ScoreMode, TestSpec};
 use itqc_backend::memo::ScoreKind;
-use itqc_backend::{Backend, BackendChoice, PreparedCircuit, SimBackend as _};
+use itqc_backend::{Backend, BackendChoice, PreparedCircuit, SimBackend as _, XxAnalyticBackend};
 use itqc_circuit::{Circuit, Coupling};
 use itqc_trap::{Activity, VirtualTrap};
 use std::collections::BTreeMap;
@@ -144,7 +144,7 @@ impl ExactExecutor {
         itqc_obs::event::add("core.exact.queries", 1);
         if self.backend.choice() != BackendChoice::Dense {
             let xx = spec.noisy_xx(self.n_qubits, |c| self.under_rotation(c));
-            if let Ok(score) = self.backend.analytic().score(&xx, spec.target, kind) {
+            if let Ok(score) = XxAnalyticBackend::score(&xx, spec.target, kind) {
                 return score;
             }
         }

@@ -1,10 +1,8 @@
 //! The in-process fleet API: configure, drive, query, summarize.
 //!
-//! [`Fleet`] owns the scheduler side of the tick protocol: it broadcasts
-//! phase messages to the shard workers, batches phase-A prep requests
-//! through the shared cache (building each distinct circuit once per
-//! tick, however many traps requested it), merges phase-B reports in
-//! trap-id order, and closes each tick with the cache's LRU barrier.
+//! [`Fleet`] owns the scheduler side of the tick protocol: it starts one
+//! worker-pool run per [`Fleet::run_minutes`] call and merges the
+//! per-trap reports in trap-id order.
 //!
 //! Everything the fleet reports — the [`FleetSummary`] in particular —
 //! is a pure function of `(FleetConfig minus workers, ticks run,
@@ -12,11 +10,9 @@
 //! `FleetSummary::to_string()` is bit-identical at `--workers=1`, `2`,
 //! or `8`, and the test suite and CI both pin that.
 
-use crate::cache::SharedPrepCache;
 use crate::machine_day::{fig2_diagnosis_config, FIG2_QUBITS};
-use crate::pool::{shard_bounds, FromShard, Shard, ToShard};
+use crate::pool::Pool;
 use crate::trap_state::{FleetParams, TrapStatus};
-use itqc_backend::{CacheCounters, XxPrepared};
 use itqc_faults::drift::{JumpDrift, OrnsteinUhlenbeckDrift};
 use itqc_obs::{Counter, Registry};
 use itqc_trap::duty::Activity;
@@ -26,13 +22,17 @@ use std::sync::Arc;
 /// Minutes in a simulated machine-day.
 pub const MINUTES_PER_DAY: u64 = 24 * 60;
 
+/// Most worker threads a fleet starts; `workers = 0` (one per core) is
+/// capped here too.
+pub const MAX_WORKERS: usize = 64;
+
 /// Fleet service configuration.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Number of traps in the fleet.
     pub traps: usize,
-    /// Worker threads (0 = one per available core). Never affects
-    /// results, only wall-clock.
+    /// Worker threads (0 = one per available core), at most
+    /// [`MAX_WORKERS`]. Never affects results, only wall-clock.
     pub workers: usize,
     /// Master seed; every per-trap stream derives from it.
     pub seed: u64,
@@ -48,8 +48,6 @@ pub struct FleetConfig {
     pub service_secs_mean: f64,
     /// Job deadline allowance past arrival, seconds.
     pub job_deadline_s: f64,
-    /// Shared prepared-circuit cache budget, bytes.
-    pub cache_budget_bytes: usize,
     /// The calibration drift process.
     pub drift: JumpDrift,
     /// Diagnosis configuration (thresholds, shots, decoder).
@@ -73,7 +71,6 @@ impl Default for FleetConfig {
             arrival_rate_per_min: 4.0,
             service_secs_mean: 8.0,
             job_deadline_s: 300.0,
-            cache_budget_bytes: 64 << 20,
             drift: JumpDrift {
                 base: OrnsteinUhlenbeckDrift { tau_minutes: 240.0, sigma: 0.02 },
                 jumps_per_minute: 1e-4,
@@ -86,8 +83,8 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// Checks the settings [`Fleet::new`] and the trap workers rely on:
-    /// at least one trap, a register of 2 to
-    /// [`itqc_backend::MAX_COMPONENT`] qubits (the canary spans all
+    /// at least one trap, at most [`MAX_WORKERS`] workers, a register of
+    /// 2 to [`itqc_backend::MAX_COMPONENT`] qubits (the canary spans all
     /// couplings, so its component is the whole register), and a finite,
     /// non-negative arrival rate and mean service time. The error names
     /// the offending setting.
@@ -95,6 +92,9 @@ impl FleetConfig {
         let max_qubits = itqc_backend::MAX_COMPONENT;
         if self.traps == 0 {
             return Err("a fleet needs at least one trap".into());
+        }
+        if self.workers > MAX_WORKERS {
+            return Err(format!("at most {MAX_WORKERS} workers, not {}", self.workers));
         }
         if !(2..=max_qubits).contains(&self.n_qubits) {
             return Err(format!(
@@ -145,8 +145,6 @@ struct FleetStats {
     diagnoses: Counter,
     tests_run: Counter,
     faults_fixed: Counter,
-    prep_requests: Counter,
-    prep_batch_builds: Counter,
 }
 
 impl FleetStats {
@@ -162,8 +160,6 @@ impl FleetStats {
             diagnoses: obs.counter("fleet.diagnose.runs"),
             tests_run: obs.counter("fleet.diagnose.tests"),
             faults_fixed: obs.counter("fleet.faults.fixed"),
-            prep_requests: obs.counter("fleet.prep.requests"),
-            prep_batch_builds: obs.counter("fleet.prep.batch_builds"),
         }
     }
 }
@@ -205,8 +201,7 @@ impl fmt::Display for SubmitError {
 /// The running fleet service. Dropping it shuts the workers down.
 pub struct Fleet {
     config: FleetConfig,
-    shards: Vec<Shard>,
-    cache: SharedPrepCache,
+    pool: Pool,
     tick: u64,
     stats: FleetStats,
     pending_submissions: Vec<(usize, f64)>,
@@ -214,7 +209,7 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Spawns the shard workers and builds the shared cache.
+    /// Spawns the shard workers.
     ///
     /// # Panics
     ///
@@ -224,27 +219,17 @@ impl Fleet {
             panic!("invalid fleet config: {why}");
         }
         let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            std::thread::available_parallelism().map_or(1, |n| n.get()).min(MAX_WORKERS)
         } else {
             config.workers
         };
-        // Per-fleet registry: every cache and scheduler counter is a
-        // registered handle, so the `stats`/`summary` renderings and
-        // the deterministic metrics snapshot read the same totals.
+        // Per-fleet registry: every scheduler counter is a registered
+        // handle, so the `summary` rendering and the deterministic
+        // metrics snapshot read the same totals.
         let obs = Arc::new(Registry::new());
-        let params = Arc::new(config.params());
-        let shards = shard_bounds(config.traps, workers)
-            .into_iter()
-            .map(|(lo, hi)| Shard::spawn(lo, hi, config.seed, Arc::clone(&params)))
-            .collect();
-        let cache = SharedPrepCache::with_counters(
-            config.cache_budget_bytes,
-            obs.counter("fleet.cache.l2.hits"),
-            obs.counter("fleet.cache.l2.misses"),
-            obs.counter("fleet.cache.l2.evictions"),
-        );
+        let pool = Pool::new(config.traps, workers, config.seed, Arc::new(config.params()));
         let stats = FleetStats::new(&obs);
-        Fleet { config, shards, cache, tick: 0, stats, pending_submissions: Vec::new(), obs }
+        Fleet { config, pool, tick: 0, stats, pending_submissions: Vec::new(), obs }
     }
 
     /// The configuration the fleet runs under.
@@ -257,21 +242,11 @@ impl Fleet {
         self.tick
     }
 
-    /// Shared (L2) cache counters.
-    pub fn cache_counters(&self) -> CacheCounters {
-        self.cache.counters()
-    }
-
     /// The fleet's observability registry. Holds every registry-backed
-    /// cache and scheduler counter; its deterministic snapshot is
+    /// scheduler counter; its deterministic snapshot is
     /// bit-identical at any worker count.
     pub fn obs(&self) -> &Registry {
         &self.obs
-    }
-
-    /// Resident shared-cache entries and bytes.
-    pub fn cache_resident(&self) -> (usize, usize) {
-        (self.cache.len(), self.cache.bytes())
     }
 
     /// Queues `count` identical user jobs on `trap`; they arrive at the
@@ -297,69 +272,18 @@ impl Fleet {
         Ok(())
     }
 
-    /// Advances the simulation by `minutes` ticks.
+    /// Advances the simulation by `minutes` ticks in one pool run.
     pub fn run_minutes(&mut self, minutes: u64) {
-        for _ in 0..minutes {
-            self.step_tick();
+        if minutes == 0 {
+            return;
         }
-    }
-
-    fn step_tick(&mut self) {
         let tick = self.tick;
-        // Deliver API submissions before the tick starts.
-        if !self.pending_submissions.is_empty() {
-            let now = tick as f64 * 60.0;
-            let pending = std::mem::take(&mut self.pending_submissions);
-            for shard in &self.shards {
-                let jobs: Vec<(usize, f64, f64)> = pending
-                    .iter()
-                    .filter(|(trap, _)| shard.owns(*trap))
-                    .map(|&(trap, service)| (trap, service, now))
-                    .collect();
-                if !jobs.is_empty() {
-                    shard.send(ToShard::Submit(jobs));
-                }
-            }
+        // Deliver API submissions before the first tick starts.
+        let now = tick as f64 * 60.0;
+        for (trap, service) in std::mem::take(&mut self.pending_submissions) {
+            self.pool.with(trap, |t| t.submit_job(service, now));
         }
-        // Phase A: arrivals, drift, canary prep requests.
-        for shard in &self.shards {
-            shard.send(ToShard::PhaseA(tick));
-        }
-        // Batch barrier: requests arrive in shard order = trap-id order.
-        // Build each distinct missing circuit once; later requests for
-        // the same key (same-class circuits on other traps) are served
-        // by the fresh entry.
-        for shard in &self.shards {
-            let FromShard::Requests(requests) = shard.recv() else {
-                panic!("phase A reply expected");
-            };
-            for req in requests {
-                self.stats.prep_requests.incr();
-                if self.cache.contains(&req.key) {
-                    self.cache.touch(&req.key, tick);
-                } else {
-                    self.stats.prep_batch_builds.incr();
-                    self.cache.note_misses(1);
-                    let prep = Arc::new(
-                        XxPrepared::prepare(req.xx).expect("canary circuits are commuting-XX"),
-                    );
-                    prep.distributions();
-                    self.cache.admit(req.key, prep, tick);
-                }
-            }
-        }
-        // Mid-tick publication so phase B sees this tick's batch builds
-        // (eviction waits for the end-of-tick barrier).
-        self.cache.publish();
-        let snap = self.cache.snapshot();
-        // Phase B: drain queues against the snapshot.
-        for shard in &self.shards {
-            shard.send(ToShard::PhaseB(tick, snap.clone()));
-        }
-        for shard in &self.shards {
-            let FromShard::Ticked(out) = shard.recv() else {
-                panic!("phase B reply expected");
-            };
+        for out in self.pool.run(tick..tick + minutes) {
             self.stats.submitted.add(out.submitted);
             self.stats.completed.add(out.completed);
             self.stats.latencies.extend(out.latencies);
@@ -368,17 +292,8 @@ impl Fleet {
             self.stats.diagnoses.add(out.diagnoses);
             self.stats.tests_run.add(out.tests_run);
             self.stats.faults_fixed.add(out.faults_fixed);
-            self.cache.note_misses(out.built.len() as u64);
-            for key in &out.touched {
-                self.cache.note_hit(key, tick);
-            }
-            for (key, prep) in out.built {
-                self.cache.admit(key, prep, tick);
-            }
         }
-        // Tick barrier: LRU eviction + snapshot republication.
-        self.cache.end_tick(tick);
-        self.tick = tick + 1;
+        self.tick = tick + minutes;
     }
 
     /// One trap's operational status.
@@ -388,31 +303,19 @@ impl Fleet {
     /// Panics if `trap` is out of range.
     pub fn status(&mut self, trap: usize) -> TrapStatus {
         assert!(trap < self.config.traps, "trap {trap} out of range");
-        let shard = self.shards.iter().find(|s| s.owns(trap)).expect("covering shards");
-        shard.send(ToShard::Status(trap));
-        let FromShard::Status(status) = shard.recv() else {
-            panic!("status reply expected");
-        };
-        *status
+        self.pool.with(trap, |t| t.status())
     }
 
     /// The end-of-run summary (non-destructive; callable mid-run).
     pub fn summary(&mut self) -> FleetSummary {
         let mut duty = [0.0f64; Activity::ALL.len()];
         let mut queued = 0usize;
-        for shard in &self.shards {
-            shard.send(ToShard::Drain);
-        }
-        for shard in &self.shards {
-            let FromShard::Drained(drains) = shard.recv() else {
-                panic!("drain reply expected");
-            };
-            for d in drains {
-                for (acc, s) in duty.iter_mut().zip(d.duty.iter()) {
-                    *acc += s;
-                }
-                queued += d.queue_depth;
+        for trap in 0..self.config.traps {
+            let d = self.pool.with(trap, |t| t.drain());
+            for (acc, s) in duty.iter_mut().zip(d.duty.iter()) {
+                *acc += s;
             }
+            queued += d.queue_depth;
         }
         let mut sorted = self.stats.latencies.clone();
         sorted.sort_by(f64::total_cmp);
@@ -431,11 +334,6 @@ impl Fleet {
             diagnoses: self.stats.diagnoses.get(),
             tests_run: self.stats.tests_run.get(),
             faults_fixed: self.stats.faults_fixed.get(),
-            prep_requests: self.stats.prep_requests.get(),
-            prep_batch_builds: self.stats.prep_batch_builds.get(),
-            shared_cache: self.cache.counters(),
-            shared_entries: self.cache.len(),
-            shared_bytes: self.cache.bytes(),
             duty,
         }
     }
@@ -482,16 +380,6 @@ pub struct FleetSummary {
     pub tests_run: u64,
     /// Faults diagnosed and recalibrated.
     pub faults_fixed: u64,
-    /// Phase-A prep requests batched through the shared cache.
-    pub prep_requests: u64,
-    /// Requests that had to build (the rest were grouped or resident).
-    pub prep_batch_builds: u64,
-    /// Shared (L2) cache hit/miss/eviction totals.
-    pub shared_cache: CacheCounters,
-    /// Resident shared-cache entries.
-    pub shared_entries: usize,
-    /// Resident shared-cache bytes.
-    pub shared_bytes: usize,
     /// Fleet-wide seconds per activity, `Activity::ALL` order.
     pub duty: [f64; Activity::ALL.len()],
 }
@@ -529,21 +417,6 @@ impl fmt::Display for FleetSummary {
             "  canaries {} trips {} diagnoses {} tests {} faults_fixed {}",
             self.canaries, self.trips, self.diagnoses, self.tests_run, self.faults_fixed
         )?;
-        writeln!(
-            f,
-            "  prep requests {} batch_builds {}",
-            self.prep_requests, self.prep_batch_builds
-        )?;
-        writeln!(
-            f,
-            "  shared_cache hits {} misses {} evictions {} hit_rate {:.4} entries {} bytes {}",
-            self.shared_cache.hits,
-            self.shared_cache.misses,
-            self.shared_cache.evictions,
-            self.shared_cache.hit_rate(),
-            self.shared_entries,
-            self.shared_bytes
-        )?;
         write!(f, "  duty_s")?;
         for (&secs, &a) in self.duty.iter().zip(Activity::ALL.iter()) {
             write!(f, " {}={:.1}", activity_tag(a), secs)?;
@@ -572,6 +445,8 @@ mod tests {
         let max = itqc_backend::MAX_COMPONENT;
         let ok = [
             FleetConfig { n_qubits: 2, ..FleetConfig::default() },
+            FleetConfig { workers: 0, ..FleetConfig::default() },
+            FleetConfig { workers: MAX_WORKERS, ..FleetConfig::default() },
             FleetConfig { n_qubits: max, ..FleetConfig::default() },
             FleetConfig {
                 arrival_rate_per_min: 0.0,
@@ -584,6 +459,8 @@ mod tests {
         }
         let refused = [
             (FleetConfig { traps: 0, ..FleetConfig::default() }, "trap"),
+            (FleetConfig { workers: MAX_WORKERS + 1, ..FleetConfig::default() }, "workers"),
+            (FleetConfig { workers: 100_000, ..FleetConfig::default() }, "workers"),
             (FleetConfig { n_qubits: 0, ..FleetConfig::default() }, "qubits"),
             (FleetConfig { n_qubits: 1, ..FleetConfig::default() }, "qubits"),
             (FleetConfig { n_qubits: max + 1, ..FleetConfig::default() }, "qubits"),
@@ -628,26 +505,6 @@ mod tests {
         }
         assert_eq!(renders[0], renders[1]);
         assert_eq!(renders[1], renders[2]);
-    }
-
-    #[test]
-    fn canary_batching_turns_repeat_preps_into_hits() {
-        let mut fleet = Fleet::new(FleetConfig { arrival_rate_per_min: 0.0, ..small_config(2) });
-        // Pristine traps share one canary circuit: the very first tick
-        // builds it once and serves every other trap from the batch.
-        fleet.run_minutes(1);
-        let s = fleet.summary();
-        assert_eq!(s.prep_requests, 3);
-        assert_eq!(s.prep_batch_builds, 1, "identical circuits are grouped");
-        assert_eq!(s.canaries, 3);
-        // Within the first drift epoch, repeat canaries are L2 hits.
-        fleet.run_minutes(10);
-        let s = fleet.summary();
-        assert!(
-            s.shared_cache.hit_rate() > 0.5,
-            "quasi-static canaries must hit the shared cache: {:?}",
-            s.shared_cache
-        );
     }
 
     #[test]

@@ -6,23 +6,23 @@
 //! interactively, from scripts, or from CI:
 //!
 //! ```text
-//! $ printf 'run 60\nstats\nsummary\nquit\n' | fleetd --traps=16 --workers=2
+//! $ printf 'run 60\nsummary\nquit\n' | fleetd --traps=16 --workers=2
 //! ```
 //!
 //! Flags (all optional): `--traps=N --workers=N|auto --seed=N --qubits=N`
-//! `--cadence-min=N --epoch-min=N --rate=F --service-mean=F`
-//! `--cache-budget-mb=N --minutes=N`. With `--minutes=N` the daemon
-//! first advances N simulated minutes, prints the summary, and then
-//! still serves stdin (EOF exits). `--workers=0` means one per core —
+//! `--cadence-min=N --epoch-min=N --rate=F --service-mean=F --minutes=N`.
+//! With `--minutes=N` the daemon first advances N simulated minutes,
+//! prints the summary, and then still serves stdin (EOF exits).
+//! `--workers=0` or `auto` means one per core; at most 64 workers —
 //! results never depend on it.
 //!
 //! Commands: `run <minutes>`, `submit <trap> <service_s> [count]`,
-//! `status <trap>`, `stats`, `metrics`, `summary`, `help`, `quit`
+//! `status <trap>`, `metrics`, `summary`, `help`, `quit`
 //! (answered by [`itqc_fleet::service::handle_line`]; a malformed or
 //! out-of-range command gets an `error: …` reply).
 //!
 //! `metrics` prints the deterministic counter snapshot — the fleet
-//! registry's cache/scheduler counters merged with the ambient backend
+//! registry's scheduler counters merged with the ambient backend
 //! event counters — as one line of JSON. Only the deterministic class
 //! is printed, so the reply is bit-identical at any `--workers` value
 //! and stdout stays diffable. The daemon enables the `itqc_obs` event
@@ -35,8 +35,7 @@ use std::io::{BufRead, Write};
 fn usage() -> ! {
     eprintln!(
         "usage: fleetd [--traps=N] [--workers=N|auto] [--seed=N] [--qubits=N] \
-         [--cadence-min=N] [--epoch-min=N] [--rate=F] [--service-mean=F] \
-         [--cache-budget-mb=N] [--minutes=N]"
+         [--cadence-min=N] [--epoch-min=N] [--rate=F] [--service-mean=F] [--minutes=N]"
     );
     std::process::exit(2);
 }
@@ -59,9 +58,6 @@ fn parse_flags() -> (FleetConfig, u64) {
             "--epoch-min" => value.parse().map(|v| config.drift_epoch_min = v).is_ok(),
             "--rate" => value.parse().map(|v| config.arrival_rate_per_min = v).is_ok(),
             "--service-mean" => value.parse().map(|v| config.service_secs_mean = v).is_ok(),
-            "--cache-budget-mb" => {
-                value.parse().map(|v: usize| config.cache_budget_bytes = v << 20).is_ok()
-            }
             "--minutes" => value.parse().map(|v| minutes = v).is_ok(),
             _ => usage(),
         };

@@ -1,104 +1,45 @@
-//! The cache-routed test executor for fleet traps.
+//! The test executor for fleet traps.
 //!
 //! [`CachedTrapExecutor`] implements `itqc_core::TestExecutor` over a
-//! [`VirtualTrap`], but instead of re-deriving every test circuit's
-//! output statistics shot-engine-style (`VirtualTrap::run_xx_test`), it
-//! resolves the accumulated noisy circuit through the trap's own
-//! per-tick build log, then the shared cache's snapshot, and only builds
-//! an [`XxPrepared`] when both miss, logging the build so the scheduler
-//! can admit it into the shared cache at the tick barrier.
+//! [`VirtualTrap`]. It computes each test circuit's exact statistics on
+//! the analytic engine's scalar path — an `ExactTarget` test through the
+//! memoised [`XxAnalyticBackend::score`], whose per-thread memo turns a
+//! quasi-static canary's repeats into hits, and a `WorstQubit` test from
+//! the closed-form per-qubit agreements — exactly as `ExactExecutor`
+//! scores its oracle queries.
 //!
-//! Shots are still read out by the trap itself
-//! ([`VirtualTrap::read_out_xx_test`], on the trap's own RNG), so a
-//! machine behaves bit-identically whether its tests run through this
-//! executor, another trap warmed the cache first, or no cache exists at
-//! all. This is the property that makes the fleet summary independent
-//! of worker count.
+//! Shots are read out by the trap itself
+//! ([`VirtualTrap::read_out_xx_test`], on the trap's own RNG) from the
+//! same statistics `VirtualTrap::run_test` computes, so a machine
+//! behaves bit-identically whichever of the two runs its tests, and
+//! whichever shard thread's memo answered. This is the property that
+//! makes the fleet summary independent of worker count.
 //!
 //! Requires a trap with zero amplitude jitter (the fleet runs the
 //! quasi-static drift model, where noise moves only at drift epochs):
-//! per-shot jitter would make the circuit — and hence the cache key —
-//! change under the executor's feet.
+//! per-shot jitter draws on the trap's RNG, which this executor does
+//! not replay.
 
-use crate::cache::{CacheSnapshot, PrepKey};
-use itqc_backend::cache::xx_key;
-use itqc_backend::{PreparedCircuit, XxPrepared};
+use itqc_backend::memo::ScoreKind;
+use itqc_backend::XxAnalyticBackend;
 use itqc_core::testplan::ScoreMode;
 use itqc_core::{TestExecutor, TestSpec};
 use itqc_trap::{Activity, VirtualTrap, XxStats};
-use std::sync::Arc;
 
-/// Samples and bills one test against an already-prepared circuit
-/// through the trap's own readout step, so the outcome matches
-/// `VirtualTrap::run_xx_test` / `run_xx_test_population` on the same
-/// circuit. Returns the observed score in `[0, 1]`.
-pub fn score_prepared(
-    trap: &mut VirtualTrap,
-    prep: &XxPrepared,
-    spec: &TestSpec,
-    shots: usize,
-) -> f64 {
-    if shots == 0 {
-        return 0.0;
-    }
-    let stats = match spec.score {
-        ScoreMode::ExactTarget => XxStats::Target(prep.probability(spec.target)),
-        ScoreMode::WorstQubit => XxStats::Agreements(
-            prep.support().iter().map(|&q| prep.qubit_agreement(q, spec.target)).collect(),
-        ),
-    };
-    let hits =
-        trap.read_out_xx_test(stats, spec.target, spec.gate_count(), shots, Activity::Testing);
-    hits as f64 / shots as f64
-}
-
-/// A per-trap executor routing circuit preparation through the fleet's
-/// shared cache. Borrows the trap and its tick-scoped state for the
-/// duration of one queue item.
+/// A per-trap executor on the memoised exact path. Borrows the trap for
+/// the duration of one queue item.
 pub struct CachedTrapExecutor<'a> {
     trap: &'a mut VirtualTrap,
-    snapshot: &'a CacheSnapshot,
-    /// Preparations built this tick on a snapshot miss, logged for
-    /// barrier admission; replays within the tick are served from here.
-    built: &'a mut Vec<(PrepKey, Arc<XxPrepared>)>,
-    /// Keys hit in the snapshot: each one is a shared-cache hit, and
-    /// refreshes the entry's LRU stamp at the barrier.
-    touched: &'a mut Vec<PrepKey>,
 }
 
 impl<'a> CachedTrapExecutor<'a> {
-    /// Wires an executor over one trap's tick state.
-    pub fn new(
-        trap: &'a mut VirtualTrap,
-        snapshot: &'a CacheSnapshot,
-        built: &'a mut Vec<(PrepKey, Arc<XxPrepared>)>,
-        touched: &'a mut Vec<PrepKey>,
-    ) -> Self {
+    /// Wires an executor over one trap.
+    pub fn new(trap: &'a mut VirtualTrap) -> Self {
         debug_assert!(
             trap.config().amplitude_jitter_std == 0.0,
-            "cached execution needs quasi-static noise (no per-shot jitter)"
+            "fleet execution needs quasi-static noise (no per-shot jitter)"
         );
-        CachedTrapExecutor { trap, snapshot, built, touched }
-    }
-
-    /// Resolves the prepared circuit for `spec` under the trap's current
-    /// calibration: this tick's build log, then the shared snapshot,
-    /// then build-and-log. A circuit is built at most once per trap per
-    /// tick, and every build is one shared-cache miss.
-    pub fn prepared_for(&mut self, spec: &TestSpec) -> Arc<XxPrepared> {
-        let xx = spec.noisy_xx(self.trap.n_qubits(), |c| self.trap.true_under_rotation(c));
-        let key = xx_key(&xx);
-        if let Some((_, p)) = self.built.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(p);
-        }
-        if let Some(p) = self.snapshot.get(&key) {
-            self.touched.push(key);
-            return p;
-        }
-        let prep = Arc::new(XxPrepared::prepare(xx).expect("fleet test circuits are commuting-XX"));
-        prep.distributions(); // materialize before sharing
-        self.built.push((key, Arc::clone(&prep)));
-        prep
+        CachedTrapExecutor { trap }
     }
 }
 
@@ -111,8 +52,24 @@ impl TestExecutor for CachedTrapExecutor<'_> {
         if shots == 0 {
             return 0.0;
         }
-        let prep = self.prepared_for(spec);
-        score_prepared(self.trap, &prep, spec, shots)
+        let xx = spec.noisy_xx(self.trap.n_qubits(), |c| self.trap.true_under_rotation(c));
+        let stats = match spec.score {
+            ScoreMode::ExactTarget => XxStats::Target(
+                XxAnalyticBackend::score(&xx, spec.target, ScoreKind::ExactTarget)
+                    .expect("fleet registers fit the analytic engine"),
+            ),
+            ScoreMode::WorstQubit => XxStats::Agreements(
+                xx.support().into_iter().map(|q| xx.qubit_agreement(q, spec.target)).collect(),
+            ),
+        };
+        let hits = self.trap.read_out_xx_test(
+            stats,
+            spec.target,
+            spec.gate_count(),
+            shots,
+            Activity::Testing,
+        );
+        hits as f64 / shots as f64
     }
 
     fn note_adaptation(&mut self, couplings_compiled: usize) {
@@ -124,69 +81,66 @@ impl TestExecutor for CachedTrapExecutor<'_> {
 mod tests {
     use super::*;
     use itqc_circuit::Coupling;
+    use itqc_core::testplan::canary_for;
     use itqc_trap::TrapConfig;
 
-    #[test]
-    fn cached_executor_matches_direct_trap_execution() {
-        // Same seed → the cached path must reproduce the trap's own
-        // shot-engine path bit for bit, for both score modes.
-        let spec_exact = TestSpec::for_couplings("t", &[Coupling::new(0, 3)], 4);
-        let spec_worst = TestSpec::for_couplings("t", &[Coupling::new(1, 2)], 2)
-            .with_score(ScoreMode::WorstQubit);
-        let mut direct = VirtualTrap::new(TrapConfig::ideal(6, 4242));
-        direct.inject_fault(Coupling::new(0, 3), 0.21);
-        let d1 = direct.run_test(&spec_exact, 400);
-        let d2 = direct.run_test(&spec_worst, 250);
-
-        let mut trap = VirtualTrap::new(TrapConfig::ideal(6, 4242));
-        let (snap, mut built, mut touched) = (CacheSnapshot::default(), Vec::new(), Vec::new());
-        trap.inject_fault(Coupling::new(0, 3), 0.21);
-        let mut exec = CachedTrapExecutor::new(&mut trap, &snap, &mut built, &mut touched);
-        let c1 = exec.run_test(&spec_exact, 400);
-        let c2 = exec.run_test(&spec_worst, 250);
-        assert_eq!(d1.to_bits(), c1.to_bits());
-        assert_eq!(d2.to_bits(), c2.to_bits());
+    /// Runs `specs` in order on a fresh seeded trap through `VirtualTrap`'s
+    /// own executor and through [`CachedTrapExecutor`], and requires the
+    /// scores and the billed test time to agree bit for bit.
+    fn assert_matches_direct(
+        n_qubits: usize,
+        seed: u64,
+        faults: &[(Coupling, f64)],
+        specs: &[(TestSpec, usize)],
+    ) {
+        let machine = || {
+            let mut trap = VirtualTrap::new(TrapConfig::ideal(n_qubits, seed));
+            for &(coupling, u) in faults {
+                trap.inject_fault(coupling, u);
+            }
+            trap
+        };
+        let mut direct = machine();
+        let mut trap = machine();
+        for (spec, shots) in specs {
+            let d = direct.run_test(spec, *shots);
+            let c = CachedTrapExecutor::new(&mut trap).run_test(spec, *shots);
+            assert_eq!(d.to_bits(), c.to_bits(), "{spec}");
+        }
         assert_eq!(
             direct.duty().seconds(Activity::Testing).to_bits(),
             trap.duty().seconds(Activity::Testing).to_bits(),
             "billing must match the shot-engine path"
         );
-        // Both circuits were cold: two logged builds, no snapshot hits.
-        assert_eq!(built.len(), 2);
-        assert!(touched.is_empty());
     }
 
     #[test]
-    fn replay_reuses_the_tick_build_and_warm_snapshots_hit_l2() {
-        let spec = TestSpec::for_couplings("t", &[Coupling::new(0, 1)], 2);
-        let mut trap = VirtualTrap::new(TrapConfig::ideal(6, 7));
-        let (empty, mut built, mut touched) = (CacheSnapshot::default(), Vec::new(), Vec::new());
-        {
-            let mut exec = CachedTrapExecutor::new(&mut trap, &empty, &mut built, &mut touched);
-            let first = exec.prepared_for(&spec);
-            let replay = exec.prepared_for(&spec); // same tick: the trap's own build
-            assert!(Arc::ptr_eq(&first, &replay), "the replay must reuse the build");
-        }
-        assert_eq!(built.len(), 1, "one build, so one shared-cache miss");
-        assert!(touched.is_empty(), "a replay of a build is no snapshot hit");
+    fn cached_executor_matches_direct_trap_execution() {
+        // Same seed → the fleet path must reproduce the trap's own
+        // shot-engine path bit for bit, for both score modes.
+        let spec_exact = TestSpec::for_couplings("t", &[Coupling::new(0, 3)], 4);
+        let spec_worst = TestSpec::for_couplings("t", &[Coupling::new(1, 2)], 2)
+            .with_score(ScoreMode::WorstQubit);
+        assert_matches_direct(
+            6,
+            4242,
+            &[(Coupling::new(0, 3), 0.21)],
+            &[(spec_exact, 400), (spec_worst, 250)],
+        );
 
-        // Promote the build into a shared cache and re-run on a fresh tick.
-        let mut shared = crate::cache::SharedPrepCache::new(usize::MAX);
-        shared.note_misses(built.len() as u64);
-        for (k, p) in built.drain(..) {
-            shared.admit(k, p, 0);
-        }
-        shared.end_tick(0);
-        let snap = shared.snapshot();
-        let mut exec = CachedTrapExecutor::new(&mut trap, &snap, &mut built, &mut touched);
-        let _ = exec.run_test(&spec, 10);
-        let _ = exec.run_test(&spec, 10);
-        assert!(built.is_empty(), "next tick is served by the snapshot");
-        assert_eq!(touched.len(), 2, "each snapshot hit is logged for the barrier");
-        for key in &touched {
-            shared.note_hit(key, 1);
-        }
-        let c = shared.counters();
-        assert_eq!((c.hits, c.misses), (2, 1));
+        // The fleet canary: all 55 couplings of an 11-qubit trap, with
+        // several drifted couplings, run twice so the repeat is a memo
+        // hit.
+        let n = 11;
+        let couplings: Vec<Coupling> =
+            (0..n).flat_map(|a| (a + 1..n).map(move |b| Coupling::new(a, b))).collect();
+        let canary = canary_for(&couplings, 4, ScoreMode::ExactTarget);
+        let drifted = [
+            (Coupling::new(0, 1), 0.013),
+            (Coupling::new(2, 9), -0.021),
+            (Coupling::new(4, 7), 0.34),
+            (Coupling::new(5, 10), 0.008),
+        ];
+        assert_matches_direct(n, 77, &drifted, &[(canary.clone(), 100), (canary, 100)]);
     }
 }

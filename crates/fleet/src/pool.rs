@@ -1,186 +1,169 @@
-//! The shard worker pool: long-lived `std::thread` workers driven over
+//! The worker pool: long-lived `std::thread` workers driven over
 //! channels.
 //!
-//! Traps are partitioned into contiguous shards, one per worker. The
-//! scheduler thread broadcasts a phase message to every shard, the
-//! workers run the phase over their traps *in trap-id order*, and the
-//! scheduler collects one reply per shard *in shard order* — so every
-//! merged stream (prep requests, latencies, built preparations, cache
-//! counters) is ordered by trap id regardless of how many workers the
-//! partition used. That, plus per-trap RNG/queue ownership, is the
-//! whole determinism argument: a worker never touches state outside its
-//! shard, and the scheduler never observes replies in racy order.
+//! Traps never interact, so the scheduler thread starts one *run* per
+//! [`crate::Fleet::run_minutes`] call: it sends every worker one run
+//! message and waits for one reply per worker (the run barrier). Each
+//! worker claims traps one at a time — first from its home shard, a
+//! contiguous trap-id range, then from the other shards' leftovers —
+//! and runs each claimed trap through every tick of the run under that
+//! trap's lock. A worker that the OS preempts therefore leaves its
+//! remaining traps to the others instead of stalling the run, and home
+//! shards keep a trap on the same thread (and its score memo) whenever
+//! no worker falls behind.
+//!
+//! That is also the whole determinism argument: each trap is run by
+//! exactly one thread per run, a trap's tick reads only its own state
+//! and RNG streams, the memo returns the same bits on any thread, and
+//! the scheduler merges the per-trap outputs in trap-id order after the
+//! barrier. Which thread ran which trap never reaches a result.
 
-use crate::cache::{CacheSnapshot, PrepKey};
-use crate::trap_state::{FleetParams, PrepRequest, TrapDrain, TrapState, TrapStatus, TrapTickOut};
-use itqc_backend::XxPrepared;
+use crate::trap_state::{FleetParams, TrapState, TrapTickOut};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-/// Scheduler → shard messages.
-pub enum ToShard {
-    /// External job submissions `(trap id, service seconds, now)`.
-    Submit(Vec<(usize, f64, f64)>),
-    /// Run phase A of `tick` on every owned trap.
-    PhaseA(u64),
-    /// Run phase B of `tick` against the given snapshot.
-    PhaseB(u64, CacheSnapshot),
-    /// Report one trap's status.
-    Status(usize),
-    /// Report end-of-run accounting for every owned trap.
-    Drain,
-    /// Exit the worker loop.
-    Shutdown,
+/// One trap and what it produced in the current run.
+struct Slot {
+    state: TrapState,
+    out: TrapTickOut,
 }
 
-/// Shard → scheduler replies.
-pub enum FromShard {
-    /// Phase A prep requests, in trap-id order within the shard.
-    Requests(Vec<PrepRequest>),
-    /// Phase B results merged over the shard's traps (trap-id order).
-    Ticked(Box<ShardTickOut>),
-    /// One trap's status.
-    Status(Box<TrapStatus>),
-    /// Per-trap accounting, in trap-id order.
-    Drained(Vec<TrapDrain>),
+/// The traps, shared by the scheduler and the workers.
+struct Traps {
+    slots: Vec<Mutex<Slot>>,
+    /// Home shards, `shard_bounds` order.
+    shards: Vec<Range<usize>>,
+    /// Per shard, the next trap id to claim in the current run.
+    cursors: Vec<AtomicUsize>,
 }
 
-/// A shard's merged phase-B output (field-by-field concatenation of its
-/// traps' [`TrapTickOut`]s, trap-id order).
-#[derive(Debug, Default)]
-pub struct ShardTickOut {
-    /// Jobs arrived.
-    pub submitted: u64,
-    /// Jobs completed.
-    pub completed: u64,
-    /// Completion latencies, trap-id then completion order.
-    pub latencies: Vec<f64>,
-    /// Double-miss builds.
-    pub built: Vec<(PrepKey, Arc<XxPrepared>)>,
-    /// Snapshot hits (for LRU refresh).
-    pub touched: Vec<PrepKey>,
-    /// Canaries run.
-    pub canaries: u64,
-    /// Canary trips.
-    pub trips: u64,
-    /// Diagnoses run.
-    pub diagnoses: u64,
-    /// Diagnosis test circuits executed.
-    pub tests_run: u64,
-    /// Faults diagnosed and recalibrated.
-    pub faults_fixed: u64,
-}
+impl Traps {
+    /// Builds `traps` traps, home-sharded by
+    /// [`shard_bounds`]`(traps, workers)`.
+    fn new(traps: usize, workers: usize, master_seed: u64, params: Arc<FleetParams>) -> Self {
+        let shards: Vec<Range<usize>> =
+            shard_bounds(traps, workers).into_iter().map(|(lo, hi)| lo..hi).collect();
+        Traps {
+            slots: (0..traps)
+                .map(|id| {
+                    let state = TrapState::new(id, master_seed, Arc::clone(&params));
+                    Mutex::new(Slot { state, out: TrapTickOut::default() })
+                })
+                .collect(),
+            cursors: shards.iter().map(|s| AtomicUsize::new(s.start)).collect(),
+            shards,
+        }
+    }
 
-impl ShardTickOut {
-    fn absorb(&mut self, out: TrapTickOut) {
-        self.submitted += out.submitted;
-        self.completed += out.completed;
-        self.latencies.extend(out.latencies);
-        self.built.extend(out.built);
-        self.touched.extend(out.touched);
-        self.canaries += out.canaries;
-        self.trips += out.trips;
-        self.diagnoses += out.diagnoses;
-        self.tests_run += out.tests_run;
-        self.faults_fixed += out.faults_fixed;
+    /// Makes every trap claimable again, for the next run.
+    fn rewind(&self) {
+        for (cursor, shard) in self.cursors.iter().zip(&self.shards) {
+            cursor.store(shard.start, Ordering::Relaxed);
+        }
+    }
+
+    fn lock(&self, trap: usize) -> MutexGuard<'_, Slot> {
+        self.slots[trap].lock().expect("a fleet worker panicked")
+    }
+
+    /// Runs claimed traps through `ticks`, home shard first, until every
+    /// shard is claimed out.
+    fn run(&self, home: usize, ticks: &Range<u64>) {
+        let n = self.shards.len();
+        for shard in (0..n).map(|k| (home + k) % n) {
+            loop {
+                // Relaxed: the cursor publishes no data. Each trap's mutex
+                // orders its state between threads, and the run message
+                // orders `rewind` before this claim.
+                let trap = self.cursors[shard].fetch_add(1, Ordering::Relaxed);
+                if trap >= self.shards[shard].end {
+                    break;
+                }
+                let mut slot = self.lock(trap);
+                let Slot { state, out } = &mut *slot;
+                for tick in ticks.clone() {
+                    out.absorb(state.tick(tick));
+                }
+            }
+        }
     }
 }
 
-/// One worker thread owning traps `ids` (a contiguous id range).
-pub struct Shard {
-    /// First trap id owned (inclusive).
-    pub lo: usize,
-    /// One past the last trap id owned.
-    pub hi: usize,
-    tx: Sender<ToShard>,
-    rx: Receiver<FromShard>,
-    handle: Option<JoinHandle<()>>,
+/// One worker thread: its run channel, its reply channel, its handle.
+struct Worker {
+    run: Sender<Range<u64>>,
+    done: Receiver<()>,
+    handle: JoinHandle<()>,
 }
 
-impl Shard {
-    /// Spawns the worker for traps `lo..hi`.
-    pub fn spawn(lo: usize, hi: usize, master_seed: u64, params: Arc<FleetParams>) -> Self {
-        let (tx, worker_rx) = channel::<ToShard>();
-        let (worker_tx, rx) = channel::<FromShard>();
-        let handle = std::thread::Builder::new()
-            .name(format!("fleet-shard-{lo}"))
-            .spawn(move || {
-                let mut traps: Vec<TrapState> = (lo..hi)
-                    .map(|id| TrapState::new(id, master_seed, Arc::clone(&params)))
-                    .collect();
-                while let Ok(msg) = worker_rx.recv() {
-                    match msg {
-                        ToShard::Submit(jobs) => {
-                            for (trap, service, now) in jobs {
-                                traps[trap - lo].submit_job(service, now);
-                            }
-                        }
-                        ToShard::PhaseA(tick) => {
-                            let requests: Vec<PrepRequest> =
-                                traps.iter_mut().filter_map(|t| t.phase_a(tick)).collect();
-                            if worker_tx.send(FromShard::Requests(requests)).is_err() {
-                                break;
-                            }
-                        }
-                        ToShard::PhaseB(tick, snap) => {
-                            let mut merged = ShardTickOut::default();
-                            for t in traps.iter_mut() {
-                                merged.absorb(t.phase_b(tick, &snap));
-                            }
+/// The workers and the traps they run.
+pub struct Pool {
+    traps: Arc<Traps>,
+    workers: Vec<Worker>,
+}
+
+impl Pool {
+    /// Builds `traps` traps and spawns one worker per home shard of
+    /// [`shard_bounds`]`(traps, workers)`.
+    pub fn new(traps: usize, workers: usize, master_seed: u64, params: Arc<FleetParams>) -> Self {
+        let traps = Arc::new(Traps::new(traps, workers, master_seed, params));
+        let workers = (0..traps.shards.len())
+            .map(|home| {
+                let (run, worker_rx) = channel::<Range<u64>>();
+                let (worker_tx, done) = channel::<()>();
+                let shared = Arc::clone(&traps);
+                let handle = std::thread::Builder::new()
+                    .name(format!("fleet-worker-{home}"))
+                    .spawn(move || {
+                        while let Ok(ticks) = worker_rx.recv() {
+                            shared.run(home, &ticks);
                             // Fold this worker's ambient event shard into
                             // the global registry *before* the reply: the
-                            // channel send is the tick barrier, so once the
-                            // scheduler has collected every shard's reply,
-                            // a metrics query sees each completed tick's
+                            // reply is the run barrier, so once the
+                            // scheduler has collected every worker's, a
+                            // metrics query sees each completed tick's
                             // events (commutative merge — worker-invariant
                             // for the deterministic class).
                             itqc_obs::event::flush();
-                            if worker_tx.send(FromShard::Ticked(Box::new(merged))).is_err() {
+                            if worker_tx.send(()).is_err() {
                                 break;
                             }
                         }
-                        ToShard::Status(trap) => {
-                            let status = Box::new(traps[trap - lo].status());
-                            if worker_tx.send(FromShard::Status(status)).is_err() {
-                                break;
-                            }
-                        }
-                        ToShard::Drain => {
-                            let drains: Vec<TrapDrain> = traps.iter().map(|t| t.drain()).collect();
-                            itqc_obs::event::flush();
-                            if worker_tx.send(FromShard::Drained(drains)).is_err() {
-                                break;
-                            }
-                        }
-                        ToShard::Shutdown => break,
-                    }
-                }
+                    })
+                    .expect("spawn fleet worker");
+                Worker { run, done, handle }
             })
-            .expect("spawn fleet shard worker");
-        Shard { lo, hi, tx, rx, handle: Some(handle) }
+            .collect();
+        Pool { traps, workers }
     }
 
-    /// Whether this shard owns `trap`.
-    pub fn owns(&self, trap: usize) -> bool {
-        (self.lo..self.hi).contains(&trap)
+    /// Runs every trap through `ticks` and returns the per-trap outputs
+    /// in trap-id order.
+    pub fn run(&mut self, ticks: Range<u64>) -> impl Iterator<Item = TrapTickOut> + '_ {
+        self.traps.rewind();
+        for w in &self.workers {
+            w.run.send(ticks.clone()).expect("fleet worker alive");
+        }
+        for w in &self.workers {
+            w.done.recv().expect("fleet worker alive");
+        }
+        (0..self.traps.slots.len()).map(|trap| std::mem::take(&mut self.traps.lock(trap).out))
     }
 
-    /// Sends a message to the worker.
-    pub fn send(&self, msg: ToShard) {
-        self.tx.send(msg).expect("fleet shard worker alive");
-    }
-
-    /// Blocks for the worker's next reply.
-    pub fn recv(&self) -> FromShard {
-        self.rx.recv().expect("fleet shard worker alive")
+    /// Calls `f` on trap `trap` (between runs, from the scheduler).
+    pub fn with<R>(&mut self, trap: usize, f: impl FnOnce(&mut TrapState) -> R) -> R {
+        f(&mut self.traps.lock(trap).state)
     }
 }
 
-impl Drop for Shard {
+impl Drop for Pool {
     fn drop(&mut self) {
-        let _ = self.tx.send(ToShard::Shutdown);
-        if let Some(handle) = self.handle.take() {
+        // Closing the run channels ends the worker loops.
+        for Worker { run, done, handle } in std::mem::take(&mut self.workers) {
+            drop((run, done));
             let _ = handle.join();
         }
     }
@@ -208,6 +191,52 @@ pub fn shard_bounds(traps: usize, workers: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine_day::fig2_diagnosis_config;
+    use itqc_faults::drift::{JumpDrift, OrnsteinUhlenbeckDrift};
+
+    #[test]
+    fn one_worker_claims_every_shard_and_matches_direct_ticks() {
+        // A worker whose peers never show up (preempted, say) must run
+        // every trap, each through every tick, bit-identically to the
+        // trap ticked on its own.
+        let params = Arc::new(FleetParams {
+            n_qubits: 5,
+            canary_cadence_min: 2,
+            drift_epoch_min: 3,
+            arrival_rate_per_min: 3.0,
+            service_secs_mean: 4.0,
+            job_deadline_s: 300.0,
+            drift: JumpDrift {
+                base: OrnsteinUhlenbeckDrift { tau_minutes: 240.0, sigma: 0.02 },
+                jumps_per_minute: 0.0,
+                jump_scale: 0.3,
+            },
+            diag: fig2_diagnosis_config(),
+        });
+        let traps = Traps::new(7, 3, 41, Arc::clone(&params));
+        for run in [0..4, 4..5] {
+            traps.rewind();
+            traps.run(1, &run);
+        }
+        for id in 0..7 {
+            let mut direct = TrapState::new(id, 41, Arc::clone(&params));
+            let mut want = TrapTickOut::default();
+            (0..5).for_each(|tick| want.absorb(direct.tick(tick)));
+            let slot = traps.lock(id);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&slot.out.latencies), bits(&want.latencies), "trap {id}");
+            assert_eq!(
+                (slot.out.submitted, slot.out.completed, slot.out.canaries),
+                (want.submitted, want.completed, want.canaries),
+                "trap {id}"
+            );
+            assert_eq!(
+                slot.state.status().clock_seconds.to_bits(),
+                direct.status().clock_seconds.to_bits(),
+                "trap {id}"
+            );
+        }
+    }
 
     #[test]
     fn shard_bounds_cover_exactly_once() {

@@ -7,7 +7,7 @@
 //! `error: …` reply; none panics and none runs unbounded work.
 //!
 //! Commands: `run <minutes>`, `submit <trap> <service_s> [count]`,
-//! `status <trap>`, `stats`, `metrics`, `summary`, `help`, `quit`.
+//! `status <trap>`, `metrics`, `summary`, `help`, `quit`.
 
 use crate::api::{Fleet, MINUTES_PER_DAY};
 
@@ -32,7 +32,7 @@ pub fn handle_line(fleet: &mut Fleet, line: &str) -> Reply {
         None => return Reply::Nothing,
         Some("quit") | Some("exit") => return Reply::Quit,
         Some("help") => "commands: run <minutes> | submit <trap> <service_s> [count] | \
-                         status <trap> | stats | metrics | summary | quit"
+                         status <trap> | metrics | summary | quit"
             .to_string(),
         Some("run") => match words.next().and_then(|w| w.parse::<u64>().ok()) {
             Some(m) if m <= MAX_RUN_MINUTES => {
@@ -63,23 +63,8 @@ pub fn handle_line(fleet: &mut Fleet, line: &str) -> Reply {
             Some(trap) => format!("error: trap {trap} out of range"),
             None => "error: status <trap>".to_string(),
         },
-        Some("stats") => {
-            let c = fleet.cache_counters();
-            let (entries, bytes) = fleet.cache_resident();
-            format!(
-                "minute {} shared_cache hits {} misses {} evictions {} hit_rate {:.4} \
-                 entries {} bytes {}",
-                fleet.ticks(),
-                c.hits,
-                c.misses,
-                c.evictions,
-                c.hit_rate(),
-                entries,
-                bytes
-            )
-        }
         Some("metrics") => {
-            // Worker shards flushed at the last tick barrier; fold the
+            // Worker shards flushed at the last run barrier; fold the
             // scheduler thread's own shard, then merge the fleet
             // registry with the ambient (global) one.
             itqc_obs::event::flush();

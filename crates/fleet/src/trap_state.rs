@@ -1,36 +1,25 @@
-//! Per-trap scheduling state and the two tick phases.
+//! Per-trap scheduling state and the tick.
 //!
 //! The fleet advances in **ticks of one simulated minute**. Each tick a
-//! trap runs two phases, both depending only on the trap's own state
-//! plus an immutable cache snapshot — which is why any shard partition
-//! of the traps produces bit-identical results:
-//!
-//! * **Phase A** (parallel): draw this minute's Poisson job arrivals
-//!   from the trap's arrival RNG, apply quasi-static drift at epoch
-//!   boundaries, and emit a prepared-circuit *request* for the canary
-//!   if one is due. Requests flow to the scheduler thread, which
-//!   batches same-class circuits across traps and builds each distinct
-//!   preparation once.
-//! * **Phase B** (parallel): drain the work queue in priority order —
-//!   diagnosis, canary, then user jobs while the minute's budget lasts
-//!   — resolving every test circuit through the shared cache, and
-//!   idle-fill to the minute boundary.
+//! trap runs one pass that depends only on its own state — which is why
+//! any shard partition of the traps produces bit-identical results:
+//! draw this minute's Poisson job arrivals from the trap's arrival RNG,
+//! apply quasi-static drift at epoch boundaries, queue the canary if one
+//! is due, then drain the work queue in priority order — diagnosis,
+//! canary, then user jobs while the minute's budget lasts — and
+//! idle-fill to the minute boundary.
 //!
 //! Drift is *quasi-static*: calibration moves only at epoch boundaries
 //! (default every 30 simulated minutes), so a trap's canary circuit is
-//! byte-identical between epochs and the shared cache converts the
-//! repeat preparations into hits.
+//! byte-identical between epochs and the score memo behind
+//! [`CachedTrapExecutor`] answers the repeats.
 
-use crate::cache::{CacheSnapshot, PrepKey};
 use crate::exec::CachedTrapExecutor;
 use crate::queue::{WorkKind, WorkQueue, PRIO_CANARY, PRIO_DIAGNOSE, PRIO_JOB};
-use itqc_backend::cache::xx_key;
-use itqc_backend::XxPrepared;
 use itqc_circuit::Coupling;
 use itqc_core::testplan::canary_for;
 use itqc_core::{diagnose_all, MultiFaultConfig, TestExecutor, TestSpec};
 use itqc_faults::drift::JumpDrift;
-use itqc_sim::XxCircuit;
 use itqc_trap::duty::Activity;
 use itqc_trap::{TrapConfig, VirtualTrap};
 use rand::rngs::SmallRng;
@@ -62,30 +51,17 @@ pub struct FleetParams {
     pub diag: MultiFaultConfig,
 }
 
-/// A phase-A request for a prepared circuit, batched by the scheduler.
-#[derive(Clone, Debug)]
-pub struct PrepRequest {
-    /// Exact cache key of `xx`.
-    pub key: PrepKey,
-    /// The accumulated noisy circuit to prepare on a miss.
-    pub xx: XxCircuit,
-}
-
-/// Everything one trap produced in one tick, merged by the scheduler in
-/// trap-id order.
+/// Everything one trap produced in one tick (or, merged tick by tick, in
+/// one run), merged by the scheduler in trap-id order.
 #[derive(Debug, Default)]
 pub struct TrapTickOut {
-    /// Jobs that arrived this tick (internal load + API submissions).
+    /// Jobs that arrived (internal load + API submissions).
     pub submitted: u64,
-    /// Jobs completed this tick.
+    /// Jobs completed.
     pub completed: u64,
     /// Completion latency (seconds from arrival) per completed job, in
     /// completion order.
     pub latencies: Vec<f64>,
-    /// Preparations built on a snapshot miss, one per shared-cache miss.
-    pub built: Vec<(PrepKey, Arc<XxPrepared>)>,
-    /// Keys hit in the snapshot, one per shared-cache hit.
-    pub touched: Vec<PrepKey>,
     /// Canary tests run.
     pub canaries: u64,
     /// Canaries that tripped.
@@ -96,6 +72,20 @@ pub struct TrapTickOut {
     pub tests_run: u64,
     /// Couplings diagnosed faulty and recalibrated.
     pub faults_fixed: u64,
+}
+
+impl TrapTickOut {
+    /// Appends a later tick's (or trap's) output.
+    pub fn absorb(&mut self, later: TrapTickOut) {
+        self.submitted += later.submitted;
+        self.completed += later.completed;
+        self.latencies.extend(later.latencies);
+        self.canaries += later.canaries;
+        self.trips += later.trips;
+        self.diagnoses += later.diagnoses;
+        self.tests_run += later.tests_run;
+        self.faults_fixed += later.faults_fixed;
+    }
 }
 
 /// One-line operational status of a trap (the `status` command).
@@ -216,9 +206,10 @@ impl TrapState {
         self.submitted_this_tick += 1;
     }
 
-    /// Phase A of `tick`: arrivals, quasi-static drift, and the canary
-    /// prep request when one is due.
-    pub fn phase_a(&mut self, tick: u64) -> Option<PrepRequest> {
+    /// Runs `tick`: arrivals, quasi-static drift, the canary when one is
+    /// due, then the queue drain and the idle-fill to the minute
+    /// boundary.
+    pub fn tick(&mut self, tick: u64) -> TrapTickOut {
         let now = tick as f64 * 60.0;
         if self.params.arrival_rate_per_min > 0.0 {
             let n = poisson(&mut self.arrival_rng, self.params.arrival_rate_per_min);
@@ -239,18 +230,7 @@ impl TrapState {
         if tick >= self.next_canary_min {
             self.next_canary_min = tick + self.params.canary_cadence_min;
             self.queue.push(WorkKind::Canary, PRIO_CANARY, now, now);
-            let xx = self
-                .canary_spec
-                .noisy_xx(self.params.n_qubits, |c| self.trap.true_under_rotation(c));
-            let key = xx_key(&xx);
-            return Some(PrepRequest { key, xx });
         }
-        None
-    }
-
-    /// Phase B of `tick`: drain the queue against `snap` and idle-fill
-    /// to the minute boundary.
-    pub fn phase_b(&mut self, tick: u64, snap: &CacheSnapshot) -> TrapTickOut {
         let minute_end = (tick + 1) as f64 * 60.0;
         let mut out = TrapTickOut { submitted: self.submitted_this_tick, ..Default::default() };
         self.submitted_this_tick = 0;
@@ -266,15 +246,8 @@ impl TrapState {
             match item.kind {
                 WorkKind::Canary => {
                     out.canaries += 1;
-                    let score = {
-                        let mut exec = CachedTrapExecutor::new(
-                            &mut self.trap,
-                            snap,
-                            &mut out.built,
-                            &mut out.touched,
-                        );
-                        exec.run_test(&self.canary_spec, self.params.diag.canary_shots)
-                    };
+                    let score = CachedTrapExecutor::new(&mut self.trap)
+                        .run_test(&self.canary_spec, self.params.diag.canary_shots);
                     self.last_canary = score;
                     if score < self.params.diag.canary_threshold {
                         out.trips += 1;
@@ -284,15 +257,8 @@ impl TrapState {
                 }
                 WorkKind::Diagnose => {
                     out.diagnoses += 1;
-                    let report = {
-                        let mut exec = CachedTrapExecutor::new(
-                            &mut self.trap,
-                            snap,
-                            &mut out.built,
-                            &mut out.touched,
-                        );
-                        diagnose_all(&mut exec, self.params.n_qubits, &self.params.diag)
-                    };
+                    let mut exec = CachedTrapExecutor::new(&mut self.trap);
+                    let report = diagnose_all(&mut exec, self.params.n_qubits, &self.params.diag);
                     out.tests_run += report.tests_run as u64;
                     for fault in &report.diagnosed {
                         self.trap.recalibrate(fault.coupling);
@@ -373,16 +339,11 @@ mod tests {
         let mut a = TrapState::new(3, 99, Arc::clone(&p));
         let mut b = TrapState::new(3, 99, Arc::clone(&p));
         for tick in 0..6 {
-            let ra = a.phase_a(tick);
-            let rb = b.phase_a(tick);
-            assert_eq!(ra.is_some(), rb.is_some());
-            assert_eq!(ra.is_some(), tick % 2 == 0, "cadence 2 requests on even ticks");
-            if let (Some(x), Some(y)) = (ra, rb) {
-                assert_eq!(x.key, y.key);
-            }
-            let snap = CacheSnapshot::default();
-            let oa = a.phase_b(tick, &snap);
-            let ob = b.phase_b(tick, &snap);
+            let oa = a.tick(tick);
+            let ob = b.tick(tick);
+            assert_eq!(oa.canaries, ob.canaries);
+            assert_eq!(oa.canaries, u64::from(tick % 2 == 0), "cadence 2 runs on even ticks");
+            assert_eq!(a.last_canary.to_bits(), b.last_canary.to_bits());
             assert_eq!(oa.submitted, ob.submitted);
             assert_eq!(oa.completed, ob.completed);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -399,9 +360,7 @@ mod tests {
         for _ in 0..100 {
             t.submit_job(10.0, 0.0);
         }
-        let _ = t.phase_a(0);
-        let snap = CacheSnapshot::default();
-        let out = t.phase_b(0, &snap);
+        let out = t.tick(0);
         // The canary ran (maintenance), then ~6 jobs fit the minute.
         assert_eq!(out.canaries, 1);
         assert!(out.completed < 100, "the minute budget must defer work");
@@ -409,8 +368,7 @@ mod tests {
         // Later ticks drain the backlog; latencies grow with queue wait.
         let mut total = out.completed;
         for tick in 1..40 {
-            let _ = t.phase_a(tick);
-            total += t.phase_b(tick, &snap).completed;
+            total += t.tick(tick).completed;
         }
         assert_eq!(total, 100, "backlog drains across ticks");
     }
@@ -425,23 +383,11 @@ mod tests {
         let mut t = TrapState::new(0, 5, Arc::clone(&p));
         let victim = Coupling::new(1, 3);
         // Tick 0: clean canary.
-        let req = t.phase_a(0).expect("canary due");
-        let mut shared = crate::cache::SharedPrepCache::new(usize::MAX);
-        let prep = Arc::new(XxPrepared::prepare(req.xx).unwrap());
-        prep.distributions();
-        shared.admit(req.key, prep, 0);
-        shared.end_tick(0);
-        let out = t.phase_b(0, &shared.snapshot());
+        let out = t.tick(0);
         assert_eq!((out.canaries, out.trips), (1, 0));
         // Tick 1: a hard fault appears.
         t.trap.inject_fault(victim, 0.35);
-        let req = t.phase_a(1).expect("canary due");
-        assert!(!shared.contains(&req.key), "faulty circuit is a new cache key");
-        let prep = Arc::new(XxPrepared::prepare(req.xx).unwrap());
-        prep.distributions();
-        shared.admit(req.key, prep, 1);
-        shared.end_tick(1);
-        let out = t.phase_b(1, &shared.snapshot());
+        let out = t.tick(1);
         assert_eq!((out.canaries, out.trips, out.diagnoses), (1, 1, 1));
         assert_eq!(out.faults_fixed, 1, "diagnosis pinpoints the injected fault");
         assert_eq!(t.trap.true_under_rotation(victim), 0.0, "recalibrated");

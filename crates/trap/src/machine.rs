@@ -386,8 +386,8 @@ impl VirtualTrap {
     }
 
     /// The readout step every exact XX test shares, for executors that
-    /// computed the circuit's statistics themselves (e.g. through a
-    /// shared prepared-circuit cache): SPAM attenuation, one binomial
+    /// computed the circuit's statistics themselves (e.g. the fleet's,
+    /// through the memoised exact-score path): SPAM attenuation, one binomial
     /// draw per statistic on the machine's own RNG, and the test time of
     /// `gate_count` two-qubit gates billed to `activity`. Returns the
     /// target hit count, or the worst qubit's agreement count. Keeping

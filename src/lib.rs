@@ -19,7 +19,7 @@
 //! | [`faults`] | Table-I taxonomy, Fig.-4 fault models, 1/f noise, SPAM, drift, Eq. 1–2 estimators |
 //! | [`trap`] | virtual machine with hidden calibration state, ion-chain physics, timing/duty model |
 //! | [`core`] | THE PAPER'S CONTRIBUTION: classes, syndromes, single-/multi-fault protocols, baselines, cost model |
-//! | [`fleet`] | `fleetd` fleet service: sharded tick scheduler, shared prepared-circuit cache, batched test plans |
+//! | [`fleet`] | `fleetd` fleet service: sharded tick scheduler, canary → diagnose → recalibrate per trap |
 //! | [`obs`] | observability: deterministic counters/histograms, wall-clock spans, JSON metrics documents |
 //!
 //! # Quickstart
