@@ -37,21 +37,31 @@ fleet-bench:
 ## of the leaf spans below must cover [0.90, 1.02] of the run's
 ## wall_seconds. Leaves never nest, so a sum above 1 means one was
 ## opened inside another. Every leaf's share is printed; if a run falls
-## short, give the uncovered work a leaf of its own.
+## short, give the uncovered work a leaf of its own. Spans nested under
+## a leaf are printed as a share of their leaf, outside the sum:
+## backend.table.build (the joint/chain outcome-table builds) under
+## core.executor.run_test. fig8 --fast --sizes=32 is the run whose tables are
+## 16-qubit joint tables.
 ATTRIBUTION_LEAVES := core.executor.run_test core.protocol.plan core.decoder.covers core.decoder.rank
+ATTRIBUTION_NESTED := backend.table.build
 
 attribution:
 	$(CARGO) build --release -p itqc-bench --bin fig8 --bin fig9 --bin table2
-	@set -e; for run in "fig8 --sizes=8" "fig8 --sizes=64" "fig9 --fast" "table2"; do \
+	@set -e; for run in "fig8 --sizes=8" "fig8 --fast --sizes=32" "fig8 --sizes=64" "fig9 --fast" \
+		"table2"; do \
 		./target/release/$$run --threads=1 --metrics=attribution.json > /dev/null; \
-		awk -v run="$$run" -v leaves="$(ATTRIBUTION_LEAVES)" ' \
+		awk -v run="$$run" -v leaves="$(ATTRIBUTION_LEAVES)" -v nested="$(ATTRIBUTION_NESTED)" ' \
+			function total(name, k, rest) { k = index(spans, "\"" name "\":{"); if (!k) return 0; \
+				rest = substr(spans, k); match(rest, /"total_ns":[0-9]+/); \
+				return substr(rest, RSTART + 11, RLENGTH - 11) / 1e9 } \
 			/"spans":/ { spans = $$0 } \
 			/"wall_seconds":/ { wall = $$2 + 0 } \
 			END { n = split(leaves, leaf, " "); sum = 0; shares = ""; \
-				for (i = 1; i <= n; i++) { t = 0; k = index(spans, "\"" leaf[i] "\":{"); \
-					if (k) { rest = substr(spans, k); match(rest, /"total_ns":[0-9]+/); \
-						t = substr(rest, RSTART + 11, RLENGTH - 11) / 1e9 } \
+				for (i = 1; i <= n; i++) { t = total(leaf[i]); \
 					sum += t / wall; shares = shares sprintf(" %s %.3f", leaf[i], t / wall) } \
+				m = split(nested, sub_, " "); parent = total(leaf[1]); \
+				for (i = 1; i <= m; i++) shares = shares sprintf(" | %s/%s %.3f", sub_[i], leaf[1], \
+					parent > 0 ? total(sub_[i]) / parent : 0); \
 				printf "attribution %s: wall %.2f s, leaf sum %.3f |%s\n", run, wall, sum, shares; \
 				if (sum < 0.90 || sum > 1.02) { print "leaf sum outside [0.90, 1.02]"; exit 1 } }' \
 			attribution.json; \

@@ -12,17 +12,24 @@
 //!   per *component* (`c` = component size), never `2^N`;
 //! * **shot sampling** — the full `2^c` outcome distribution per
 //!   component via a Gray-code phase walk plus a Walsh–Hadamard
-//!   transform (`O(c·2^c)`), then one inverse-CDF draw per component
-//!   per shot through the canonical sampler of [`crate::dist`].
+//!   transform, then one inverse-CDF draw per component per shot
+//!   through the canonical sampler of [`crate::dist`].
 //!
-//! A first-round class test on `N = 32` qubits is a single 16-qubit
-//! component: `2^16` table entries, milliseconds — where the dense path
-//! would need `2^32` amplitudes. Prepared circuits (including their
-//! distributions) are memoized in a per-backend cache keyed by the
-//! noisy coupling angles, so repeated shot batteries at the same
-//! repetition rung reuse one preparation. Single exact scores skip both
-//! the tables and the cache: they take the scalar path
-//! [`XxAnalyticBackend::score`], memoised across trials.
+//! XX gates flip ions in pairs, so output parity is conserved: the
+//! phase of a spin configuration equals that of its global flip, every
+//! odd-parity outcome has amplitude exactly 0, and the table build walks
+//! only the `2^{c−1}` configurations with the top spin up and transforms
+//! `2^{c−1}` points (`O(c·2^{c−1})`). The outcome table keeps its full
+//! `2^c` length, with exact zeros on odd parity, so the sampler is
+//! unchanged. A first-round class test on `N = 32` qubits is a single
+//! 16-qubit component: `2^16` table entries from a `2^15`-point walk,
+//! milliseconds — where the dense path would need `2^32` amplitudes.
+//!
+//! Prepared circuits (including their distributions) are memoized in a
+//! per-backend cache keyed by the noisy coupling angles, so repeated
+//! shot batteries at the same repetition rung reuse one preparation.
+//! Single exact scores skip both the tables and the cache: they take the
+//! scalar path [`XxAnalyticBackend::score`], memoised across trials.
 
 use crate::cache::{xx_key, PrepCache};
 use crate::chain::{self, ChainDist, CHAIN_MAX_SPECIAL};
@@ -45,6 +52,11 @@ use std::sync::OnceLock;
 /// Protocol class tests need `c = N/2` (16 at the paper's 32-qubit
 /// ceiling); anything larger returns [`BackendError::SupportTooLarge`].
 pub const MAX_COMPONENT: usize = 20;
+
+/// Wall-clock span around one prepared circuit's table build (every
+/// component's joint `2^c` table or chain sampler), opened on the first
+/// sampling request and so nested under `core.executor.run_test`.
+const TABLE_BUILD_SPAN: &str = "backend.table.build";
 
 /// One component's string sampler, selected by size: the joint `2^c`
 /// table at or below [`MAX_COMPONENT`] qubits, the conditional-marginal
@@ -236,6 +248,7 @@ impl XxPrepared {
     /// table is a pure function of its component's exact angle bits.
     pub fn distributions(&self) -> &[ComponentSampler] {
         self.dists.get_or_init(|| {
+            let _span = itqc_obs::span::timed(TABLE_BUILD_SPAN);
             self.comp_circuits
                 .iter()
                 .map(|(sub, mask)| {
@@ -262,42 +275,71 @@ impl XxPrepared {
 }
 
 /// The full `2^c` outcome distribution of one connected commuting-XX
-/// component: a Gray-code walk fills the X-basis phase table
-/// `v[y] = e^{−iφ(y)}`, a Walsh–Hadamard transform turns it into the
-/// amplitude table `A(z) = 2^{−c}·Σ_y (−1)^{y·z} v[y]`, and `|A|²` is
-/// the distribution.
+/// component, built from half the configurations. The X-basis phase
+/// `φ(s)` is a quadratic form in the spins, so `φ(s) = φ(−s)`: the phase
+/// table `v[y] = e^{−iφ(y)}` satisfies `v[y] = v[ȳ]`, and the amplitude
+/// `A(z) = 2^{−c}·Σ_y (−1)^{y·z} v[y]` folds to
+/// `A(z′ | t·2^{c−1}) = (1 + (−1)^{t + |z′|})·2^{−c}·B(z′)`, where
+/// `B` is the `2^{c−1}`-point transform of the top-spin-up half of `v`.
+/// Odd-parity outcomes therefore have amplitude exactly 0 (XX gates flip
+/// ions in pairs), and every even-parity one is read off the half table:
+/// `P(z′ | parity(z′)·2^{c−1}) = |2^{1−c}·B(z′)|²`.
 fn component_distribution(sub: &XxCircuit) -> ComponentDist {
+    let (qubits, mut re, mut im) = half_phase_table(sub);
+    let c = qubits.len();
+    let half = re.len();
+    // One WHT stage per lower qubit, half the half-table per stage.
+    itqc_obs::event::add_nd("backend.wht.butterflies", ((c as u64 - 1) * half as u64) / 2);
+    walsh_hadamard(&mut re, &mut im);
+    let norm = 1.0 / (half * half) as f64; // |2^{1−c}·WHT|²
+    let top = c - 1;
+    let mut probs = vec![0.0f64; half << 1];
+    for (z, (&a, &b)) in re.iter().zip(&im).enumerate() {
+        probs[z | (z.count_ones() as usize & 1) << top] = (a * a + b * b) * norm;
+    }
+    ComponentDist::new(qubits, &probs)
+}
+
+/// The component's qubits (ascending) and its dense symmetric coupling
+/// matrix over them, zero on the diagonal.
+fn weight_matrix(sub: &XxCircuit) -> (Vec<usize>, Vec<f64>) {
     let qubits = sub.support();
     let c = qubits.len();
     debug_assert!(c >= 1);
     let pos: BTreeMap<usize, usize> = qubits.iter().enumerate().map(|(k, &q)| (q, k)).collect();
-    // Dense symmetric weight matrix over the component.
     let mut w = vec![0.0f64; c * c];
     for ((a, b), theta) in sub.terms() {
         let (ia, ib) = (pos[&a], pos[&b]);
         w[ia * c + ib] += theta;
         w[ib * c + ia] += theta;
     }
-    // Gray walk over the 2^c spin configurations, exactly as
-    // XxCircuit::amplitude (see its derivation), but storing every
-    // phase instead of accumulating one target's sum.
-    let size = 1usize << c;
-    let mut re = vec![0.0f64; size];
-    let mut im = vec![0.0f64; size];
+    (qubits, w)
+}
+
+/// The X-basis phase table `v[y] = e^{−iφ(y)}` over the `2^{c−1}` spin
+/// configurations with the top spin up, as split (re, im) parts: the
+/// first half of a Gray walk over all `2^c` configurations, exactly as
+/// `XxCircuit::amplitude` walks (see its derivation), storing every
+/// phase instead of accumulating one target's sum.
+fn half_phase_table(sub: &XxCircuit) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
+    let (qubits, w) = weight_matrix(sub);
+    let c = qubits.len();
+    let half = 1usize << (c - 1);
+    let mut re = vec![0.0f64; half];
+    let mut im = vec![0.0f64; half];
     let mut s = vec![1.0f64; c];
-    let mut r: Vec<f64> = (0..c).map(|q| (0..c).map(|b| w[q * c + b]).sum()).collect();
+    let mut r: Vec<f64> = w.chunks_exact(c).map(|row| row.iter().sum()).collect();
     let mut phi: f64 = 0.25 * r.iter().sum::<f64>();
     let mut y = 0usize;
     re[0] = phi.cos(); // cis(−φ) = (cos φ, −sin φ)
     im[0] = -phi.sin();
-    for k in 1..size {
+    for k in 1..half {
         let q = k.trailing_zeros() as usize;
         phi -= s[q] * r[q];
         let delta = -2.0 * s[q];
-        for b in 0..c {
-            if b != q {
-                r[b] += w[q * c + b] * delta;
-            }
+        // w[q][q] = 0, so r[q] gains ±0 and no branch is needed.
+        for (rb, &wb) in r.iter_mut().zip(&w[q * c..(q + 1) * c]) {
+            *rb += wb * delta;
         }
         s[q] = -s[q];
         y ^= 1 << q;
@@ -305,12 +347,7 @@ fn component_distribution(sub: &XxCircuit) -> ComponentDist {
         re[y] = phi.cos();
         im[y] = -phi.sin();
     }
-    // One WHT stage per qubit, half the table per stage.
-    itqc_obs::event::add_nd("backend.wht.butterflies", (c as u64) << (c - 1));
-    walsh_hadamard(&mut re, &mut im);
-    let norm = 1.0 / (size * size) as f64; // |2^{−c}·WHT|²
-    let probs: Vec<f64> = re.iter().zip(&im).map(|(&a, &b)| (a * a + b * b) * norm).collect();
-    ComponentDist::new(qubits, &probs)
+    (qubits, re, im)
 }
 
 /// Counts the Joint-vs-Chain sampler dispatch of one sampling call.
@@ -341,12 +378,14 @@ impl PreparedCircuit for XxPrepared {
         &self.support
     }
 
+    /// [`XxCircuit::fidelity`]'s per-component Gray sums while every
+    /// component fits [`MAX_COMPONENT`], whether or not sampling has
+    /// materialized the tables; otherwise the product of per-component
+    /// table lookups, since an oversize component makes the Gray sum
+    /// intractable and the chain sampler's `(z_T, k)` table answers any
+    /// target in `O(c)`.
     fn probability(&self, target: BitString) -> f64 {
-        let small =
-            self.comp_circuits.iter().all(|(_, m)| m.count_ones() as usize <= MAX_COMPONENT);
-        if small && self.dists.get().is_none() {
-            // Small components: one exact 2^c Gray sum each, cheaper
-            // than materializing tables for a single target.
+        if self.comp_circuits.iter().all(|(_, m)| m.count_ones() as usize <= MAX_COMPONENT) {
             return self.xx.fidelity(target);
         }
         // Off-support bits must stay |0⟩.
@@ -354,10 +393,6 @@ impl PreparedCircuit for XxPrepared {
         if target & !mask != 0 {
             return 0.0;
         }
-        // Product of per-component table lookups: once sampling
-        // materialized the samplers, or because an oversize component
-        // makes the Gray sum intractable and the chain sampler's
-        // (z_T, k) table answers any target in O(c).
         self.distributions().iter().map(|d| d.probability_global(target)).product()
     }
 
@@ -404,22 +439,158 @@ mod tests {
         }
     }
 
+    /// The reference table build: the Gray walk over all `2^c`
+    /// configurations and the `2^c`-point transform, with no use of the
+    /// parity symmetry. Returns the full phase table and the
+    /// probabilities.
+    fn full_walk(sub: &XxCircuit) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let (qubits, w) = weight_matrix(sub);
+        let c = qubits.len();
+        let size = 1usize << c;
+        let mut re = vec![0.0f64; size];
+        let mut im = vec![0.0f64; size];
+        let mut s = vec![1.0f64; c];
+        let mut r: Vec<f64> = (0..c).map(|q| (0..c).map(|b| w[q * c + b]).sum()).collect();
+        let mut phi: f64 = 0.25 * r.iter().sum::<f64>();
+        let mut y = 0usize;
+        re[0] = phi.cos();
+        im[0] = -phi.sin();
+        for k in 1..size {
+            let q = k.trailing_zeros() as usize;
+            phi -= s[q] * r[q];
+            let delta = -2.0 * s[q];
+            for b in 0..c {
+                if b != q {
+                    r[b] += w[q * c + b] * delta;
+                }
+            }
+            s[q] = -s[q];
+            y ^= 1 << q;
+            re[y] = phi.cos();
+            im[y] = -phi.sin();
+        }
+        let phases = (re.clone(), im.clone());
+        walsh_hadamard(&mut re, &mut im);
+        let norm = 1.0 / (size * size) as f64;
+        let probs = re.iter().zip(&im).map(|(&a, &b)| (a * a + b * b) * norm).collect();
+        (phases.0, phases.1, probs)
+    }
+
+    /// One connected `c`-qubit component on qubits `0..c` of an
+    /// `n`-qubit register: a random-angle path plus random chords.
+    fn random_component(rng: &mut SmallRng, c: usize, n: usize) -> XxCircuit {
+        let mut xx = XxCircuit::new(n);
+        for q in 1..c {
+            xx.add_xx(q - 1, q, rng.gen_range(-3.0..3.0));
+        }
+        for _ in 0..2 * c {
+            let a = rng.gen_range(0..c);
+            let b = rng.gen_range(0..c);
+            if a != b {
+                xx.add_xx(a, b, rng.gen_range(-3.0..3.0));
+            }
+        }
+        xx
+    }
+
+    /// A `c`-qubit complete class on qubits `0..c` with every coupling
+    /// under-rotated by a random 0–10 %: the concentrated distributions
+    /// of the Fig. 8 class tests, where rounding differences are largest.
+    fn random_class(rng: &mut SmallRng, c: usize, n: usize) -> XxCircuit {
+        let mut xx = XxCircuit::new(n);
+        for a in 0..c {
+            for b in a + 1..c {
+                xx.add_xx(a, b, 2.0 * FRAC_PI_2 * (1.0 - rng.gen_range(0.0..0.1)));
+            }
+        }
+        xx
+    }
+
+    #[test]
+    fn parity_halved_table_matches_the_full_walk() {
+        let mut rng = SmallRng::seed_from_u64(19);
+        for c in 2..=16usize {
+            let shapes = [random_component(&mut rng, c, c + 1), random_class(&mut rng, c, c + 1)];
+            for xx in shapes {
+                check_against_full_walk(&xx, c);
+            }
+        }
+    }
+
+    /// The parity-halved build of the one `c`-qubit component of `xx`
+    /// against [`full_walk`]: the half walk is the full walk's first
+    /// half bit for bit, odd-parity outcomes read exactly 0, and every
+    /// probability agrees to 1e-12.
+    fn check_against_full_walk(xx: &XxCircuit, c: usize) {
+        assert_eq!(xx.component_masks().len(), 1);
+        let (full_re, full_im, full_probs) = full_walk(xx);
+        let (qubits, half_re, half_im) = half_phase_table(xx);
+        assert_eq!(qubits.len(), c);
+        let half = 1usize << (c - 1);
+        assert_eq!(half_re.len(), half);
+        for y in 0..half {
+            assert_eq!(half_re[y].to_bits(), full_re[y].to_bits(), "c={c} re[{y}]");
+            assert_eq!(half_im[y].to_bits(), full_im[y].to_bits(), "c={c} im[{y}]");
+        }
+        let table = component_distribution(xx);
+        assert_eq!(table.qubits(), &qubits[..]);
+        for (z, &f) in full_probs.iter().enumerate() {
+            let p = table.probability(z);
+            if z.count_ones() % 2 == 1 {
+                assert_eq!(p.to_bits(), 0.0f64.to_bits(), "c={c} odd z={z:b} reads {p}");
+            }
+            assert!((p - f).abs() < 1e-12, "c={c} z={z:b}: {p} vs full walk {f}");
+        }
+    }
+
+    #[test]
+    fn sampled_strings_have_even_parity_on_every_component() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        for case in 0..20 {
+            let n = rng.gen_range(2..=10);
+            let gates = rng.gen_range(1..=12);
+            let xx = random_xx(&mut rng, n, gates);
+            let masks = xx.component_masks();
+            let prep = XxPrepared::prepare(xx).unwrap();
+            for s in PreparedCircuit::sample_block(&prep, &mut rng, 300) {
+                for &m in &masks {
+                    assert_eq!((s & m).count_ones() % 2, 0, "case {case}: {s:b} on {m:b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probability_does_not_depend_on_whether_tables_exist() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        for _ in 0..10 {
+            let xx = random_xx(&mut rng, 7, 9);
+            let prep = XxPrepared::prepare(xx.clone()).unwrap();
+            let targets: Vec<BitString> =
+                (0..12).map(|_| rng.gen_range(0..(1usize << 7)) as BitString).collect();
+            let before: Vec<u64> = targets.iter().map(|&t| prep.probability(t).to_bits()).collect();
+            let _ = prep.distributions();
+            let after: Vec<u64> = targets.iter().map(|&t| prep.probability(t).to_bits()).collect();
+            assert_eq!(before, after);
+            for &t in &targets {
+                assert_eq!(prep.probability(t).to_bits(), xx.fidelity(t).to_bits());
+            }
+        }
+    }
+
     #[test]
     fn component_distribution_matches_gray_sum_fidelities() {
         let mut rng = SmallRng::seed_from_u64(11);
         for _ in 0..10 {
             let xx = random_xx(&mut rng, 7, 9);
             let prep = XxPrepared::prepare(xx.clone()).unwrap();
+            let dists = prep.distributions();
             for _ in 0..12 {
                 let target = rng.gen_range(0..(1usize << 7)) as BitString;
-                let direct = xx.fidelity(target);
-                let via_prep = prep.probability(target);
-                assert!((direct - via_prep).abs() < 1e-10, "target {target:07b}");
-            }
-            // Materialize the tables and re-check through them.
-            let _ = prep.distributions();
-            for target in [0 as BitString, 0b1010101, 0b0110011] {
-                assert!((xx.fidelity(target) - prep.probability(target)).abs() < 1e-10);
+                let tables: f64 = dists.iter().map(|d| d.probability_global(target)).product();
+                let support = xx.support().iter().fold(0 as BitString, |m, &q| m | 1 << q);
+                let tables = if target & !support == 0 { tables } else { 0.0 };
+                assert!((xx.fidelity(target) - tables).abs() < 1e-10, "target {target:07b}");
             }
         }
     }

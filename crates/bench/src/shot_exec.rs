@@ -72,6 +72,9 @@ impl<E: TestExecutor> TestExecutor for ShotSampled<E> {
 /// minimum over *correlated* per-qubit agreement counts from one shared
 /// set of shots — the honest population statistic of the paper's
 /// scaling experiments.
+///
+/// `run_test` panics with the backend's refusal if the wrapped
+/// executor's backend cannot prepare the test circuit.
 #[derive(Clone, Debug)]
 pub struct StringSampled {
     exec: ExactExecutor,
@@ -106,7 +109,9 @@ impl TestExecutor for StringSampled {
             return self.exec.exact_score(spec);
         }
         let _span = itqc_obs::span::timed(RUN_TEST_SPAN);
-        let prepared = self.exec.prepare(spec);
+        let prepared = self.exec.prepare(spec).unwrap_or_else(|e| {
+            panic!("backend '{}' refused test '{}': {e}", self.exec.backend().choice(), spec.label)
+        });
         // Blocked sampling: bit-identical to the per-shot path (the
         // equivalence suite pins it), but resolves each component's
         // draws in one pass over its flat cumulative table.

@@ -7,7 +7,9 @@
 
 use crate::testplan::{ScoreMode, TestSpec};
 use itqc_backend::memo::ScoreKind;
-use itqc_backend::{Backend, BackendChoice, PreparedCircuit, SimBackend as _, XxAnalyticBackend};
+use itqc_backend::{
+    Backend, BackendChoice, BackendError, PreparedCircuit, SimBackend as _, XxAnalyticBackend,
+};
 use itqc_circuit::{Circuit, Coupling};
 use itqc_trap::{Activity, VirtualTrap};
 use std::collections::BTreeMap;
@@ -104,20 +106,12 @@ impl ExactExecutor {
     }
 
     /// Prepares a spec's noisy circuit on the backend (shot samplers use
-    /// this to draw genuine output strings).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend refuses the circuit (forced `dense` beyond
-    /// the register wall, forced `analytic` on non-XX gates — `auto`
-    /// never refuses a protocol test circuit).
-    pub fn prepare(&self, spec: &TestSpec) -> Rc<dyn PreparedCircuit> {
-        match self.backend.prepare(&self.noisy_circuit(spec)) {
-            Ok(prepared) => prepared,
-            Err(e) => {
-                panic!("backend '{}' refused test '{}': {e}", self.backend.name(), spec.label)
-            }
-        }
+    /// this to draw genuine output strings), or reports why the backend
+    /// refused it: forced `dense` beyond the register wall, forced
+    /// `analytic` on non-XX gates or on an unstructured oversize
+    /// component.
+    pub fn prepare(&self, spec: &TestSpec) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
+        self.backend.prepare(&self.noisy_circuit(spec))
     }
 
     /// The exact target-state fidelity of a spec on this machine
@@ -137,8 +131,12 @@ impl ExactExecutor {
 
     /// Every exact query: the analytic scalar path, or [`Self::prepare`]
     /// on a dense-routed executor and for circuits the scalar path
-    /// refuses (`auto` then falls back to dense; a forced engine reports
-    /// the refusal).
+    /// refuses (`auto` then falls back to dense).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the backend's refusal if the fallback cannot prepare
+    /// the circuit either; `auto` never refuses a protocol test circuit.
     fn score(&self, spec: &TestSpec, kind: ScoreKind) -> f64 {
         let _span = itqc_obs::span::timed(RUN_TEST_SPAN);
         itqc_obs::event::add("core.exact.queries", 1);
@@ -148,7 +146,9 @@ impl ExactExecutor {
                 return score;
             }
         }
-        let prepared = self.prepare(spec);
+        let prepared = self.prepare(spec).unwrap_or_else(|e| {
+            panic!("backend '{}' refused test '{}': {e}", self.backend.name(), spec.label)
+        });
         match kind {
             ScoreKind::ExactTarget => prepared.probability(spec.target),
             ScoreKind::WorstQubit => prepared.min_qubit_agreement(spec.target),
@@ -465,8 +465,8 @@ mod tests {
             }
         }
         // Preparation reuses one analytic build per distinct circuit.
-        let _ = default.prepare(&spec2);
-        let _ = default.prepare(&spec2);
+        let _ = default.prepare(&spec2).unwrap();
+        let _ = default.prepare(&spec2).unwrap();
         let (hits, _) = default.backend().analytic().cache_stats();
         assert!(hits >= 1, "repeated spec must hit the preparation cache");
     }
@@ -489,6 +489,21 @@ mod tests {
         let score = exec.exact_score(&canary);
         assert!(score > 0.5 && score <= 1.0, "canary score {score}");
         assert_eq!(exec.backend().analytic().cache_stats(), (0, 0), "no preparation");
+    }
+
+    #[test]
+    fn prepare_refuses_typed_beyond_the_dense_limit() {
+        use itqc_backend::{BackendChoice, BackendError};
+        let n = itqc_sim::statevector::MAX_QUBITS + 2;
+        let chain: Vec<Coupling> = (1..n).map(|q| Coupling::new(q - 1, q)).collect();
+        let spec = TestSpec::for_couplings("wide", &chain, 2);
+        let exec = ExactExecutor::new(n).with_backend(BackendChoice::Dense);
+        match exec.prepare(&spec) {
+            Err(BackendError::SupportTooLarge { support, limit }) => {
+                assert_eq!((support, limit), (n, itqc_sim::statevector::MAX_QUBITS));
+            }
+            other => panic!("expected SupportTooLarge, got {other:?}"),
+        }
     }
 
     #[test]
