@@ -36,8 +36,8 @@ use crate::chain::{self, ChainDist, CHAIN_MAX_SPECIAL};
 use crate::dist::{
     sample_strings, sample_strings_blocked, walsh_hadamard, ComponentDist, SampleComponent,
 };
-use crate::memo::{cached_score, ScoreKind, SCORE_MEMO_MIN_TERMS};
-use crate::{BackendError, PreparedCircuit, SimBackend};
+use crate::memo::{cached_score, SCORE_MEMO_MIN_TERMS};
+use crate::{BackendError, PreparedCircuit, ScoreMode};
 use itqc_circuit::Circuit;
 use itqc_math::gray;
 use itqc_sim::{BitString, XxCircuit};
@@ -128,12 +128,25 @@ impl XxAnalyticBackend {
         self.cache.borrow().stats()
     }
 
+    /// Prepares `circuit` through the cache, or refuses a non-XX gate or
+    /// an oversize component the chain sampler cannot take.
+    pub fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
+        let xx = XxCircuit::from_circuit(circuit).ok_or(BackendError::NotCommutingXx)?;
+        let key = xx_key(&xx);
+        if let Some(hit) = self.cache.borrow_mut().get(&key) {
+            return Ok(hit);
+        }
+        let prepared = Rc::new(XxPrepared::prepare(xx)?);
+        self.cache.borrow_mut().insert(key, Rc::clone(&prepared));
+        Ok(prepared)
+    }
+
     /// The scalar exact-score path: one statistic of one circuit, with
     /// no sampling tables for components of at most [`MAX_COMPONENT`]
     /// qubits and no preparation-cache traffic.
     ///
-    /// * [`ScoreKind::WorstQubit`] — the closed-form marginals.
-    /// * [`ScoreKind::ExactTarget`] — [`XxCircuit::fidelity`]'s
+    /// * [`ScoreMode::WorstQubit`] — the closed-form marginals.
+    /// * [`ScoreMode::ExactTarget`] — [`XxCircuit::fidelity`]'s
     ///   per-component Gray walks while every component fits
     ///   [`MAX_COMPONENT`]; above that, [`XxPrepared::probability`]'s
     ///   chain tables.
@@ -143,7 +156,7 @@ impl XxAnalyticBackend {
     /// evaluation's float verbatim. Reads no backend state, so it takes
     /// no backend value. Refuses, typed, an oversize component the chain
     /// sampler cannot take.
-    pub fn score(xx: &XxCircuit, target: BitString, kind: ScoreKind) -> Result<f64, BackendError> {
+    pub fn score(xx: &XxCircuit, target: BitString, kind: ScoreMode) -> Result<f64, BackendError> {
         if xx.terms().nth(SCORE_MEMO_MIN_TERMS - 1).is_none() {
             return evaluate(xx, target, kind);
         }
@@ -155,16 +168,16 @@ impl XxAnalyticBackend {
 /// walks and closed-form evaluations are recorded by size for the
 /// observed cost report; which evaluations the per-thread memo absorbs
 /// depends on the sharding, so both are nondeterministic telemetry.
-fn evaluate(xx: &XxCircuit, target: BitString, kind: ScoreKind) -> Result<f64, BackendError> {
+fn evaluate(xx: &XxCircuit, target: BitString, kind: ScoreMode) -> Result<f64, BackendError> {
     match kind {
-        ScoreKind::WorstQubit => {
+        ScoreMode::WorstQubit => {
             if itqc_obs::enabled() {
                 let support = xx.support().len() as u64;
                 itqc_obs::event::observe_nd("backend.agreement.support_qubits", support, 1);
             }
             Ok(xx.min_qubit_agreement(target))
         }
-        ScoreKind::ExactTarget => {
+        ScoreMode::ExactTarget => {
             let masks = xx.component_masks();
             if masks.iter().any(|m| m.count_ones() as usize > MAX_COMPONENT) {
                 return Ok(XxPrepared::prepare(xx.clone())?.probability(target));
@@ -177,23 +190,6 @@ fn evaluate(xx: &XxCircuit, target: BitString, kind: ScoreKind) -> Result<f64, B
             }
             Ok(xx.fidelity(target))
         }
-    }
-}
-
-impl SimBackend for XxAnalyticBackend {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
-    fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
-        let xx = XxCircuit::from_circuit(circuit).ok_or(BackendError::NotCommutingXx)?;
-        let key = xx_key(&xx);
-        if let Some(hit) = self.cache.borrow_mut().get(&key) {
-            return Ok(hit);
-        }
-        let prepared = Rc::new(XxPrepared::prepare(xx)?);
-        self.cache.borrow_mut().insert(key, Rc::clone(&prepared));
-        Ok(prepared)
     }
 }
 

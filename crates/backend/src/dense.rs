@@ -1,6 +1,6 @@
 //! The dense reference backend.
 //!
-//! Wraps the general state-vector simulator behind [`SimBackend`].
+//! Wraps the general state-vector simulator as a [`PreparedCircuit`].
 //! Before simulating, the circuit is *compressed onto its support*: the
 //! state vector covers only the qubits some gate touches, so a sparse
 //! circuit on a large register costs `2^support`, not `2^N` — a
@@ -10,7 +10,7 @@
 //! analytic backend is the scalable path for commuting-XX circuits.
 
 use crate::dist::{connected_components, sample_strings, sample_strings_blocked, ComponentDist};
-use crate::{BackendError, PreparedCircuit, SimBackend};
+use crate::{BackendError, PreparedCircuit};
 use itqc_circuit::{Circuit, Op};
 use itqc_sim::statevector::MAX_QUBITS;
 use itqc_sim::BitString;
@@ -29,14 +29,10 @@ impl DenseBackend {
     pub fn new() -> Self {
         DenseBackend
     }
-}
 
-impl SimBackend for DenseBackend {
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
-    fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
+    /// Prepares `circuit` for evaluation, or refuses a support beyond
+    /// the state-vector limit.
+    pub fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
         Ok(Rc::new(DensePrepared::build(circuit)?))
     }
 }

@@ -5,8 +5,10 @@
 //! circuit's exact score thousands of times: threshold re-tunes replay
 //! a rung's class battery within a trial, and every class test whose
 //! couplings escaped the trial's planted faults compiles to a circuit
-//! byte-identical across trials. The score is a pure function of the
-//! accumulated `(circuit, target, statistic)` triple, so a thread-local
+//! byte-identical across trials. A virtual trap's exact-target tests
+//! go through it too: a fleet trap's canary is byte-identical between
+//! drift epochs. The score is a pure function of the accumulated
+//! `(circuit, target, statistic)` triple, so a thread-local
 //! memo keyed on [`crate::cache::xx_key`] returns the exact float the
 //! first evaluation produced — outputs are bit-identical with the memo
 //! on or off, at any thread count (each worker thread owns its own
@@ -18,6 +20,7 @@
 //! scalar path ([`crate::XxAnalyticBackend::score`]), which never
 //! touches the prep cache.
 
+use crate::ScoreMode;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -30,17 +33,9 @@ pub const SCORE_MEMO_CAPACITY: usize = 1 << 15;
 /// point test evaluates faster than its key hashes.
 pub const SCORE_MEMO_MIN_TERMS: usize = 2;
 
-/// The memoised statistic, part of the key (one circuit serves both).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ScoreKind {
-    /// Exact target-string probability.
-    ExactTarget,
-    /// Worst per-qubit agreement over the support.
-    WorstQubit,
-}
-
-/// Memo key: the exact circuit key, the target string, the statistic.
-type ScoreMemoKey = (Vec<u64>, itqc_sim::BitString, ScoreKind);
+/// Memo key: the exact circuit key, the target string, the statistic
+/// (one circuit serves both).
+type ScoreMemoKey = (Vec<u64>, itqc_sim::BitString, ScoreMode);
 
 thread_local! {
     static SCORE_MEMO: RefCell<HashMap<ScoreMemoKey, f64>> = RefCell::new(HashMap::new());
@@ -55,7 +50,7 @@ thread_local! {
 pub(crate) fn cached_score<E>(
     circuit_key: Vec<u64>,
     target: itqc_sim::BitString,
-    kind: ScoreKind,
+    kind: ScoreMode,
     compute: impl FnOnce() -> Result<f64, E>,
 ) -> Result<f64, E> {
     let key = (circuit_key, target, kind);
@@ -97,17 +92,17 @@ mod tests {
             cached_score(key.to_vec(), target, kind, || Ok::<_, ()>(v)).unwrap()
         };
         let key = [4u64, 0, 1, 0.5f64.to_bits()];
-        let first = score(&key, 3, ScoreKind::ExactTarget, 0.123456789);
+        let first = score(&key, 3, ScoreMode::ExactTarget, 0.123456789);
         // A conflicting recompute must be ignored: the memo serves the
         // original value.
-        let second = score(&key, 3, ScoreKind::ExactTarget, 0.987654321);
+        let second = score(&key, 3, ScoreMode::ExactTarget, 0.987654321);
         assert_eq!(first.to_bits(), second.to_bits());
         // Different target or statistic is a different entry.
-        assert_eq!(score(&key, 4, ScoreKind::ExactTarget, 0.5), 0.5);
-        assert_eq!(score(&key, 3, ScoreKind::WorstQubit, 0.25), 0.25);
+        assert_eq!(score(&key, 4, ScoreMode::ExactTarget, 0.5), 0.5);
+        assert_eq!(score(&key, 3, ScoreMode::WorstQubit, 0.25), 0.25);
         // A refusal is returned and not stored.
-        assert_eq!(cached_score(vec![9], 0, ScoreKind::ExactTarget, || Err("no")), Err("no"));
-        assert_eq!(score(&[9], 0, ScoreKind::ExactTarget, 0.75), 0.75);
+        assert_eq!(cached_score(vec![9], 0, ScoreMode::ExactTarget, || Err("no")), Err("no"));
+        assert_eq!(score(&[9], 0, ScoreMode::ExactTarget, 0.75), 0.75);
     }
 
     #[test]
@@ -116,7 +111,7 @@ mod tests {
         // usable (and the flushed entry recomputes to the same value —
         // pure functions make eviction invisible).
         let score =
-            |i: u64| cached_score(vec![i], 0, ScoreKind::ExactTarget, || Ok::<_, ()>(i as f64));
+            |i: u64| cached_score(vec![i], 0, ScoreMode::ExactTarget, || Ok::<_, ()>(i as f64));
         for i in 0..(SCORE_MEMO_CAPACITY as u64 + 16) {
             assert_eq!(score(i), Ok(i as f64));
         }

@@ -21,8 +21,7 @@ use itqc_bench::natural_faults::{
 use itqc_bench::output::{f3, pct, section, Table};
 use itqc_bench::Args;
 use itqc_circuit::Coupling;
-use itqc_core::{first_round_classes, LabelSpace, TestSpec};
-use itqc_trap::Activity;
+use itqc_core::{first_round_classes, LabelSpace, TestExecutor, TestSpec};
 use std::collections::BTreeSet;
 
 fn main() {
@@ -59,8 +58,7 @@ fn main() {
         let mut cells = vec![format!("{class}")];
         for reps in [2usize, 4, 8] {
             let spec = TestSpec::for_couplings(format!("{class}"), &couplings, reps);
-            let hits = trap.run_xx_test(&spec.gates, spec.target, 300, Activity::Testing);
-            cells.push(f3(hits as f64 / 300.0));
+            cells.push(f3(trap.run_test(&spec, 300)));
         }
         battery.row(cells);
     }
@@ -105,8 +103,7 @@ fn main() {
     }
     let relevant = trap.couplings();
     let spec = TestSpec::for_couplings("post-recal canary", &relevant, 8);
-    let hits = trap.run_xx_test(&spec.gates, spec.target, 300, Activity::Testing);
-    println!("post-recalibration canary fidelity: {}", f3(hits as f64 / 300.0));
+    println!("post-recalibration canary fidelity: {}", f3(trap.run_test(&spec, 300)));
 
     // ---- Monte-Carlo recovery sweep ------------------------------------
     section(&format!("recovery rate over {} re-drawn ambient drifts", args.trials));

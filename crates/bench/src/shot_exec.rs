@@ -11,6 +11,7 @@
 //!   per-qubit agreement counts minimized over the support). The Fig. 8
 //!   detectability study runs on this wrapper.
 
+use itqc_backend::worst_qubit_count;
 use itqc_core::executor::{TestExecutor, RUN_TEST_SPAN};
 use itqc_core::testplan::ScoreMode;
 use itqc_core::{ExactExecutor, TestSpec};
@@ -121,16 +122,7 @@ impl TestExecutor for StringSampled {
                 strings.iter().filter(|&&s| s == spec.target).count() as f64 / shots as f64
             }
             ScoreMode::WorstQubit => {
-                let worst = prepared
-                    .support()
-                    .iter()
-                    .map(|&q| {
-                        let want = (spec.target >> q) & 1;
-                        strings.iter().filter(|&&s| (s >> q) & 1 == want).count()
-                    })
-                    .min()
-                    .unwrap_or(shots);
-                worst as f64 / shots as f64
+                worst_qubit_count(&strings, prepared.support(), spec.target) as f64 / shots as f64
             }
         }
     }

@@ -13,8 +13,8 @@
 
 use crate::{par_map, split_seed};
 use itqc_circuit::Coupling;
-use itqc_core::{first_round_classes, LabelSpace, SubcubeClass, TestSpec};
-use itqc_trap::{Activity, TrapConfig, VirtualTrap};
+use itqc_core::{first_round_classes, LabelSpace, SubcubeClass, TestExecutor, TestSpec};
+use itqc_trap::{TrapConfig, VirtualTrap};
 use std::collections::BTreeSet;
 
 /// The paper's machine size.
@@ -85,8 +85,7 @@ pub fn fig6_battery(seed: u64, shots: usize, jitter: f64, threads: usize) -> Vec
         let couplings = class.couplings(&space, &none);
         let spec = TestSpec::for_couplings(format!("{class}"), &couplings, reps);
         let mut trap = fig6_trap(split_seed(seed, i), jitter);
-        let hits = trap.run_xx_test(&spec.gates, spec.target, shots, Activity::Testing);
-        hits as f64 / shots as f64
+        trap.run_test(&spec, shots)
     });
     classes
         .iter()

@@ -6,10 +6,7 @@
 //! hardware detail and directly checkable against oracles.
 
 use crate::testplan::{ScoreMode, TestSpec};
-use itqc_backend::memo::ScoreKind;
-use itqc_backend::{
-    Backend, BackendChoice, BackendError, PreparedCircuit, SimBackend as _, XxAnalyticBackend,
-};
+use itqc_backend::{Backend, BackendChoice, BackendError, PreparedCircuit, XxAnalyticBackend};
 use itqc_circuit::{Circuit, Coupling};
 use itqc_trap::{Activity, VirtualTrap};
 use std::collections::BTreeMap;
@@ -117,16 +114,12 @@ impl ExactExecutor {
     /// The exact target-state fidelity of a spec on this machine
     /// (ExactTarget scoring regardless of the spec's score mode).
     pub fn exact_fidelity(&self, spec: &TestSpec) -> f64 {
-        self.score(spec, ScoreKind::ExactTarget)
+        self.score(spec, ScoreMode::ExactTarget)
     }
 
     /// The exact score of a spec under its own [`ScoreMode`].
     pub fn exact_score(&self, spec: &TestSpec) -> f64 {
-        let kind = match spec.score {
-            ScoreMode::ExactTarget => ScoreKind::ExactTarget,
-            ScoreMode::WorstQubit => ScoreKind::WorstQubit,
-        };
-        self.score(spec, kind)
+        self.score(spec, spec.score)
     }
 
     /// Every exact query: the analytic scalar path, or [`Self::prepare`]
@@ -137,7 +130,7 @@ impl ExactExecutor {
     ///
     /// Panics with the backend's refusal if the fallback cannot prepare
     /// the circuit either; `auto` never refuses a protocol test circuit.
-    fn score(&self, spec: &TestSpec, kind: ScoreKind) -> f64 {
+    fn score(&self, spec: &TestSpec, kind: ScoreMode) -> f64 {
         let _span = itqc_obs::span::timed(RUN_TEST_SPAN);
         itqc_obs::event::add("core.exact.queries", 1);
         if self.backend.choice() != BackendChoice::Dense {
@@ -147,11 +140,11 @@ impl ExactExecutor {
             }
         }
         let prepared = self.prepare(spec).unwrap_or_else(|e| {
-            panic!("backend '{}' refused test '{}': {e}", self.backend.name(), spec.label)
+            panic!("backend '{}' refused test '{}': {e}", self.backend.choice(), spec.label)
         });
         match kind {
-            ScoreKind::ExactTarget => prepared.probability(spec.target),
-            ScoreKind::WorstQubit => prepared.min_qubit_agreement(spec.target),
+            ScoreMode::ExactTarget => prepared.probability(spec.target),
+            ScoreMode::WorstQubit => prepared.min_qubit_agreement(spec.target),
         }
     }
 }
@@ -166,9 +159,10 @@ impl TestExecutor for ExactExecutor {
     }
 }
 
-/// [`TestExecutor`] for the virtual machine: tests run on the exact
-/// commuting-XX path with shot sampling, adaptations are billed to the
-/// duty ledger.
+/// [`TestExecutor`] for the virtual machine: tests run on the trap's
+/// exact commuting-XX path, read out under the spec's score mode
+/// ([`VirtualTrap::run_xx_test`]); adaptations are billed to the duty
+/// ledger.
 impl TestExecutor for VirtualTrap {
     fn n_qubits(&self) -> usize {
         VirtualTrap::n_qubits(self)
@@ -178,14 +172,7 @@ impl TestExecutor for VirtualTrap {
         if shots == 0 {
             return 0.0;
         }
-        let hits = match spec.score {
-            ScoreMode::ExactTarget => {
-                self.run_xx_test(&spec.gates, spec.target, shots, Activity::Testing)
-            }
-            ScoreMode::WorstQubit => {
-                self.run_xx_test_population(&spec.gates, spec.target, shots, Activity::Testing)
-            }
-        };
+        let hits = self.run_xx_test(&spec.gates, spec.target, spec.score, shots, Activity::Testing);
         hits as f64 / shots as f64
     }
 
@@ -518,6 +505,51 @@ mod tests {
         let _ = exec.exact_score(&spec);
         let _ = exec.exact_score(&spec.clone().with_score(crate::testplan::ScoreMode::WorstQubit));
         assert_eq!(score_memo_stats(), before, "the dense reference engine is unmemoised");
+    }
+
+    #[test]
+    fn trap_canary_scores_identically_on_memo_hit_and_miss() {
+        // The fleet canary: all 55 couplings of an 11-qubit trap, with
+        // drifted couplings. The exact-score memo is thread-local, so a
+        // fresh thread's first run is a miss; this thread runs it twice,
+        // the second a hit. Score, clock and Testing seconds must agree
+        // bit for bit.
+        use crate::testplan::canary_for;
+        use itqc_backend::memo::score_memo_stats;
+        fn run(canary: &TestSpec) -> [u64; 3] {
+            let mut trap = VirtualTrap::new(TrapConfig::ideal(11, 77));
+            for (c, u) in [
+                (Coupling::new(0, 1), 0.013),
+                (Coupling::new(2, 9), -0.021),
+                (Coupling::new(4, 7), 0.34),
+                (Coupling::new(5, 10), 0.008),
+            ] {
+                trap.inject_fault(c, u);
+            }
+            let score = trap.run_test(canary, 100);
+            [
+                score.to_bits(),
+                trap.clock_seconds().to_bits(),
+                trap.duty().seconds(Activity::Testing).to_bits(),
+            ]
+        }
+        let couplings: Vec<Coupling> =
+            (0..11).flat_map(|a| (a + 1..11).map(move |b| Coupling::new(a, b))).collect();
+        let canary = canary_for(&couplings, 4, ScoreMode::ExactTarget);
+        let on_fresh_thread = canary.clone();
+        let miss = std::thread::spawn(move || {
+            let before = score_memo_stats();
+            let bits = run(&on_fresh_thread);
+            assert_eq!(score_memo_stats(), (before.0, before.1 + 1), "a fresh thread misses");
+            bits
+        })
+        .join()
+        .expect("miss thread");
+        let _ = run(&canary);
+        let before = score_memo_stats();
+        let hit = run(&canary);
+        assert_eq!(score_memo_stats(), (before.0 + 1, before.1), "the repeat hits");
+        assert_eq!(hit, miss);
     }
 
     #[test]

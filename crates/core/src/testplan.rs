@@ -12,6 +12,8 @@
 
 use itqc_circuit::{Circuit, Coupling};
 use itqc_sim::{BitString, XxCircuit};
+
+pub use itqc_backend::ScoreMode;
 use std::collections::BTreeMap;
 use std::f64::consts::FRAC_PI_2;
 use std::fmt;
@@ -21,22 +23,6 @@ use std::fmt;
 /// beside [`crate::executor::RUN_TEST_SPAN`]: planning finishes before
 /// the test runs.
 pub const PLAN_SPAN: &str = "core.protocol.plan";
-
-/// How a test's pass/fail statistic is computed from measurements.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScoreMode {
-    /// Fraction of shots landing exactly on the expected output string —
-    /// the paper's literal "the test passes if the resulting state matches
-    /// the initial state" (§VI). Sharp at hardware scale, but collapses
-    /// exponentially with class size under ambient miscalibration.
-    #[default]
-    ExactTarget,
-    /// The worst per-qubit agreement with the expected string ("deviation
-    /// of the output population"). Scales to 32-qubit class tests where
-    /// the exact-string probability vanishes (DESIGN.md §3); used by the
-    /// Fig. 8/9 and Table II scaling reproductions.
-    WorstQubit,
-}
 
 /// A fully specified single-output test circuit.
 #[derive(Clone, Debug, PartialEq)]

@@ -317,8 +317,10 @@ impl Fleet {
             }
             queued += d.queue_depth;
         }
-        let mut sorted = self.stats.latencies.clone();
-        sorted.sort_by(f64::total_cmp);
+        // Percentiles depend only on the multiset, so the record itself
+        // can be sorted: later runs only append to it.
+        self.stats.latencies.sort_by(f64::total_cmp);
+        let sorted = &self.stats.latencies;
         FleetSummary {
             traps: self.config.traps,
             seed: self.config.seed,
@@ -326,9 +328,9 @@ impl Fleet {
             submitted: self.stats.submitted.get(),
             completed: self.stats.completed.get(),
             queued,
-            latency_p50: percentile(&sorted, 0.50),
-            latency_p90: percentile(&sorted, 0.90),
-            latency_p99: percentile(&sorted, 0.99),
+            latency_p50: percentile(sorted, 0.50),
+            latency_p90: percentile(sorted, 0.90),
+            latency_p99: percentile(sorted, 0.99),
             canaries: self.stats.canaries.get(),
             trips: self.stats.trips.get(),
             diagnoses: self.stats.diagnoses.get(),

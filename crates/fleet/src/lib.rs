@@ -4,13 +4,13 @@
 //! The paper studies one machine's maintenance economics (Fig. 2); an
 //! operator runs *fleets*. This crate scales the machine-day model to N
 //! virtual traps under one long-running service — `fleetd` — built from
-//! five pieces:
+//! four pieces:
 //!
 //! * [`machine_day`] — the Fig. 2 scheduling model itself, extracted
 //!   here so the `fig2` figure and the fleet run the *same* policies
-//!   (`itqc_bench::duty_cycle` re-exports it);
-//! * [`exec`] — the per-trap test executor: exact statistics from the
-//!   analytic engine's memoised scalar path, shots read out on the
+//!   (`itqc_bench::duty_cycle` re-exports it); both run their tests on
+//!   `&mut VirtualTrap`, whose executor takes exact scores from the
+//!   analytic engine's memoised scalar path and reads shots out on the
 //!   trap's own RNG;
 //! * [`queue`]/[`trap_state`] — per-trap priority/deadline work queues
 //!   and the one-pass tick (arrivals → drift → canary → queue drain);
@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod exec;
 pub mod machine_day;
 pub mod pool;
 pub mod queue;
@@ -41,6 +40,5 @@ pub mod trap_state;
 pub use api::{
     Fleet, FleetConfig, FleetSummary, SubmitError, MAX_SUBMIT_COUNT, MAX_WORKERS, MINUTES_PER_DAY,
 };
-pub use exec::CachedTrapExecutor;
 pub use queue::{WorkItem, WorkKind, WorkQueue};
 pub use trap_state::{FleetParams, TrapState, TrapStatus};

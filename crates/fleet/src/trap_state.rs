@@ -11,10 +11,9 @@
 //!
 //! Drift is *quasi-static*: calibration moves only at epoch boundaries
 //! (default every 30 simulated minutes), so a trap's canary circuit is
-//! byte-identical between epochs and the score memo behind
-//! [`CachedTrapExecutor`] answers the repeats.
+//! byte-identical between epochs and the exact-score memo behind
+//! `VirtualTrap::run_test` answers the repeats.
 
-use crate::exec::CachedTrapExecutor;
 use crate::queue::{WorkKind, WorkQueue, PRIO_CANARY, PRIO_DIAGNOSE, PRIO_JOB};
 use itqc_circuit::Coupling;
 use itqc_core::testplan::canary_for;
@@ -246,8 +245,8 @@ impl TrapState {
             match item.kind {
                 WorkKind::Canary => {
                     out.canaries += 1;
-                    let score = CachedTrapExecutor::new(&mut self.trap)
-                        .run_test(&self.canary_spec, self.params.diag.canary_shots);
+                    let score =
+                        self.trap.run_test(&self.canary_spec, self.params.diag.canary_shots);
                     self.last_canary = score;
                     if score < self.params.diag.canary_threshold {
                         out.trips += 1;
@@ -257,8 +256,8 @@ impl TrapState {
                 }
                 WorkKind::Diagnose => {
                     out.diagnoses += 1;
-                    let mut exec = CachedTrapExecutor::new(&mut self.trap);
-                    let report = diagnose_all(&mut exec, self.params.n_qubits, &self.params.diag);
+                    let report =
+                        diagnose_all(&mut self.trap, self.params.n_qubits, &self.params.diag);
                     out.tests_run += report.tests_run as u64;
                     for fault in &report.diagnosed {
                         self.trap.recalibrate(fault.coupling);

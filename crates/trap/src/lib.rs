@@ -16,5 +16,5 @@ pub mod rb;
 pub mod timing;
 
 pub use duty::{Activity, DutyLedger};
-pub use machine::{TrapConfig, VirtualTrap, XxStats};
+pub use machine::{TrapConfig, VirtualTrap};
 pub use timing::TimingModel;

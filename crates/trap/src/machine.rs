@@ -13,12 +13,15 @@
 //!   noise channel (amplitude, 1/f phase, residual bus, SPAM); used at
 //!   hardware scale (≤ ~14 qubits).
 //! * [`VirtualTrap::run_xx_test`] — the exact commuting-XX engine for test
-//!   circuits, with amplitude-type channels and SPAM attenuation; scales to
-//!   32+ qubits exactly like the paper's scaling study, which "suppresses
+//!   circuits, with amplitude-type channels and SPAM, read out under the
+//!   test's [`ScoreMode`]; like the paper's scaling study, it "suppresses
 //!   phase noise and residual couplings" (§VII).
 
 use crate::duty::{Activity, DutyLedger};
 use crate::timing::TimingModel;
+use itqc_backend::{
+    worst_qubit_count, PreparedCircuit, ScoreMode, XxAnalyticBackend, XxPrepared, MAX_COMPONENT,
+};
 use itqc_circuit::{Circuit, Coupling};
 use itqc_faults::drift::DriftProcess;
 use itqc_faults::models::CouplingFault;
@@ -26,7 +29,7 @@ use itqc_faults::phase_noise::OneOverF;
 use itqc_faults::{IonTrapNoise, SpamModel};
 use itqc_math::rng::standard_normal;
 use itqc_sim::trajectory::run_trajectory;
-use itqc_sim::{shots, XxCircuit};
+use itqc_sim::{shots, BitString, XxCircuit};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -96,17 +99,6 @@ impl TrapConfig {
     }
 }
 
-/// Exact statistics of one commuting-XX test circuit, as
-/// [`VirtualTrap::read_out_xx_test`] consumes them.
-#[derive(Clone, Debug, PartialEq)]
-pub enum XxStats {
-    /// The probability of the target string.
-    Target(f64),
-    /// Each support qubit's probability of reading its target bit, in
-    /// ascending qubit order.
-    Agreements(Vec<f64>),
-}
-
 /// The virtual machine. See the module docs.
 #[derive(Clone, Debug)]
 pub struct VirtualTrap {
@@ -122,9 +114,15 @@ impl VirtualTrap {
     ///
     /// # Panics
     ///
-    /// Panics if `n_qubits < 2`.
+    /// Panics if `n_qubits < 2` or `n_qubits > MAX_COMPONENT`: every
+    /// test circuit must fit the commuting-XX engine's joint tables.
     pub fn new(config: TrapConfig) -> Self {
         assert!(config.n_qubits >= 2, "a trap needs at least two qubits");
+        assert!(
+            config.n_qubits <= MAX_COMPONENT,
+            "a trap holds at most {MAX_COMPONENT} qubits, got {}",
+            config.n_qubits
+        );
         let mut calibration = BTreeMap::new();
         for a in 0..config.n_qubits {
             for b in (a + 1)..config.n_qubits {
@@ -248,14 +246,6 @@ impl VirtualTrap {
         self.duty.record(Activity::Idle, seconds);
     }
 
-    /// Draws `shots` Bernoulli(`p`) outcomes from the machine's own RNG
-    /// stream and returns the hit count (`p` clamped to `[0, 1]`). The
-    /// caller is responsible for billing any test time (see
-    /// [`Self::bill_test_time`]).
-    pub fn observe_binomial(&mut self, shot_count: usize, p: f64) -> usize {
-        shots::binomial(&mut self.rng, shot_count, p.clamp(0.0, 1.0))
-    }
-
     /// Bills one classical adaptation round that compiles pulses for
     /// `couplings_compiled` couplings.
     pub fn bill_adaptation(&mut self, couplings_compiled: usize) {
@@ -323,47 +313,60 @@ impl VirtualTrap {
     }
 
     /// Executes a pure-XX test circuit on the exact commuting-XX engine
-    /// and returns the number of shots observed on `target`.
+    /// and returns its `score` hit count over `shot_count` shots: the
+    /// shots on `target` ([`ScoreMode::ExactTarget`]) or the worst
+    /// support qubit's count of shots reading its `target` bit
+    /// ([`ScoreMode::WorstQubit`]). The test time is billed to
+    /// `activity`.
     ///
     /// Includes deterministic coupling faults, quasi-static per-gate
-    /// amplitude jitter, and SPAM attenuation of the target string; phase
-    /// noise and residual bus coupling are not representable in the XX
-    /// engine (the paper's scaling study suppresses them too, §VII).
+    /// amplitude jitter, and SPAM; phase noise and residual bus coupling
+    /// are not representable in the XX engine (the paper's scaling study
+    /// suppresses them too, §VII). The readout follows the score:
     ///
-    /// `gates` lists `(coupling, θ)` in program order.
+    /// * `ExactTarget` — one binomial draw of the exact target
+    ///   probability (the memoised [`XxAnalyticBackend::score`]),
+    ///   attenuated by the chance SPAM leaves the whole string intact;
+    /// * `WorstQubit` — `shot_count` output strings sampled from the
+    ///   circuit's exact distribution, each corrupted by SPAM, and
+    ///   counted by [`worst_qubit_count`], the statistic hardware
+    ///   post-processing computes from its measured strings.
+    ///
+    /// Every draw is on the machine's own RNG, so a machine is
+    /// deterministic in its seed. `gates` lists `(coupling, θ)` in
+    /// program order.
     pub fn run_xx_test(
         &mut self,
         gates: &[(Coupling, f64)],
-        target: itqc_sim::BitString,
+        target: BitString,
+        score: ScoreMode,
         shot_count: usize,
         activity: Activity,
     ) -> usize {
         let xx = self.jittered_xx(gates);
-        let stats = XxStats::Target(xx.fidelity(target));
-        self.read_out_xx_test(stats, target, gates.len(), shot_count, activity)
-    }
-
-    /// Population-scored variant of [`Self::run_xx_test`]: computes every
-    /// support qubit's marginal agreement with `target`, samples each with
-    /// `shot_count` shots, and returns the hit count of the *worst* qubit.
-    ///
-    /// This is the statistic that survives ambient miscalibration at
-    /// 32-qubit class sizes, where the exact-string probability collapses
-    /// (see `itqc_sim::xx::XxCircuit::min_qubit_agreement`). Per-qubit
-    /// samples are drawn independently; correlations between qubit
-    /// readouts shift the minimum statistic only at second order.
-    pub fn run_xx_test_population(
-        &mut self,
-        gates: &[(Coupling, f64)],
-        target: itqc_sim::BitString,
-        shot_count: usize,
-        activity: Activity,
-    ) -> usize {
-        let xx = self.jittered_xx(gates);
-        let stats = XxStats::Agreements(
-            xx.support().into_iter().map(|q| xx.qubit_agreement(q, target)).collect(),
-        );
-        self.read_out_xx_test(stats, target, gates.len(), shot_count, activity)
+        let n = self.config.n_qubits;
+        let spam = self.config.spam;
+        let hits = match score {
+            ScoreMode::ExactTarget => {
+                let p = XxAnalyticBackend::score(&xx, target, score)
+                    .expect("trap registers fit the joint tables");
+                let p = (p * spam.retention(target, n)).clamp(0.0, 1.0);
+                shots::binomial(&mut self.rng, shot_count, p)
+            }
+            ScoreMode::WorstQubit => {
+                let prepared =
+                    XxPrepared::prepare(xx).expect("trap registers fit the joint tables");
+                let mut strings = prepared.sample_block(&mut self.rng, shot_count);
+                for s in &mut strings {
+                    *s = spam.corrupt(*s as usize, n, &mut self.rng) as BitString;
+                }
+                worst_qubit_count(&strings, prepared.support(), target)
+            }
+        };
+        let dt = self.config.timing.shots(n, gates.len(), 0, shot_count);
+        self.clock_seconds += dt;
+        self.duty.record(activity, dt);
+        hits
     }
 
     /// The commuting-XX circuit the machine actually executes for
@@ -383,42 +386,6 @@ impl VirtualTrap {
             xx.add_xx(a, b, theta * (1.0 - u_static - jitter));
         }
         xx
-    }
-
-    /// The readout step every exact XX test shares, for executors that
-    /// computed the circuit's statistics themselves (e.g. the fleet's,
-    /// through the memoised exact-score path): SPAM attenuation, one binomial
-    /// draw per statistic on the machine's own RNG, and the test time of
-    /// `gate_count` two-qubit gates billed to `activity`. Returns the
-    /// target hit count, or the worst qubit's agreement count. Keeping
-    /// the draws on the trap's RNG keeps the machine deterministic in its
-    /// seed no matter which executor runs its tests.
-    pub fn read_out_xx_test(
-        &mut self,
-        stats: XxStats,
-        target: itqc_sim::BitString,
-        gate_count: usize,
-        shot_count: usize,
-        activity: Activity,
-    ) -> usize {
-        let spam = self.config.spam;
-        let hits = match stats {
-            XxStats::Target(p) => {
-                let retention = spam.retention(target, self.config.n_qubits);
-                self.observe_binomial(shot_count, p * retention)
-            }
-            XxStats::Agreements(agreements) => {
-                let keep = 1.0 - (spam.p01 + spam.p10) / 2.0;
-                agreements
-                    .into_iter()
-                    .map(|p| self.observe_binomial(shot_count, p * keep))
-                    .fold(shot_count, usize::min)
-            }
-        };
-        let dt = self.config.timing.shots(self.config.n_qubits, gate_count, 0, shot_count);
-        self.clock_seconds += dt;
-        self.duty.record(activity, dt);
-        hits
     }
 
     /// Directly monitors every coupling's XX angle with `shot_count` shots
@@ -458,7 +425,8 @@ mod tests {
     fn ideal_machine_passes_perfect_tests() {
         let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 1));
         let c = Coupling::new(0, 4);
-        let hits = trap.run_xx_test(&four_ms_gates(c), 0, 300, Activity::Testing);
+        let hits =
+            trap.run_xx_test(&four_ms_gates(c), 0, ScoreMode::ExactTarget, 300, Activity::Testing);
         assert_eq!(hits, 300);
     }
 
@@ -467,7 +435,8 @@ mod tests {
         let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 2));
         let c = Coupling::new(0, 4);
         trap.inject_fault(c, 0.47);
-        let hits = trap.run_xx_test(&four_ms_gates(c), 0, 300, Activity::Testing);
+        let hits =
+            trap.run_xx_test(&four_ms_gates(c), 0, ScoreMode::ExactTarget, 300, Activity::Testing);
         let expect = (std::f64::consts::PI * 0.47).cos().powi(2);
         let p = hits as f64 / 300.0;
         assert!((p - expect).abs() < 0.08, "p {p} vs {expect}");
@@ -481,7 +450,8 @@ mod tests {
         let c = Coupling::new(1, 3);
         trap.inject_fault(c, 0.22);
         // XX path.
-        let hits = trap.run_xx_test(&four_ms_gates(c), 0, 4000, Activity::Testing);
+        let hits =
+            trap.run_xx_test(&four_ms_gates(c), 0, ScoreMode::ExactTarget, 4000, Activity::Testing);
         // Dense path.
         let mut circuit = Circuit::new(4);
         for _ in 0..4 {
@@ -527,21 +497,47 @@ mod tests {
     }
 
     #[test]
-    fn observe_binomial_matches_run_xx_test_on_same_seed() {
-        // Same seed, same p → the external-executor sampling path draws
-        // the exact shot sequence run_xx_test would have drawn.
-        let c = Coupling::new(0, 1);
-        let mut a = VirtualTrap::new(TrapConfig::ideal(4, 77));
-        a.inject_fault(c, 0.2);
-        let via_test = a.run_xx_test(&four_ms_gates(c), 0, 500, Activity::Testing);
-        let mut b = VirtualTrap::new(TrapConfig::ideal(4, 77));
-        b.inject_fault(c, 0.2);
-        let mut xx = itqc_sim::XxCircuit::new(4);
-        for _ in 0..4 {
-            xx.add_xx(0, 1, FRAC_PI_2 * 0.8);
+    fn worst_qubit_readout_converges_and_spam_lowers_it() {
+        // Two faults sharing qubit 1, plus a healthy coupling: the sampled
+        // worst-qubit count converges to the exact min marginal, and 1%
+        // SPAM (on the same seed, so the same pre-SPAM strings) lowers it.
+        let faults = [(Coupling::new(0, 1), 0.10), (Coupling::new(1, 2), 0.06)];
+        let gates: Vec<(Coupling, f64)> =
+            [Coupling::new(0, 1), Coupling::new(1, 2), Coupling::new(3, 4)]
+                .into_iter()
+                .flat_map(four_ms_gates)
+                .collect();
+        let mut xx = XxCircuit::new(6);
+        for &(c, theta) in &gates {
+            let u = faults.iter().find(|f| f.0 == c).map_or(0.0, |f| f.1);
+            let (a, b) = c.endpoints();
+            xx.add_xx(a, b, theta * (1.0 - u));
         }
-        let p = xx.fidelity(0);
-        assert_eq!(b.observe_binomial(500, p), via_test);
+        let exact = xx.min_qubit_agreement(0);
+        let shots = 100_000;
+        let score = |spam: SpamModel| {
+            let mut cfg = TrapConfig::ideal(6, 21);
+            cfg.spam = spam;
+            let mut trap = VirtualTrap::new(cfg);
+            for &(c, u) in &faults {
+                trap.inject_fault(c, u);
+            }
+            let hits = trap.run_xx_test(&gates, 0, ScoreMode::WorstQubit, shots, Activity::Testing);
+            hits as f64 / shots as f64
+        };
+        let ideal = score(SpamModel::IDEAL);
+        assert!((ideal - exact).abs() < 0.005, "sampled {ideal} vs exact {exact}");
+        let noisy = score(SpamModel::new(0.01, 0.01));
+        // A symmetric flip rate ε moves an agreement p to p − ε(2p − 1).
+        let drop = 0.01 * (2.0 * exact - 1.0);
+        assert!(noisy < ideal, "SPAM must lower the score: {noisy} vs {ideal}");
+        assert!((ideal - noisy - drop).abs() < 0.004, "drop {} vs {drop}", ideal - noisy);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn register_beyond_the_joint_tables_panics() {
+        let _ = VirtualTrap::new(TrapConfig::ideal(MAX_COMPONENT + 1, 1));
     }
 
     #[test]
@@ -561,7 +557,8 @@ mod tests {
         let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 7));
         trap.bill_job_time(100.0);
         let c = Coupling::new(0, 1);
-        let _ = trap.run_xx_test(&four_ms_gates(c), 0, 300, Activity::Testing);
+        let _ =
+            trap.run_xx_test(&four_ms_gates(c), 0, ScoreMode::ExactTarget, 300, Activity::Testing);
         trap.bill_adaptation(28);
         assert!(trap.duty().uptime_fraction() > 0.9);
         assert!(trap.duty().seconds(Activity::Testing) > 0.0);
@@ -585,7 +582,13 @@ mod tests {
         cfg.spam = SpamModel::new(0.01, 0.01);
         let mut trap = VirtualTrap::new(cfg);
         let c = Coupling::new(0, 1);
-        let hits = trap.run_xx_test(&four_ms_gates(c), 0, 20_000, Activity::Testing);
+        let hits = trap.run_xx_test(
+            &four_ms_gates(c),
+            0,
+            ScoreMode::ExactTarget,
+            20_000,
+            Activity::Testing,
+        );
         let p = hits as f64 / 20_000.0;
         let expect = 0.99f64.powi(8);
         assert!((p - expect).abs() < 0.01, "p {p} vs {expect}");

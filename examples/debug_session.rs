@@ -35,8 +35,7 @@ fn main() {
         let mut row = format!("{class:<8}");
         for (reps, thr) in [(2usize, 0.45), (4usize, 0.25)] {
             let spec = TestSpec::for_couplings(format!("{class}"), &couplings, reps);
-            let hits = trap.run_xx_test(&spec.gates, spec.target, 300, Activity::Testing);
-            let f = hits as f64 / 300.0;
+            let f = trap.run_test(&spec, 300);
             row.push_str(&format!(" {f:>10.3} {:>8}", if f < thr { "FAIL" } else { "pass" }));
         }
         println!("{row}");
@@ -95,7 +94,7 @@ fn main() {
     }
     let all = trap.couplings();
     let spec = TestSpec::for_couplings("post-recal canary", &all, 4);
-    let hits = trap.run_xx_test(&spec.gates, spec.target, 300, Activity::Testing);
-    println!("\npost-recalibration canary fidelity: {:.3} (machine is clean)", hits as f64 / 300.0);
+    let f = trap.run_test(&spec, 300);
+    println!("\npost-recalibration canary fidelity: {f:.3} (machine is clean)");
     println!("\nduty ledger:\n{}", trap.duty());
 }

@@ -15,7 +15,7 @@
 //! | [`math`] | complex arithmetic, small linear algebra, eigensolver, FFT, samplers |
 //! | [`circuit`] | gate set (incl. Mølmer–Sørensen), circuit IR, algorithm library, native transpiler |
 //! | [`sim`] | dense state-vector backend + exact commuting-XX engine |
-//! | [`backend`] | pluggable simulation-backend subsystem: `SimBackend` trait, dense + scalable analytic engines, prepared-circuit cache |
+//! | [`backend`] | pluggable simulation-backend subsystem: dense + scalable analytic engines behind `PreparedCircuit`, prepared-circuit cache, `ScoreMode` and the worst-qubit string count |
 //! | [`faults`] | Table-I taxonomy, Fig.-4 fault models, 1/f noise, SPAM, drift, Eq. 1–2 estimators |
 //! | [`trap`] | virtual machine with hidden calibration state, ion-chain physics, timing/duty model |
 //! | [`core`] | THE PAPER'S CONTRIBUTION: classes, syndromes, single-/multi-fault protocols, baselines, cost model |
@@ -52,7 +52,7 @@ pub use itqc_trap as trap;
 
 /// The commonly used types in one import.
 pub mod prelude {
-    pub use itqc_backend::{Backend, BackendChoice, PreparedCircuit, SimBackend};
+    pub use itqc_backend::{Backend, BackendChoice, PreparedCircuit};
     pub use itqc_circuit::{Circuit, Coupling, Gate, Op};
     pub use itqc_core::{
         diagnose_all, DecoderPolicy, Diagnosis, ExactExecutor, LabelSpace, MultiFaultConfig,
