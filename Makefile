@@ -140,10 +140,12 @@ repro: build
 fmt:
 	$(CARGO) fmt
 
-## lint: what CI enforces — fmt --check and clippy with warnings denied
+## lint: what CI enforces — fmt --check, and clippy and rustdoc with
+## warnings denied (a doc link to a deleted item fails the build)
 lint:
 	$(CARGO) fmt --check
 	$(CARGO) clippy --all-targets -- -D warnings
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
 
 clean:
 	$(CARGO) clean

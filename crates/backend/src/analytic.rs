@@ -39,11 +39,10 @@ use crate::dist::{
 use crate::memo::{cached_score, SCORE_MEMO_MIN_TERMS};
 use crate::{BackendError, PreparedCircuit, ScoreMode};
 use itqc_circuit::Circuit;
-use itqc_math::gray;
+use itqc_sim::xx::gray_phase_walk;
 use itqc_sim::{BitString, XxCircuit};
 use rand::rngs::SmallRng;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -296,53 +295,21 @@ fn component_distribution(sub: &XxCircuit) -> ComponentDist {
     ComponentDist::new(qubits, &probs)
 }
 
-/// The component's qubits (ascending) and its dense symmetric coupling
-/// matrix over them, zero on the diagonal.
-fn weight_matrix(sub: &XxCircuit) -> (Vec<usize>, Vec<f64>) {
-    let qubits = sub.support();
-    let c = qubits.len();
-    debug_assert!(c >= 1);
-    let pos: BTreeMap<usize, usize> = qubits.iter().enumerate().map(|(k, &q)| (q, k)).collect();
-    let mut w = vec![0.0f64; c * c];
-    for ((a, b), theta) in sub.terms() {
-        let (ia, ib) = (pos[&a], pos[&b]);
-        w[ia * c + ib] += theta;
-        w[ib * c + ia] += theta;
-    }
-    (qubits, w)
-}
-
 /// The X-basis phase table `v[y] = e^{−iφ(y)}` over the `2^{c−1}` spin
 /// configurations with the top spin up, as split (re, im) parts: the
-/// first half of a Gray walk over all `2^c` configurations, exactly as
-/// `XxCircuit::amplitude` walks (see its derivation), storing every
-/// phase instead of accumulating one target's sum.
+/// first half of [`gray_phase_walk`] over all `2^c` configurations,
+/// storing every phase instead of accumulating one target's sum.
 fn half_phase_table(sub: &XxCircuit) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
-    let (qubits, w) = weight_matrix(sub);
+    let (qubits, w) = sub.coupling_matrix(sub.support_mask());
     let c = qubits.len();
+    debug_assert!(c >= 1);
     let half = 1usize << (c - 1);
     let mut re = vec![0.0f64; half];
     let mut im = vec![0.0f64; half];
-    let mut s = vec![1.0f64; c];
-    let mut r: Vec<f64> = w.chunks_exact(c).map(|row| row.iter().sum()).collect();
-    let mut phi: f64 = 0.25 * r.iter().sum::<f64>();
-    let mut y = 0usize;
-    re[0] = phi.cos(); // cis(−φ) = (cos φ, −sin φ)
-    im[0] = -phi.sin();
-    for k in 1..half {
-        let q = k.trailing_zeros() as usize;
-        phi -= s[q] * r[q];
-        let delta = -2.0 * s[q];
-        // w[q][q] = 0, so r[q] gains ±0 and no branch is needed.
-        for (rb, &wb) in r.iter_mut().zip(&w[q * c..(q + 1) * c]) {
-            *rb += wb * delta;
-        }
-        s[q] = -s[q];
-        y ^= 1 << q;
-        debug_assert_eq!(y, gray(k));
-        re[y] = phi.cos();
+    gray_phase_walk(&w, c, half, |y, phi| {
+        re[y] = phi.cos(); // cis(−φ) = (cos φ, −sin φ)
         im[y] = -phi.sin();
-    }
+    });
     (qubits, re, im)
 }
 
@@ -440,7 +407,7 @@ mod tests {
     /// parity symmetry. Returns the full phase table and the
     /// probabilities.
     fn full_walk(sub: &XxCircuit) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let (qubits, w) = weight_matrix(sub);
+        let (qubits, w) = sub.coupling_matrix(sub.support_mask());
         let c = qubits.len();
         let size = 1usize << c;
         let mut re = vec![0.0f64; size];

@@ -85,14 +85,8 @@ pub struct ChainPlan {
 /// is deterministic), and every endpoint of a deviating pair becomes
 /// special. Errs when the special set exceeds [`CHAIN_MAX_SPECIAL`].
 pub fn plan(sub: &XxCircuit) -> Result<ChainPlan, ChainRefusal> {
-    let qubits = sub.support();
+    let (qubits, w) = sub.coupling_matrix(sub.support_mask());
     let c = qubits.len();
-    let pos: BTreeMap<usize, usize> = qubits.iter().enumerate().map(|(k, &q)| (q, k)).collect();
-    let mut w = vec![0.0f64; c * c];
-    for ((a, b), theta) in sub.terms() {
-        let (ia, ib) = (pos[&a].min(pos[&b]), pos[&a].max(pos[&b]));
-        w[ia * c + ib] += theta;
-    }
     // Canonical bits: fold −0.0 into +0.0 so absent pairs and explicit
     // zero-angle pairs bucket together.
     let canon = |x: f64| if x == 0.0 { 0.0f64.to_bits() } else { x.to_bits() };
@@ -164,16 +158,9 @@ impl ChainDist {
 
     /// Builds the tables for an already-analyzed component.
     pub fn from_plan(sub: &XxCircuit, plan: &ChainPlan) -> ChainDist {
-        let qubits = sub.support();
+        let (qubits, w) = sub.coupling_matrix(sub.support_mask());
         let c = qubits.len();
         debug_assert!(c >= 1);
-        let pos: BTreeMap<usize, usize> = qubits.iter().enumerate().map(|(k, &q)| (q, k)).collect();
-        let mut w = vec![0.0f64; c * c];
-        for ((a, b), theta) in sub.terms() {
-            let (ia, ib) = (pos[&a], pos[&b]);
-            w[ia * c + ib] += theta;
-            w[ib * c + ia] += theta;
-        }
         let special_pos = plan.special.clone();
         let t = special_pos.len();
         let mut is_special = vec![false; c];

@@ -8,7 +8,7 @@
 //!
 //! Same discipline as the Table II estimators: every trial plants and
 //! diagnoses its own scenario from a private seeded stream on
-//! [`crate::par_trials`], so every number is bit-identical at any
+//! [`mod@crate::par_trials`], so every number is bit-identical at any
 //! `--threads` value. The oracle executor (exact scores, one shot)
 //! isolates the *structural* blind spots from shot noise: a 0 % cell is
 //! a property of the pipeline, not of a sample.

@@ -4,28 +4,9 @@ use itqc_backend::BackendChoice;
 use itqc_circuit::Coupling;
 use itqc_core::testplan::ScoreMode;
 use itqc_core::{first_round_classes, ExactExecutor, LabelSpace, TestSpec};
-use itqc_math::rng::standard_normal;
 use itqc_math::stats;
 use rand::Rng;
 use std::collections::BTreeSet;
-
-/// Builds an exact executor whose every coupling carries an ambient
-/// calibration error drawn `N(0, σ)` with `E|u| = mean_abs` (the paper's
-/// "10% average calibration error"), then overlays the given planted
-/// faults.
-pub fn ambient_executor<R: Rng + ?Sized>(
-    n_qubits: usize,
-    mean_abs: f64,
-    planted: &[(Coupling, f64)],
-    rng: &mut R,
-) -> ExactExecutor {
-    let space = LabelSpace::new(n_qubits);
-    let sigma = mean_abs * (std::f64::consts::PI / 2.0).sqrt();
-    let mut exec = ExactExecutor::new(n_qubits)
-        .with_faults(space.all_couplings().into_iter().map(|c| (c, sigma * standard_normal(rng))));
-    exec = exec.with_faults(planted.iter().copied());
-    exec
-}
 
 /// Machine size above which the uniform ambient model switches from
 /// per-coupling i.i.d. draws to one *common-mode* draw shared by every
@@ -188,7 +169,7 @@ pub fn calibrate_threshold_strings_par(
 }
 
 /// Parallel version of [`calibrate_threshold_uniform`]: trials run on
-/// the [`crate::par_trials`] engine with one seeded RNG stream per
+/// the [`mod@crate::par_trials`] engine with one seeded RNG stream per
 /// trial derived from `master_seed`, so the returned threshold is
 /// identical at any thread count (it does **not** reproduce the serial
 /// function's value, which threads a single stream through all trials).
@@ -239,7 +220,7 @@ mod tests {
     fn planted_faults_override_ambient() {
         let mut rng = SmallRng::seed_from_u64(1);
         let c = Coupling::new(0, 3);
-        let exec = ambient_executor(8, 0.05, &[(c, 0.4)], &mut rng);
+        let exec = ambient_executor_uniform(8, 0.05, &[(c, 0.4)], &mut rng);
         let spec = itqc_core::TestSpec::for_couplings("t", &[c], 4);
         let f = exec.exact_fidelity(&spec);
         let expect = (std::f64::consts::PI * 0.4).cos().powi(2);

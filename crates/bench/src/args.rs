@@ -1,8 +1,5 @@
 //! Minimal CLI-argument parsing for the harness binaries.
 
-use itqc_backend::BackendChoice;
-use itqc_core::DecoderPolicy;
-
 /// Where `--metrics[=PATH]` sends the end-of-run metrics document
 /// (never stdout — every byte-identity gate diffs stdout).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -14,7 +11,10 @@ pub enum MetricsSink {
 }
 
 /// Common harness options:
-/// `--trials=N  --seed=S  --threads=N|auto  --decoder=P  --backend=B  --csv  --fast  --metrics[=PATH]`.
+/// `--trials=N  --seed=S  --threads=N|auto  --csv  --fast  --metrics[=PATH]`.
+/// A binary's own flags (fig8's `--sizes=` and `--backend=`, fig9's and
+/// table2's `--decoder=`, table2's `--xl`) come back from
+/// [`Args::parse_with`]; every other binary refuses them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Args {
     /// Monte-Carlo trials per configuration.
@@ -28,13 +28,6 @@ pub struct Args {
     /// a 1-vCPU container `auto` resolves to a single worker and the
     /// parallel engine degrades gracefully to the sequential path.
     pub threads: usize,
-    /// Multi-fault decoder policy override (`greedy|ranked|set-cover`);
-    /// `None` keeps each binary's paper default (ranked).
-    pub decoder: Option<DecoderPolicy>,
-    /// Simulation backend for the scaling binaries
-    /// (`dense|analytic|auto`; default `auto` — analytic for
-    /// commuting-XX circuits, dense fallback otherwise).
-    pub backend: BackendChoice,
     /// Emit CSV after the human-readable tables.
     pub csv: bool,
     /// Shrink workloads for smoke testing.
@@ -46,9 +39,7 @@ pub struct Args {
 }
 
 /// The common flags, for usage messages.
-const USAGE: &str = "--trials=N --seed=S --threads=N|auto \
-                     --decoder=greedy|ranked|interrogate|set-cover \
-                     --backend=dense|analytic|auto --csv --fast --metrics[=PATH]";
+const USAGE: &str = "--trials=N --seed=S --threads=N|auto --csv --fast --metrics[=PATH]";
 
 /// Prints `error: {msg}` and the common flags to stderr and exits with
 /// status 2 — the harness binaries' answer to a bad command line.
@@ -90,8 +81,6 @@ impl Args {
             trials: default_trials,
             seed: 20220402,
             threads: 0,
-            decoder: None,
-            backend: BackendChoice::Auto,
             csv: false,
             fast: false,
             metrics: None,
@@ -107,10 +96,6 @@ impl Args {
                 out.seed = value("--seed", v)?;
             } else if let Some(v) = arg.strip_prefix("--threads=") {
                 out.threads = if v == "auto" { 0 } else { value("--threads", v)? };
-            } else if let Some(v) = arg.strip_prefix("--decoder=") {
-                out.decoder = Some(value("--decoder", v)?);
-            } else if let Some(v) = arg.strip_prefix("--backend=") {
-                out.backend = value("--backend", v)?;
             } else if arg == "--csv" {
                 out.csv = true;
             } else if arg == "--fast" {
@@ -140,13 +125,6 @@ impl Args {
         crate::par_trials::resolve_threads(self.threads)
     }
 
-    /// The decoder policy, defaulting to the paper-reproduction default
-    /// (the likelihood-ranked aliasing decoder) when `--decoder=` was
-    /// not given.
-    pub fn decoder(&self) -> DecoderPolicy {
-        self.decoder.unwrap_or(DecoderPolicy::Ranked)
-    }
-
     /// A deterministic per-configuration seed derived from the master
     /// seed, so adding configurations does not reshuffle earlier ones.
     pub fn seed_for(&self, tag: &str) -> u64 {
@@ -158,6 +136,18 @@ impl Args {
         }
         h
     }
+}
+
+/// The value of a binary's own `--name=` flag (`flag` includes the `=`)
+/// among the arguments [`Args::parse_with`] handed back, parsed; the
+/// last occurrence wins. `Ok(None)` when the flag was not given; a
+/// malformed value is an error naming the flag.
+pub fn own_value<T: std::str::FromStr>(own: &[String], flag: &str) -> Result<Option<T>, String> {
+    own.iter()
+        .rev()
+        .find_map(|arg| arg.strip_prefix(flag))
+        .map(|v| value(flag.trim_end_matches('='), v))
+        .transpose()
 }
 
 /// Parses a comma-separated `--sizes=` list, accepting only sizes in
@@ -175,18 +165,11 @@ pub fn parse_sizes(v: &str, measured: &[usize]) -> Result<Vec<usize>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itqc_backend::BackendChoice;
+    use itqc_core::DecoderPolicy;
 
     fn args() -> Args {
-        Args {
-            trials: 10,
-            seed: 1,
-            threads: 0,
-            decoder: None,
-            backend: BackendChoice::Auto,
-            csv: false,
-            fast: false,
-            metrics: None,
-        }
+        Args { trials: 10, seed: 1, threads: 0, csv: false, fast: false, metrics: None }
     }
 
     fn parse(argv: &[&str]) -> Result<Args, String> {
@@ -208,11 +191,20 @@ mod tests {
         assert!(parse(&["--metrics="]).is_err());
     }
 
+    /// A binary's own flag parsed from what [`Args::parse_with`] hands
+    /// back when the binary declares `flag`.
+    fn own<T: std::str::FromStr>(argv: &[&str], flag: &str) -> Result<Option<T>, String> {
+        let (_, own) = parse_extra(argv, &[flag])?;
+        own_value(&own, flag)
+    }
+
     #[test]
     fn backend_choice_parses() {
         assert_eq!("analytic".parse::<BackendChoice>(), Ok(BackendChoice::Analytic));
-        assert_eq!(args().backend, BackendChoice::Auto);
-        assert_eq!(parse(&["--backend=dense"]).unwrap().backend, BackendChoice::Dense);
+        assert_eq!(own::<BackendChoice>(&[], "--backend="), Ok(None));
+        assert_eq!(BackendChoice::default(), BackendChoice::Auto);
+        let dense = own(&["--fast", "--backend=dense"], "--backend=");
+        assert_eq!(dense, Ok(Some(BackendChoice::Dense)));
     }
 
     #[test]
@@ -242,11 +234,24 @@ mod tests {
 
     #[test]
     fn decoder_defaults_to_ranked() {
-        assert_eq!(args().decoder(), DecoderPolicy::Ranked);
-        let b = Args { decoder: Some(DecoderPolicy::Greedy), ..args() };
-        assert_eq!(b.decoder(), DecoderPolicy::Greedy);
+        assert_eq!(DecoderPolicy::default(), DecoderPolicy::Ranked);
+        assert_eq!(own::<DecoderPolicy>(&[], "--decoder="), Ok(None));
         assert_eq!("set-cover".parse::<DecoderPolicy>(), Ok(DecoderPolicy::SetCoverFallback));
-        assert_eq!(parse(&["--decoder=greedy"]).unwrap().decoder(), DecoderPolicy::Greedy);
+        let greedy = own(&["--decoder=ranked", "--decoder=greedy"], "--decoder=");
+        assert_eq!(greedy, Ok(Some(DecoderPolicy::Greedy)), "the last occurrence wins");
+    }
+
+    #[test]
+    fn binary_flags_are_refused_where_undeclared() {
+        // Only fig8 declares --backend= and only fig9 and table2
+        // declare --decoder=; every other binary refuses them by name,
+        // which `Args::parse_with` turns into exit status 2.
+        for flag in ["--backend=dense", "--decoder=greedy"] {
+            let err = parse(&[flag]).unwrap_err();
+            assert!(err.contains(flag), "{flag}: {err}");
+        }
+        let err = parse_extra(&["--decoder=greedy"], &["--backend="]).unwrap_err();
+        assert!(err.contains("--decoder=greedy"), "{err}");
     }
 
     #[test]
@@ -273,12 +278,14 @@ mod tests {
             ("--trials=0", "--trials"),
             ("--trials=-3", "--trials"),
             ("--seed=x", "--seed"),
-            ("--decoder=best", "--decoder"),
-            ("--backend=gpu", "--backend"),
         ] {
             let err = parse(&[bad]).unwrap_err();
             assert!(err.contains(flag), "{bad}: {err}");
         }
+        let err = own::<DecoderPolicy>(&["--decoder=best"], "--decoder=").unwrap_err();
+        assert!(err.contains("--decoder") && err.contains("best"), "{err}");
+        let err = own::<BackendChoice>(&["--backend=gpu"], "--backend=").unwrap_err();
+        assert!(err.contains("--backend") && err.contains("gpu"), "{err}");
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //!   minute; on failure the log-many-test diagnosis runs and only the
 //!   diagnosed couplings are recalibrated.
 //!
-//! The policy implementations live in [`itqc_bench::duty_cycle`], shared
-//! with the tier-2 statistical regression suite.
+//! The policy implementations live in [`itqc_fleet::machine_day`],
+//! shared with the fleet scheduler and the tier-2 statistical regression
+//! suite.
 
-use itqc_bench::duty_cycle::{
-    jobs_share_excluding_idle, mean_duty, periodic_policy, test_driven_policy,
-};
+use itqc_bench::duty_cycle::mean_duty;
 use itqc_bench::output::{pct, section, Table};
 use itqc_bench::Args;
+use itqc_fleet::machine_day::{jobs_share_excluding_idle, periodic_policy, test_driven_policy};
 
 fn main() {
     let args = Args::parse(8);

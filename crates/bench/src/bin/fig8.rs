@@ -20,26 +20,28 @@
 //! feasible at N = 8). `--sizes=8,16` restricts the panel sizes (the CI
 //! cross-check runs `--sizes=8` under both backends and diffs stdout).
 
-use itqc_bench::args::parse_sizes;
+use itqc_backend::BackendChoice;
+use itqc_bench::args::{own_value, parse_sizes, usage_error};
 use itqc_bench::detectability::{fig8_curve, fig8_threshold, FIG8_SHOTS};
 use itqc_bench::output::{f3, pct, section, Table};
 use itqc_bench::Args;
 
 fn main() {
     let started = std::time::Instant::now();
-    let (args, own) = Args::parse_with(120, &["--sizes="]);
+    let (args, own) = Args::parse_with(120, &["--sizes=", "--backend="]);
     itqc_bench::metrics::init(&args);
+    let backend: BackendChoice =
+        own_value(&own, "--backend=").unwrap_or_else(|e| usage_error(&e)).unwrap_or_default();
     // 64 and 128 qubits are beyond-paper sizes (chain-sampled
     // components, common-mode ambient — see itqc_bench::ambient); the
     // default selection stays at the paper's panels.
     let measured = [8usize, 16, 32, 64, 128];
-    let sizes = match own.first() {
-        Some(arg) => parse_sizes(&arg["--sizes=".len()..], &measured)
-            .unwrap_or_else(|e| itqc_bench::args::usage_error(&e)),
+    let sizes = match own_value::<String>(&own, "--sizes=").unwrap_or_else(|e| usage_error(&e)) {
+        Some(v) => parse_sizes(&v, &measured).unwrap_or_else(|e| usage_error(&e)),
         None => vec![8, 16, 32],
     };
     section("Fig. 8: fault contrast and identification vs under-rotation");
-    println!("backend: {}  shots/test: {FIG8_SHOTS}", args.backend);
+    println!("backend: {backend}  shots/test: {FIG8_SHOTS}");
 
     let mut summary = Table::new(["qubits", "test", "threshold", "min u @ 95% ident", "paper"]);
     let paper_min = [[(8, 0.25), (16, 0.30), (32, 0.35)], [(8, 0.20), (16, 0.25), (32, 0.30)]];
@@ -57,7 +59,7 @@ fn main() {
                     reps,
                     60.max(args.trials / 2),
                     args.threads,
-                    args.backend,
+                    backend,
                     args.seed_for(&format!("{tag}/threshold")),
                 )
             };
@@ -70,7 +72,7 @@ fn main() {
                     threshold,
                     args.trials,
                     args.threads,
-                    args.backend,
+                    backend,
                     args.seed_for(&tag),
                 )
             };

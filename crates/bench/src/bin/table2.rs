@@ -24,16 +24,18 @@
 //! fusion vs the disputed-member interrogation and set-cover +
 //! point-verification fallback extensions) on the 8-qubit cells.
 
+use itqc_bench::args::{own_value, usage_error};
 use itqc_bench::output::{pct, section, Table};
 use itqc_bench::{table2_identification_rate, Args};
 use itqc_core::DecoderPolicy;
 
 fn main() {
     let started = std::time::Instant::now();
-    let (args, own) = Args::parse_with(300, &["--xl"]);
+    let (args, own) = Args::parse_with(300, &["--xl", "--decoder="]);
     itqc_bench::metrics::init(&args);
-    let xl = !own.is_empty();
-    let decoder = args.decoder();
+    let xl = own.iter().any(|arg| arg == "--xl");
+    let decoder: DecoderPolicy =
+        own_value(&own, "--decoder=").unwrap_or_else(|e| usage_error(&e)).unwrap_or_default();
     section(&format!("Table II: P(identify) for k same-magnitude faults ({decoder} decoder)"));
 
     let paper: [[f64; 3]; 3] = [[1.00, 0.47, 0.22], [1.00, 0.23, 0.05], [1.00, 0.12, 0.01]];

@@ -1,5 +1,5 @@
 //! Fig. 8 — test contrast and detectability at scale (the paper's
-//! 8/16/32-qubit sweep), as reusable estimators on [`crate::par_trials`].
+//! 8/16/32-qubit sweep), as reusable estimators on [`mod@crate::par_trials`].
 //!
 //! For each machine size and test depth, one coupling receives a swept
 //! under-rotation `u` while every other coupling carries a random ±10 %

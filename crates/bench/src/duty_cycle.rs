@@ -1,17 +1,11 @@
-//! The Fig. 2 duty-cycle simulation: 24 hours of an 11-qubit machine
-//! under two maintenance policies.
+//! The Fig. 2 duty-cycle averaging helper.
 //!
 //! The machine-day scheduling model itself lives in
 //! [`itqc_fleet::machine_day`] — the fleet service (`fleetd`) schedules
-//! every trap through the same state machine that renders this figure —
-//! and is re-exported here so the `fig2` binary, the tier-2 statistical
-//! regression suite, and historical import paths keep working
-//! unchanged. Only the trial-parallel averaging helper is local.
-
-pub use itqc_fleet::machine_day::{
-    fig2_diagnosis_config, fig2_drift, jobs_share_excluding_idle, periodic_policy,
-    test_driven_policy, FIG2_HOURS, FIG2_JOB_SECONDS, FIG2_QUBITS,
-};
+//! every trap through the same state machine that renders this figure.
+//! The `fig2` binary and the tier-2 statistical regression suite import
+//! the policies from there; only the trial-parallel averaging helper is
+//! local.
 
 use crate::par_map;
 use itqc_trap::{Activity, VirtualTrap};

@@ -1,5 +1,5 @@
 //! Fig. 9 — identification probability vs spread of the composite fault
-//! law, as reusable estimators on [`crate::par_trials`].
+//! law, as reusable estimators on [`mod@crate::par_trials`].
 //!
 //! Every coupling's under-rotation is drawn from the paper's composite
 //! law (uniform within the 6% calibration band + right-Gaussian tail of

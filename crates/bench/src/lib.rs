@@ -16,7 +16,7 @@
 //!
 //! Every binary accepts `--trials=N` (Monte-Carlo budget), `--seed=S`
 //! and `--threads=N` (parallel trial workers; `0` = all cores, and the
-//! output is bit-identical at any thread count — see [`par_trials`]);
+//! output is bit-identical at any thread count — see [`mod@par_trials`]);
 //! defaults are sized to finish in tens of seconds to a few minutes in
 //! release mode. `EXPERIMENTS.md` records paper-vs-measured values.
 
@@ -41,7 +41,6 @@ pub mod single_output;
 pub mod speedup;
 
 pub use adversarial::{adversarial_score, AdversarialScore};
-pub use ambient::ambient_executor;
 pub use args::Args;
 pub use detectability::{fig8_curve, fig8_threshold, DetectabilityCurve};
 pub use fig9::{fig9_panel, Fig9Panel};

@@ -82,7 +82,7 @@ pub fn fig7_diagnose(trap: &mut VirtualTrap) -> MultiFaultReport {
 /// Monte-Carlo probability that the pipeline recovers *exactly* the
 /// three planted outliers (no ambient coupling falsely accused, none of
 /// the three missed) over independently drawn ambient drifts and shot
-/// streams. Runs on [`crate::par_trials`]: bit-identical at any thread
+/// streams. Runs on [`mod@crate::par_trials`]: bit-identical at any thread
 /// count.
 pub fn fig7_recovery_rate(trials: usize, threads: usize, seed: u64) -> f64 {
     let expected: BTreeSet<Coupling> = fig7_expected().into_iter().collect();

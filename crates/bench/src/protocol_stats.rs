@@ -3,7 +3,7 @@
 //! The `table2` binary and the tier-2 statistical regression suite
 //! (`tests/paper_regression.rs`) must measure *exactly* the same
 //! quantity, so the trial loops live here rather than in the binary.
-//! Every estimator runs on [`crate::par_trials`] with per-trial seed
+//! Every estimator runs on [`mod@crate::par_trials`] with per-trial seed
 //! streams: results are bit-identical at any thread count.
 
 use crate::ambient::random_couplings;

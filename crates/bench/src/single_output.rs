@@ -8,7 +8,7 @@
 //! runs at 2-MS and 4-MS depth; the paper's fidelity thresholds 0.45 /
 //! 0.25 separate faulty from healthy tests.
 //!
-//! Every (class, depth) cell runs on [`crate::par_trials`] with its own
+//! Every (class, depth) cell runs on [`mod@crate::par_trials`] with its own
 //! seeded trap, so the battery is bit-identical at any `--threads`.
 
 use crate::{par_map, split_seed};

@@ -189,62 +189,7 @@ pub fn minimal_covers(
     max_size: usize,
     cap: usize,
 ) -> Vec<Vec<Coupling>> {
-    if failing.is_empty() {
-        // The empty explanation covers an empty failing set.
-        return vec![Vec::new()];
-    }
-    let candidates = consistent_couplings(failing, space, excluded);
-    // Precompute syndrome masks; drop couplings with empty syndromes —
-    // they can never help cover anything.
-    let cands: Vec<(Coupling, u64)> = candidates
-        .into_iter()
-        .map(|c| (c, syndrome_mask(c, space.n_bits())))
-        .filter(|&(_, syn)| syn != 0)
-        .collect();
-
-    let mut found: Vec<Vec<Coupling>> = Vec::new();
-    for size in 1..=max_size {
-        search_covers(failing_mask(failing), &cands, size, &mut Vec::new(), 0, &mut found, cap);
-        if !found.is_empty() {
-            break; // minimal size reached
-        }
-    }
-    found
-}
-
-fn search_covers(
-    uncovered: u64,
-    cands: &[(Coupling, u64)],
-    budget: usize,
-    chosen: &mut Vec<Coupling>,
-    start: usize,
-    found: &mut Vec<Vec<Coupling>>,
-    cap: usize,
-) {
-    if found.len() >= cap {
-        return;
-    }
-    if uncovered == 0 {
-        found.push(chosen.clone());
-        return;
-    }
-    if budget == 0 {
-        return;
-    }
-    // Choose couplings in index order to enumerate each subset once.
-    for idx in start..cands.len() {
-        let (c, syn) = cands[idx];
-        // Must make progress on the uncovered set.
-        if syn & uncovered == 0 {
-            continue;
-        }
-        chosen.push(c);
-        search_covers(uncovered & !syn, cands, budget - 1, chosen, idx + 1, found, cap);
-        chosen.pop();
-        if found.len() >= cap {
-            return;
-        }
-    }
+    covers_by_size(failing, space, excluded, max_size, cap, true)
 }
 
 /// Enumerates exact covers of `failing` of **every** size up to
@@ -267,35 +212,49 @@ pub fn covers_up_to(
     cap: usize,
 ) -> Vec<Vec<Coupling>> {
     let _span = itqc_obs::span::timed("core.decoder.covers");
+    covers_by_size(failing, space, excluded, max_size, cap, false)
+}
+
+/// The one cover search behind [`minimal_covers`] and [`covers_up_to`]:
+/// size-by-size passes of [`search_covers_sized`], smallest first, until
+/// `cap` covers are found, `max_size` is passed, or — with
+/// `stop_at_first_size` — a pass finds any cover, which is then of
+/// minimum cardinality.
+fn covers_by_size(
+    failing: &FailingSet,
+    space: &LabelSpace,
+    excluded: &BTreeSet<Coupling>,
+    max_size: usize,
+    cap: usize,
+    stop_at_first_size: bool,
+) -> Vec<Vec<Coupling>> {
     if failing.is_empty() {
+        // The empty explanation covers an empty failing set.
         return vec![Vec::new()];
     }
+    // Precompute syndrome masks; drop couplings with empty syndromes —
+    // they can never help cover anything.
     let cands: Vec<(Coupling, u64)> = consistent_couplings(failing, space, excluded)
         .into_iter()
         .map(|c| (c, syndrome_mask(c, space.n_bits())))
         .filter(|&(_, syn)| syn != 0)
         .collect();
+    let uncovered = failing_mask(failing);
     let mut found: Vec<Vec<Coupling>> = Vec::new();
     for size in 1..=max_size {
-        if found.len() >= cap {
+        if found.len() >= cap || (stop_at_first_size && !found.is_empty()) {
             break;
         }
-        search_covers_sized(
-            failing_mask(failing),
-            &cands,
-            size,
-            &mut Vec::new(),
-            0,
-            &mut found,
-            cap,
-        );
+        search_covers_sized(uncovered, &cands, size, &mut Vec::new(), 0, &mut found, cap);
     }
     found
 }
 
-/// Like [`search_covers`], but records only covers of exactly the
-/// remaining `budget` (so size-by-size enumeration never duplicates a
-/// smaller cover found in an earlier pass).
+/// Depth-first search for covers of exactly `budget` more candidates,
+/// chosen in index order so each subset is enumerated once, each member
+/// covering at least one still-uncovered element. Records only covers
+/// that use the whole budget, so size-by-size passes never repeat a
+/// smaller cover found in an earlier pass.
 fn search_covers_sized(
     uncovered: u64,
     cands: &[(Coupling, u64)],
@@ -871,6 +830,121 @@ mod tests {
                 assert_eq!(unique, None, "L={l} cannot be unique");
             }
         }
+    }
+
+    /// The unpruned depth-first cover search, kept as the reference the
+    /// production search is pinned to: with `sized` it records only
+    /// covers that use the whole budget, without it every cover it
+    /// reaches within the budget.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_dfs(
+        uncovered: u64,
+        cands: &[(Coupling, u64)],
+        budget: usize,
+        chosen: &mut Vec<Coupling>,
+        start: usize,
+        found: &mut Vec<Vec<Coupling>>,
+        cap: usize,
+        sized: bool,
+    ) {
+        if found.len() >= cap {
+            return;
+        }
+        if uncovered == 0 {
+            if budget == 0 || !sized {
+                found.push(chosen.clone());
+            }
+            return;
+        }
+        if budget == 0 {
+            return;
+        }
+        for idx in start..cands.len() {
+            let (c, syn) = cands[idx];
+            if syn & uncovered == 0 {
+                continue;
+            }
+            chosen.push(c);
+            reference_dfs(uncovered & !syn, cands, budget - 1, chosen, idx + 1, found, cap, sized);
+            chosen.pop();
+            if found.len() >= cap {
+                return;
+            }
+        }
+    }
+
+    /// The reference covers: minimal ones from unsized passes that stop
+    /// at the first size with a cover, or all sizes up to `max_size`
+    /// from sized passes that stop at `cap`.
+    fn reference_covers(
+        failing: &FailingSet,
+        space: &LabelSpace,
+        excluded: &BTreeSet<Coupling>,
+        max_size: usize,
+        cap: usize,
+        minimal: bool,
+    ) -> Vec<Vec<Coupling>> {
+        if failing.is_empty() {
+            return vec![Vec::new()];
+        }
+        let cands: Vec<(Coupling, u64)> = consistent_couplings(failing, space, excluded)
+            .into_iter()
+            .map(|c| (c, syndrome_mask(c, space.n_bits())))
+            .filter(|&(_, syn)| syn != 0)
+            .collect();
+        let mut found = Vec::new();
+        for size in 1..=max_size {
+            if !minimal && found.len() >= cap {
+                break;
+            }
+            let uncovered = failing_mask(failing);
+            reference_dfs(uncovered, &cands, size, &mut Vec::new(), 0, &mut found, cap, !minimal);
+            if minimal && !found.is_empty() {
+                break;
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn cover_searches_match_the_unpruned_reference_in_order() {
+        let mut rng = SmallRng::seed_from_u64(0xC0FE);
+        let mut nonempty = 0;
+        for n in [8usize, 16, 32] {
+            let space = LabelSpace::new(n);
+            let all = space.all_couplings();
+            for faults in 1..=4usize {
+                for _ in 0..6 {
+                    let mut truth = BTreeSet::new();
+                    while truth.len() < faults {
+                        truth.insert(all[rng.gen_range(0..all.len())]);
+                    }
+                    let truth: Vec<Coupling> = truth.into_iter().collect();
+                    let failing = failing_set_of(&truth, &space);
+                    // Sometimes exclude a planted member or a bystander.
+                    let mut excluded = BTreeSet::new();
+                    if rng.gen_bool(0.5) {
+                        excluded.insert(all[rng.gen_range(0..all.len())]);
+                    }
+                    for cap in [1usize, 2, 8, 96, 256] {
+                        for max_size in 1..=4usize {
+                            let ctx = format!("n={n} truth={truth:?} cap={cap} max={max_size}");
+                            let minimal =
+                                minimal_covers(&failing, &space, &excluded, max_size, cap);
+                            let expect =
+                                reference_covers(&failing, &space, &excluded, max_size, cap, true);
+                            assert_eq!(minimal, expect, "minimal_covers: {ctx}");
+                            let up_to = covers_up_to(&failing, &space, &excluded, max_size, cap);
+                            let expect =
+                                reference_covers(&failing, &space, &excluded, max_size, cap, false);
+                            assert_eq!(up_to, expect, "covers_up_to: {ctx}");
+                            nonempty += usize::from(!up_to.is_empty());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(nonempty > 500, "only {nonempty} searches found a cover");
     }
 
     #[test]

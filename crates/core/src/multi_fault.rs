@@ -15,7 +15,7 @@
 //! [`MultiFaultConfig::decoder`]:
 //!
 //! * [`DecoderPolicy::Greedy`] — Fig. 5's bare threshold peel
-//!   ([`retune_and_isolate`]-style): retry the single-fault protocol at
+//!   (`retune_and_isolate`-style): retry the single-fault protocol at
 //!   thresholds placed in the observed score gaps and take the first
 //!   verified isolate.
 //! * [`DecoderPolicy::Ranked`] — the cross-round evidence-fusion

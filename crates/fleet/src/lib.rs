@@ -8,7 +8,7 @@
 //!
 //! * [`machine_day`] — the Fig. 2 scheduling model itself, extracted
 //!   here so the `fig2` figure and the fleet run the *same* policies
-//!   (`itqc_bench::duty_cycle` re-exports it); both run their tests on
+//!   (`fig2` imports it from here); both run their tests on
 //!   `&mut VirtualTrap`, whose executor takes exact scores from the
 //!   analytic engine's memoised scalar path and reads shots out on the
 //!   trap's own RNG;

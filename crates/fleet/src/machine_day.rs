@@ -3,9 +3,7 @@
 //!
 //! This is the single source of truth for the simulated machine-day —
 //! the `fig2` binary, the tier-2 statistical regression suite, *and*
-//! the fleet scheduler all render through it. `itqc_bench::duty_cycle`
-//! re-exports everything here, so the historical import paths keep
-//! working and the figure stays byte-identical.
+//! the fleet scheduler all render through it.
 
 use itqc_core::cost::CostModel;
 use itqc_core::{diagnose_all, DecoderPolicy, MultiFaultConfig};

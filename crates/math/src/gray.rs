@@ -1,10 +1,11 @@
 //! Binary reflected Gray codes.
 //!
-//! Two consumers: the paper's §V-A observation that the complementary-pair
-//! classes satisfy `[i,=] = (GrayCode(i), 0)` (footnote 7), and the
-//! commuting-XX simulator, which walks all `2^m` spin configurations in
-//! Gray-code order so that consecutive configurations differ in exactly one
-//! spin (enabling O(m) incremental phase updates).
+//! One consumer calls [`gray`]: the test of the paper's §V-A observation
+//! that the complementary-pair classes satisfy `[i,=] = (GrayCode(i), 0)`
+//! (footnote 7, in `itqc_core::classes`). The commuting-XX simulator's
+//! phase walk (`itqc_sim::xx::gray_phase_walk`) visits spin
+//! configurations in this order without calling it: step `k` flips bit
+//! `trailing_zeros(k)`, the rule the tests below pin.
 
 /// Returns the `k`-th binary reflected Gray code: `k ^ (k >> 1)`.
 ///
@@ -19,67 +20,6 @@ pub fn gray(k: usize) -> usize {
     k ^ (k >> 1)
 }
 
-/// Inverse of [`gray`]: recovers `k` from `gray(k)`.
-pub fn gray_inverse(mut g: usize) -> usize {
-    let mut k = g;
-    while g != 0 {
-        g >>= 1;
-        k ^= g;
-    }
-    k
-}
-
-/// Iterator over the sequence of bit positions that flip when walking the
-/// Gray code from index 0 through `2^m − 1`.
-///
-/// Yields `2^m − 1` flips; the flip between `gray(k-1)` and `gray(k)` is at
-/// bit `trailing_zeros(k)`.
-///
-/// # Example
-///
-/// ```
-/// use itqc_math::GrayFlips;
-/// let flips: Vec<u32> = GrayFlips::new(3).collect();
-/// assert_eq!(flips, [0, 1, 0, 2, 0, 1, 0]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct GrayFlips {
-    next: usize,
-    end: usize,
-}
-
-impl GrayFlips {
-    /// Walks the full `m`-bit Gray code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is large enough that `2^m` overflows `usize`.
-    pub fn new(m: u32) -> Self {
-        assert!(m < usize::BITS, "Gray walk of 2^{m} states overflows usize");
-        GrayFlips { next: 1, end: 1usize << m }
-    }
-}
-
-impl Iterator for GrayFlips {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.next >= self.end {
-            return None;
-        }
-        let bit = self.next.trailing_zeros();
-        self.next += 1;
-        Some(bit)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.end - self.next;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for GrayFlips {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,20 +33,16 @@ mod tests {
     }
 
     #[test]
-    fn gray_inverse_round_trip() {
-        for k in 0..4096usize {
-            assert_eq!(gray_inverse(gray(k)), k);
-        }
-    }
-
-    #[test]
     fn flips_reproduce_gray_sequence() {
+        // Flipping bit trailing_zeros(k) at step k visits every m-bit
+        // state once, in Gray order.
         let m = 10u32;
         let mut state = 0usize;
         let mut visited = vec![false; 1 << m];
         visited[0] = true;
-        for bit in GrayFlips::new(m) {
-            state ^= 1 << bit;
+        for k in 1..1usize << m {
+            state ^= 1 << k.trailing_zeros();
+            assert_eq!(state, gray(k));
             assert!(!visited[state], "state revisited");
             visited[state] = true;
         }
@@ -115,16 +51,9 @@ mod tests {
 
     #[test]
     fn flips_match_gray_differences() {
-        let m = 8u32;
-        for (k, bit) in GrayFlips::new(m).enumerate() {
-            let expect = (gray(k + 1) ^ gray(k)).trailing_zeros();
-            assert_eq!(bit, expect);
+        for k in 1..256usize {
+            let expect = (gray(k) ^ gray(k - 1)).trailing_zeros();
+            assert_eq!(k.trailing_zeros(), expect, "k={k}");
         }
-    }
-
-    #[test]
-    fn exact_size() {
-        let it = GrayFlips::new(6);
-        assert_eq!(it.len(), 63);
     }
 }

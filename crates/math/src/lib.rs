@@ -4,7 +4,7 @@
 //! stack builds on — complex arithmetic, small dense complex linear algebra,
 //! a Jacobi eigensolver for the ion-chain normal-mode problem, a radix-2 FFT
 //! for noise synthesis, random-variate samplers for the paper's noise laws,
-//! Gray-code enumeration used by the commuting-XX simulator, and statistics
+//! binary reflected Gray codes (the paper's footnote 7), and statistics
 //! helpers used by the experiment harness.
 //!
 //! Everything here is implemented from scratch so that the workspace depends
@@ -38,7 +38,7 @@ pub mod stats;
 
 pub use complex::Complex64;
 pub use dense::CMatrix;
-pub use gray::{gray, gray_inverse, GrayFlips};
+pub use gray::gray;
 pub use mat::{Mat2, Mat4};
 
 /// Numerical tolerance used across the workspace for "exact" identities

@@ -26,17 +26,8 @@ const PAPER_SEED: u64 = 20220402;
 
 /// Seeds derived exactly as the `fig_adv` binary derives them.
 fn seed_for(tag: &str) -> u64 {
-    Args {
-        trials: 0,
-        seed: PAPER_SEED,
-        threads: 0,
-        decoder: None,
-        backend: itqc_backend::BackendChoice::Auto,
-        csv: false,
-        fast: false,
-        metrics: None,
-    }
-    .seed_for(tag)
+    Args { trials: 0, seed: PAPER_SEED, threads: 0, csv: false, fast: false, metrics: None }
+        .seed_for(tag)
 }
 
 /// One scorecard cell at the binary's own per-cell seed.

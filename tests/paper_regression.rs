@@ -19,9 +19,7 @@
 use itqc_backend::BackendChoice;
 use itqc_bench::coupling_census::{fig11_rows, suite_average_fraction};
 use itqc_bench::detectability::{fig8_curve, fig8_threshold};
-use itqc_bench::duty_cycle::{
-    jobs_share_excluding_idle, mean_duty, periodic_policy, test_driven_policy,
-};
+use itqc_bench::duty_cycle::mean_duty;
 use itqc_bench::echo::{chain_residuals, infidelity, FIG3_CALIB, FIG3_PHASE_RMS};
 use itqc_bench::natural_faults::{fig7_diagnose, fig7_expected, fig7_recovery_rate, fig7_trap};
 use itqc_bench::protocol_stats::{identification_rate_with, table2_config};
@@ -31,6 +29,7 @@ use itqc_bench::speedup::fig10_rows;
 use itqc_bench::{adversarial_score, table2_identification_rate, Args};
 use itqc_core::DecoderPolicy;
 use itqc_faults::adversarial::ConfigClass;
+use itqc_fleet::machine_day::{jobs_share_excluding_idle, periodic_policy, test_driven_policy};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -39,17 +38,8 @@ const PAPER_SEED: u64 = 20220402;
 
 /// Seeds derived exactly as the bench binaries derive them.
 fn seed_for(tag: &str) -> u64 {
-    Args {
-        trials: 0,
-        seed: PAPER_SEED,
-        threads: 0,
-        decoder: None,
-        backend: itqc_backend::BackendChoice::Auto,
-        csv: false,
-        fast: false,
-        metrics: None,
-    }
-    .seed_for(tag)
+    Args { trials: 0, seed: PAPER_SEED, threads: 0, csv: false, fast: false, metrics: None }
+        .seed_for(tag)
 }
 
 /// One Table II cell at the binary's own per-cell seed.
