@@ -41,12 +41,42 @@ pub struct Args {
 /// The common flags, for usage messages.
 const USAGE: &str = "--trials=N --seed=S --threads=N|auto --csv --fast --metrics[=PATH]";
 
-/// Prints `error: {msg}` and the common flags to stderr and exits with
-/// status 2 — the harness binaries' answer to a bad command line.
-pub fn usage_error(msg: &str) -> ! {
+/// fig8's own flags: the panel sizes and the simulation backend.
+pub const FIG8_FLAGS: &[&str] = &["--sizes=N[,N...]", "--backend=dense|analytic|auto"];
+
+/// fig9's own flag: the aliasing decoder.
+pub const FIG9_FLAGS: &[&str] = &["--decoder=greedy|ranked|interrogate|set-cover"];
+
+/// table2's own flags: the beyond-paper 64-qubit row and the aliasing
+/// decoder.
+pub const TABLE2_FLAGS: &[&str] = &["--xl", "--decoder=greedy|ranked|interrogate|set-cover"];
+
+/// The usage line: the common flags, then the binary's own flags as
+/// declared to [`Args::parse_with`].
+pub fn usage_line(own_flags: &[&str]) -> String {
+    let mut line = format!("flags: {USAGE}");
+    for flag in own_flags {
+        line.push(' ');
+        line.push_str(flag);
+    }
+    line
+}
+
+/// Prints `error: {msg}` and the [`usage_line`] to stderr and exits
+/// with status 2 — the harness binaries' answer to a bad command line.
+pub fn usage_error(msg: &str, own_flags: &[&str]) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("flags: {USAGE}");
+    eprintln!("{}", usage_line(own_flags));
     std::process::exit(2);
+}
+
+/// Whether `arg` is the declared flag `own`: an exact flag (`--xl`), or
+/// `--name=HINT`, which matches any `--name=` value.
+fn matches_own(arg: &str, own: &str) -> bool {
+    match own.split_once('=') {
+        Some((name, _)) => arg.strip_prefix(name).is_some_and(|v| v.starts_with('=')),
+        None => arg == own,
+    }
 }
 
 fn value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
@@ -62,12 +92,13 @@ impl Args {
     }
 
     /// [`Self::parse`] for a binary with flags of its own. Each entry
-    /// of `extra` is an exact flag (`--xl`) or, ending in `=`, a flag
-    /// prefix (`--sizes=`); matching arguments come back verbatim, in
-    /// command-line order, for the binary to interpret.
+    /// of `extra` is an exact flag (`--xl`) or `--name=HINT`, which
+    /// takes any `--name=` value and shows `HINT` in the usage line;
+    /// matching arguments come back verbatim, in command-line order,
+    /// for the binary to interpret.
     pub fn parse_with(default_trials: usize, extra: &[&str]) -> (Self, Vec<String>) {
         Self::parse_from(default_trials, extra, std::env::args().skip(1))
-            .unwrap_or_else(|e| usage_error(&e))
+            .unwrap_or_else(|e| usage_error(&e, extra))
     }
 
     /// [`Self::parse_with`] over an explicit argument list, returning
@@ -107,7 +138,7 @@ impl Args {
                     return Err("--metrics=: empty path".to_string());
                 }
                 out.metrics = Some(MetricsSink::File(path.to_string()));
-            } else if extra.iter().any(|&e| arg == e || (e.ends_with('=') && arg.starts_with(e))) {
+            } else if extra.iter().any(|e| matches_own(&arg, e)) {
                 own.push(arg);
             } else {
                 return Err(format!("unknown flag '{arg}'"));
@@ -296,6 +327,29 @@ mod tests {
         assert_eq!(own, ["--xl", "--sizes=8,16"]);
         // An exact flag does not match as a prefix.
         assert!(parse_extra(&["--xlarge"], &["--xl"]).is_err());
+    }
+
+    #[test]
+    fn usage_line_names_the_binary_own_flags() {
+        let common = "flags: --trials=N --seed=S --threads=N|auto --csv --fast --metrics[=PATH]";
+        assert_eq!(usage_line(&[]), common, "a binary without own flags keeps the common line");
+        for (flags, names) in [
+            (FIG8_FLAGS, &["--sizes=", "--backend="][..]),
+            (FIG9_FLAGS, &["--decoder="]),
+            (TABLE2_FLAGS, &["--decoder=", "--xl"]),
+        ] {
+            let line = usage_line(flags);
+            assert!(line.starts_with(common), "{line}");
+            for name in names {
+                assert!(line.contains(name), "{name}: {line}");
+            }
+        }
+        // The hint is shown, not matched: any value of a declared flag
+        // comes back for the binary to parse.
+        let (_, own) = parse_extra(&["--backend=gpu", "--sizes=7"], FIG8_FLAGS).unwrap();
+        assert_eq!(own, ["--backend=gpu", "--sizes=7"]);
+        assert!(parse_extra(&["--backendx=dense"], FIG8_FLAGS).is_err());
+        assert!(parse_extra(&["--xl=1"], TABLE2_FLAGS).is_err());
     }
 
     #[test]

@@ -21,23 +21,26 @@
 //! cross-check runs `--sizes=8` under both backends and diffs stdout).
 
 use itqc_backend::BackendChoice;
-use itqc_bench::args::{own_value, parse_sizes, usage_error};
+use itqc_bench::args::{own_value, parse_sizes, usage_error, FIG8_FLAGS};
 use itqc_bench::detectability::{fig8_curve, fig8_threshold, FIG8_SHOTS};
 use itqc_bench::output::{f3, pct, section, Table};
 use itqc_bench::Args;
 
 fn main() {
     let started = std::time::Instant::now();
-    let (args, own) = Args::parse_with(120, &["--sizes=", "--backend="]);
+    let (args, own) = Args::parse_with(120, FIG8_FLAGS);
     itqc_bench::metrics::init(&args);
-    let backend: BackendChoice =
-        own_value(&own, "--backend=").unwrap_or_else(|e| usage_error(&e)).unwrap_or_default();
+    let backend: BackendChoice = own_value(&own, "--backend=")
+        .unwrap_or_else(|e| usage_error(&e, FIG8_FLAGS))
+        .unwrap_or_default();
     // 64 and 128 qubits are beyond-paper sizes (chain-sampled
     // components, common-mode ambient — see itqc_bench::ambient); the
     // default selection stays at the paper's panels.
     let measured = [8usize, 16, 32, 64, 128];
-    let sizes = match own_value::<String>(&own, "--sizes=").unwrap_or_else(|e| usage_error(&e)) {
-        Some(v) => parse_sizes(&v, &measured).unwrap_or_else(|e| usage_error(&e)),
+    let sizes = match own_value::<String>(&own, "--sizes=")
+        .unwrap_or_else(|e| usage_error(&e, FIG8_FLAGS))
+    {
+        Some(v) => parse_sizes(&v, &measured).unwrap_or_else(|e| usage_error(&e, FIG8_FLAGS)),
         None => vec![8, 16, 32],
     };
     section("Fig. 8: fault contrast and identification vs under-rotation");

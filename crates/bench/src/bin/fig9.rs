@@ -18,7 +18,7 @@
 //! so identification improves with σ — and faster for the deeper 4-MS
 //! tests.
 
-use itqc_bench::args::{own_value, usage_error};
+use itqc_bench::args::{own_value, usage_error, FIG9_FLAGS};
 use itqc_bench::fig9::{fig9_panel, FIG9_BAND, FIG9_SCORE, FIG9_SHOTS};
 use itqc_bench::output::{f3, pct, section, Table};
 use itqc_bench::Args;
@@ -29,10 +29,11 @@ use rand::SeedableRng;
 
 fn main() {
     let started = std::time::Instant::now();
-    let (args, own) = Args::parse_with(60, &["--decoder="]);
+    let (args, own) = Args::parse_with(60, FIG9_FLAGS);
     itqc_bench::metrics::init(&args);
-    let decoder: DecoderPolicy =
-        own_value(&own, "--decoder=").unwrap_or_else(|e| usage_error(&e)).unwrap_or_default();
+    let decoder: DecoderPolicy = own_value(&own, "--decoder=")
+        .unwrap_or_else(|e| usage_error(&e, FIG9_FLAGS))
+        .unwrap_or_default();
     section(&format!(
         "Fig. 9: P(identify k largest faults) vs composite-law spread sigma ({decoder} decoder)"
     ));

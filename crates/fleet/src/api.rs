@@ -12,7 +12,7 @@
 
 use crate::machine_day::{fig2_diagnosis_config, FIG2_QUBITS};
 use crate::pool::Pool;
-use crate::trap_state::{FleetParams, TrapStatus};
+use crate::trap_state::TrapStatus;
 use itqc_faults::drift::{JumpDrift, OrnsteinUhlenbeckDrift};
 use itqc_obs::{Counter, Registry};
 use itqc_trap::duty::Activity;
@@ -38,16 +38,14 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Register size of each trap.
     pub n_qubits: usize,
-    /// Minutes between canary tests.
+    /// Minutes between canary tests (0 runs as 1).
     pub canary_cadence_min: u64,
-    /// Minutes between quasi-static drift applications.
+    /// Minutes between quasi-static drift applications (0 runs as 1).
     pub drift_epoch_min: u64,
     /// Poisson job arrival rate per trap per minute (0 = API-only).
     pub arrival_rate_per_min: f64,
     /// Mean exponential job service time, seconds.
     pub service_secs_mean: f64,
-    /// Job deadline allowance past arrival, seconds.
-    pub job_deadline_s: f64,
     /// The calibration drift process.
     pub drift: JumpDrift,
     /// Diagnosis configuration (thresholds, shots, decoder).
@@ -70,7 +68,6 @@ impl Default for FleetConfig {
             drift_epoch_min: 30,
             arrival_rate_per_min: 4.0,
             service_secs_mean: 8.0,
-            job_deadline_s: 300.0,
             drift: JumpDrift {
                 base: OrnsteinUhlenbeckDrift { tau_minutes: 240.0, sigma: 0.02 },
                 jumps_per_minute: 1e-4,
@@ -116,19 +113,6 @@ impl FleetConfig {
             ));
         }
         Ok(())
-    }
-
-    fn params(&self) -> FleetParams {
-        FleetParams {
-            n_qubits: self.n_qubits,
-            canary_cadence_min: self.canary_cadence_min.max(1),
-            drift_epoch_min: self.drift_epoch_min.max(1),
-            arrival_rate_per_min: self.arrival_rate_per_min,
-            service_secs_mean: self.service_secs_mean,
-            job_deadline_s: self.job_deadline_s,
-            drift: self.drift,
-            diag: self.diag.clone(),
-        }
     }
 }
 
@@ -200,7 +184,7 @@ impl fmt::Display for SubmitError {
 
 /// The running fleet service. Dropping it shuts the workers down.
 pub struct Fleet {
-    config: FleetConfig,
+    config: Arc<FleetConfig>,
     pool: Pool,
     tick: u64,
     stats: FleetStats,
@@ -227,7 +211,8 @@ impl Fleet {
         // handle, so the `summary` rendering and the deterministic
         // metrics snapshot read the same totals.
         let obs = Arc::new(Registry::new());
-        let pool = Pool::new(config.traps, workers, config.seed, Arc::new(config.params()));
+        let config = Arc::new(config);
+        let pool = Pool::new(workers, &config);
         let stats = FleetStats::new(&obs);
         Fleet { config, pool, tick: 0, stats, pending_submissions: Vec::new(), obs }
     }

@@ -12,8 +12,9 @@
 //!   `&mut VirtualTrap`, whose executor takes exact scores from the
 //!   analytic engine's memoised scalar path and reads shots out on the
 //!   trap's own RNG;
-//! * [`queue`]/[`trap_state`] — per-trap priority/deadline work queues
-//!   and the one-pass tick (arrivals → drift → canary → queue drain);
+//! * [`trap_state`] — the one-pass tick of each trap (arrivals → drift
+//!   → canary, and its diagnosis if it trips → drain of the trap's job
+//!   FIFO while the minute lasts);
 //! * [`pool`]/[`api`] — the worker pool (std threads + channels; each
 //!   worker claims traps from its home shard, then from the others'
 //!   leftovers) and the in-process [`Fleet`] handle with its
@@ -33,12 +34,10 @@
 pub mod api;
 pub mod machine_day;
 pub mod pool;
-pub mod queue;
 pub mod service;
 pub mod trap_state;
 
 pub use api::{
     Fleet, FleetConfig, FleetSummary, SubmitError, MAX_SUBMIT_COUNT, MAX_WORKERS, MINUTES_PER_DAY,
 };
-pub use queue::{WorkItem, WorkKind, WorkQueue};
-pub use trap_state::{FleetParams, TrapState, TrapStatus};
+pub use trap_state::TrapStatus;

@@ -18,7 +18,8 @@
 //! the scheduler merges the per-trap outputs in trap-id order after the
 //! barrier. Which thread ran which trap never reaches a result.
 
-use crate::trap_state::{FleetParams, TrapState, TrapTickOut};
+use crate::api::FleetConfig;
+use crate::trap_state::{TrapState, TrapTickOut};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -41,15 +42,15 @@ struct Traps {
 }
 
 impl Traps {
-    /// Builds `traps` traps, home-sharded by
-    /// [`shard_bounds`]`(traps, workers)`.
-    fn new(traps: usize, workers: usize, master_seed: u64, params: Arc<FleetParams>) -> Self {
+    /// Builds `config.traps` traps, home-sharded by
+    /// [`shard_bounds`]`(config.traps, workers)`.
+    fn new(workers: usize, config: &Arc<FleetConfig>) -> Self {
         let shards: Vec<Range<usize>> =
-            shard_bounds(traps, workers).into_iter().map(|(lo, hi)| lo..hi).collect();
+            shard_bounds(config.traps, workers).into_iter().map(|(lo, hi)| lo..hi).collect();
         Traps {
-            slots: (0..traps)
+            slots: (0..config.traps)
                 .map(|id| {
-                    let state = TrapState::new(id, master_seed, Arc::clone(&params));
+                    let state = TrapState::new(id, Arc::clone(config));
                     Mutex::new(Slot { state, out: TrapTickOut::default() })
                 })
                 .collect(),
@@ -106,10 +107,10 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Builds `traps` traps and spawns one worker per home shard of
-    /// [`shard_bounds`]`(traps, workers)`.
-    pub fn new(traps: usize, workers: usize, master_seed: u64, params: Arc<FleetParams>) -> Self {
-        let traps = Arc::new(Traps::new(traps, workers, master_seed, params));
+    /// Builds `config.traps` traps and spawns one worker per home shard
+    /// of [`shard_bounds`]`(config.traps, workers)`.
+    pub fn new(workers: usize, config: &Arc<FleetConfig>) -> Self {
+        let traps = Arc::new(Traps::new(workers, config));
         let workers = (0..traps.shards.len())
             .map(|home| {
                 let (run, worker_rx) = channel::<Range<u64>>();
@@ -199,27 +200,29 @@ mod tests {
         // A worker whose peers never show up (preempted, say) must run
         // every trap, each through every tick, bit-identically to the
         // trap ticked on its own.
-        let params = Arc::new(FleetParams {
+        let config = Arc::new(FleetConfig {
+            traps: 7,
+            seed: 41,
             n_qubits: 5,
             canary_cadence_min: 2,
             drift_epoch_min: 3,
             arrival_rate_per_min: 3.0,
             service_secs_mean: 4.0,
-            job_deadline_s: 300.0,
             drift: JumpDrift {
                 base: OrnsteinUhlenbeckDrift { tau_minutes: 240.0, sigma: 0.02 },
                 jumps_per_minute: 0.0,
                 jump_scale: 0.3,
             },
             diag: fig2_diagnosis_config(),
+            ..FleetConfig::default()
         });
-        let traps = Traps::new(7, 3, 41, Arc::clone(&params));
+        let traps = Traps::new(3, &config);
         for run in [0..4, 4..5] {
             traps.rewind();
             traps.run(1, &run);
         }
         for id in 0..7 {
-            let mut direct = TrapState::new(id, 41, Arc::clone(&params));
+            let mut direct = TrapState::new(id, Arc::clone(&config));
             let mut want = TrapTickOut::default();
             (0..5).for_each(|tick| want.absorb(direct.tick(tick)));
             let slot = traps.lock(id);

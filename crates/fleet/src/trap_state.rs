@@ -4,51 +4,28 @@
 //! trap runs one pass that depends only on its own state — which is why
 //! any shard partition of the traps produces bit-identical results:
 //! draw this minute's Poisson job arrivals from the trap's arrival RNG,
-//! apply quasi-static drift at epoch boundaries, queue the canary if one
-//! is due, then drain the work queue in priority order — diagnosis,
-//! canary, then user jobs while the minute's budget lasts — and
-//! idle-fill to the minute boundary.
+//! apply quasi-static drift at epoch boundaries, run the canary if one
+//! is due (and, if it trips, the diagnosis right after it), then serve
+//! user jobs from the trap's FIFO in arrival order while the minute's
+//! budget lasts, and idle-fill to the minute boundary. Maintenance
+//! always runs in the tick it falls due, even when it overruns the
+//! minute; only jobs carry over to later ticks.
 //!
 //! Drift is *quasi-static*: calibration moves only at epoch boundaries
 //! (default every 30 simulated minutes), so a trap's canary circuit is
 //! byte-identical between epochs and the exact-score memo behind
 //! `VirtualTrap::run_test` answers the repeats.
 
-use crate::queue::{WorkKind, WorkQueue, PRIO_CANARY, PRIO_DIAGNOSE, PRIO_JOB};
+use crate::api::FleetConfig;
 use itqc_circuit::Coupling;
 use itqc_core::testplan::canary_for;
-use itqc_core::{diagnose_all, MultiFaultConfig, TestExecutor, TestSpec};
-use itqc_faults::drift::JumpDrift;
+use itqc_core::{diagnose_all, TestExecutor, TestSpec};
 use itqc_trap::duty::Activity;
 use itqc_trap::{TrapConfig, VirtualTrap};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Parameters shared by every trap of a fleet (see
-/// [`crate::api::FleetConfig`] for the user-facing knobs).
-#[derive(Clone, Debug)]
-pub struct FleetParams {
-    /// Register size of each trap.
-    pub n_qubits: usize,
-    /// Minutes between canary tests.
-    pub canary_cadence_min: u64,
-    /// Minutes between quasi-static drift applications.
-    pub drift_epoch_min: u64,
-    /// Poisson arrival rate of user jobs, per trap per minute (0
-    /// disables the internal load generator — jobs then only come from
-    /// the API).
-    pub arrival_rate_per_min: f64,
-    /// Mean of the exponential job service time, seconds.
-    pub service_secs_mean: f64,
-    /// Deadline allowance added to a job's arrival time, seconds.
-    pub job_deadline_s: f64,
-    /// The calibration drift process.
-    pub drift: JumpDrift,
-    /// Diagnosis protocol configuration (canary threshold/shots live
-    /// here too).
-    pub diag: MultiFaultConfig,
-}
 
 /// Everything one trap produced in one tick (or, merged tick by tick, in
 /// one run), merged by the scheduler in trap-id order.
@@ -94,7 +71,7 @@ pub struct TrapStatus {
     pub id: usize,
     /// Machine wall clock, simulated seconds.
     pub clock_seconds: f64,
-    /// Pending queue items.
+    /// Pending user jobs.
     pub queue_depth: usize,
     /// Most recent canary score.
     pub last_canary: f64,
@@ -144,14 +121,15 @@ pub fn exponential(rng: &mut SmallRng, mean: f64) -> f64 {
     -mean * (1.0 - rng.gen::<f64>()).ln()
 }
 
-/// One trap of the fleet: the virtual machine, its work queue, and the
+/// One trap of the fleet: the virtual machine, its job FIFO, and the
 /// scheduling counters.
 pub struct TrapState {
     id: usize,
-    params: Arc<FleetParams>,
+    config: Arc<FleetConfig>,
     trap: VirtualTrap,
     arrival_rng: SmallRng,
-    queue: WorkQueue,
+    /// Pending user jobs as `(arrival_s, service_s)`, oldest first.
+    jobs: VecDeque<(f64, f64)>,
     canary_spec: TestSpec,
     next_canary_min: u64,
     submitted_this_tick: u64,
@@ -162,22 +140,23 @@ pub struct TrapState {
 }
 
 impl TrapState {
-    /// Builds trap `id` of a fleet seeded with `master_seed`. The trap's
-    /// machine RNG and its arrival RNG are independent derived streams.
-    pub fn new(id: usize, master_seed: u64, params: Arc<FleetParams>) -> Self {
+    /// Builds trap `id` of a fleet; every stream derives from
+    /// `config.seed`. The trap's machine RNG and its arrival RNG are
+    /// independent derived streams.
+    pub fn new(id: usize, config: Arc<FleetConfig>) -> Self {
         let trap = VirtualTrap::new(TrapConfig::ideal(
-            params.n_qubits,
-            split_seed(master_seed, id as u64),
+            config.n_qubits,
+            split_seed(config.seed, id as u64),
         ));
-        let arrival_rng = SmallRng::seed_from_u64(split_seed(master_seed ^ 0xF1EE_7D00, id as u64));
-        let max_reps = *params.diag.reps_ladder.last().expect("non-empty ladder");
-        let canary_spec = canary_for(&trap.couplings(), max_reps, params.diag.canary_score);
+        let arrival_rng = SmallRng::seed_from_u64(split_seed(config.seed ^ 0xF1EE_7D00, id as u64));
+        let max_reps = *config.diag.reps_ladder.last().expect("non-empty ladder");
+        let canary_spec = canary_for(&trap.couplings(), max_reps, config.diag.canary_score);
         TrapState {
             id,
-            params,
+            config,
             trap,
             arrival_rng,
-            queue: WorkQueue::default(),
+            jobs: VecDeque::new(),
             canary_spec,
             next_canary_min: 0,
             submitted_this_tick: 0,
@@ -188,95 +167,44 @@ impl TrapState {
         }
     }
 
-    /// Trap id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Enqueues an externally submitted job (the `FleetHandle::submit`
-    /// path); `now_s` is the fleet clock at submission.
+    /// Enqueues an externally submitted job (the [`crate::Fleet::submit`]
+    /// path); `now_s` is the fleet clock at submission. Jobs must be
+    /// queued at nondecreasing times, so the FIFO is in arrival order.
     pub fn submit_job(&mut self, service_seconds: f64, now_s: f64) {
-        self.queue.push(
-            WorkKind::UserJob { service_seconds },
-            PRIO_JOB,
-            now_s,
-            now_s + self.params.job_deadline_s,
-        );
+        self.jobs.push_back((now_s, service_seconds));
         self.submitted_this_tick += 1;
     }
 
-    /// Runs `tick`: arrivals, quasi-static drift, the canary when one is
-    /// due, then the queue drain and the idle-fill to the minute
-    /// boundary.
+    /// Runs `tick`: arrivals, quasi-static drift, the canary (and its
+    /// diagnosis) when one is due, then the job drain and the idle-fill
+    /// to the minute boundary.
     pub fn tick(&mut self, tick: u64) -> TrapTickOut {
         let now = tick as f64 * 60.0;
-        if self.params.arrival_rate_per_min > 0.0 {
-            let n = poisson(&mut self.arrival_rng, self.params.arrival_rate_per_min);
+        if self.config.arrival_rate_per_min > 0.0 {
+            let n = poisson(&mut self.arrival_rng, self.config.arrival_rate_per_min);
             for _ in 0..n {
-                let service = exponential(&mut self.arrival_rng, self.params.service_secs_mean);
-                self.queue.push(
-                    WorkKind::UserJob { service_seconds: service },
-                    PRIO_JOB,
-                    now,
-                    now + self.params.job_deadline_s,
-                );
-                self.submitted_this_tick += 1;
+                let service = exponential(&mut self.arrival_rng, self.config.service_secs_mean);
+                self.jobs.push_back((now, service));
             }
+            self.submitted_this_tick += n as u64;
         }
-        if tick > 0 && tick.is_multiple_of(self.params.drift_epoch_min) {
-            self.trap.apply_drift(self.params.drift_epoch_min as f64, &self.params.drift);
+        let epoch = self.config.drift_epoch_min.max(1);
+        if tick > 0 && tick.is_multiple_of(epoch) {
+            self.trap.apply_drift(epoch as f64, &self.config.drift);
         }
-        if tick >= self.next_canary_min {
-            self.next_canary_min = tick + self.params.canary_cadence_min;
-            self.queue.push(WorkKind::Canary, PRIO_CANARY, now, now);
-        }
-        let minute_end = (tick + 1) as f64 * 60.0;
         let mut out = TrapTickOut { submitted: self.submitted_this_tick, ..Default::default() };
         self.submitted_this_tick = 0;
-        while let Some(front) = self.queue.peek() {
-            // Maintenance runs even when it overruns the minute (it was
-            // due); user jobs only start while the minute has budget.
-            if matches!(front.kind, WorkKind::UserJob { .. })
-                && self.trap.clock_seconds() >= minute_end
-            {
-                break;
-            }
-            let item = self.queue.pop().expect("peeked");
-            match item.kind {
-                WorkKind::Canary => {
-                    out.canaries += 1;
-                    let score =
-                        self.trap.run_test(&self.canary_spec, self.params.diag.canary_shots);
-                    self.last_canary = score;
-                    if score < self.params.diag.canary_threshold {
-                        out.trips += 1;
-                        let now = self.trap.clock_seconds();
-                        self.queue.push(WorkKind::Diagnose, PRIO_DIAGNOSE, now, now);
-                    }
-                }
-                WorkKind::Diagnose => {
-                    out.diagnoses += 1;
-                    let report =
-                        diagnose_all(&mut self.trap, self.params.n_qubits, &self.params.diag);
-                    out.tests_run += report.tests_run as u64;
-                    for fault in &report.diagnosed {
-                        self.trap.recalibrate(fault.coupling);
-                        out.faults_fixed += 1;
-                        self.faults_fixed += 1;
-                        self.recent_faults.push((tick, fault.coupling));
-                    }
-                    let overflow = self.recent_faults.len().saturating_sub(8);
-                    if overflow > 0 {
-                        self.recent_faults.drain(..overflow);
-                    }
-                }
-                WorkKind::UserJob { service_seconds } => {
-                    self.trap.bill_job_time(service_seconds);
-                    out.latencies.push(self.trap.clock_seconds() - item.arrival_s);
-                    out.completed += 1;
-                    self.jobs_completed += 1;
-                }
-            }
+        if tick >= self.next_canary_min {
+            self.next_canary_min = tick + self.config.canary_cadence_min.max(1);
+            self.run_canary(tick, &mut out);
+        }
+        let minute_end = (tick + 1) as f64 * 60.0;
+        while self.trap.clock_seconds() < minute_end {
+            let Some((arrival_s, service_s)) = self.jobs.pop_front() else { break };
+            self.trap.bill_job_time(service_s);
+            out.latencies.push(self.trap.clock_seconds() - arrival_s);
+            out.completed += 1;
+            self.jobs_completed += 1;
         }
         let now = self.trap.clock_seconds();
         if now < minute_end {
@@ -285,12 +213,37 @@ impl TrapState {
         out
     }
 
+    /// The canary tripwire; a trip runs the full multi-fault diagnosis
+    /// at once and recalibrates every coupling it names.
+    fn run_canary(&mut self, tick: u64, out: &mut TrapTickOut) {
+        let diag = &self.config.diag;
+        out.canaries += 1;
+        let score = self.trap.run_test(&self.canary_spec, diag.canary_shots);
+        self.last_canary = score;
+        if score < diag.canary_threshold {
+            out.trips += 1;
+            out.diagnoses += 1;
+            let report = diagnose_all(&mut self.trap, self.config.n_qubits, diag);
+            out.tests_run += report.tests_run as u64;
+            for fault in &report.diagnosed {
+                self.trap.recalibrate(fault.coupling);
+                out.faults_fixed += 1;
+                self.faults_fixed += 1;
+                self.recent_faults.push((tick, fault.coupling));
+            }
+            let overflow = self.recent_faults.len().saturating_sub(8);
+            if overflow > 0 {
+                self.recent_faults.drain(..overflow);
+            }
+        }
+    }
+
     /// Operational status snapshot.
     pub fn status(&self) -> TrapStatus {
         TrapStatus {
             id: self.id,
             clock_seconds: self.trap.clock_seconds(),
-            queue_depth: self.queue.len(),
+            queue_depth: self.jobs.len(),
             last_canary: self.last_canary,
             jobs_completed: self.jobs_completed,
             faults_fixed: self.faults_fixed,
@@ -305,7 +258,7 @@ impl TrapState {
         for (slot, &a) in secs.iter_mut().zip(Activity::ALL.iter()) {
             *slot = duty.seconds(a);
         }
-        TrapDrain { duty: secs, queue_depth: self.queue.len() }
+        TrapDrain { duty: secs, queue_depth: self.jobs.len() }
     }
 }
 
@@ -313,30 +266,31 @@ impl TrapState {
 mod tests {
     use super::*;
     use crate::machine_day::fig2_diagnosis_config;
-    use itqc_faults::drift::OrnsteinUhlenbeckDrift;
+    use itqc_faults::drift::{JumpDrift, OrnsteinUhlenbeckDrift};
 
-    fn params() -> Arc<FleetParams> {
-        Arc::new(FleetParams {
+    fn config(seed: u64) -> FleetConfig {
+        FleetConfig {
+            seed,
             n_qubits: 5,
             canary_cadence_min: 2,
             drift_epoch_min: 10,
             arrival_rate_per_min: 3.0,
             service_secs_mean: 4.0,
-            job_deadline_s: 300.0,
             drift: JumpDrift {
                 base: OrnsteinUhlenbeckDrift { tau_minutes: 240.0, sigma: 0.02 },
                 jumps_per_minute: 0.0,
                 jump_scale: 0.3,
             },
             diag: fig2_diagnosis_config(),
-        })
+            ..FleetConfig::default()
+        }
     }
 
     #[test]
     fn arrivals_and_canary_cadence_are_deterministic() {
-        let p = params();
-        let mut a = TrapState::new(3, 99, Arc::clone(&p));
-        let mut b = TrapState::new(3, 99, Arc::clone(&p));
+        let c = Arc::new(config(99));
+        let mut a = TrapState::new(3, Arc::clone(&c));
+        let mut b = TrapState::new(3, c);
         for tick in 0..6 {
             let oa = a.tick(tick);
             let ob = b.tick(tick);
@@ -353,8 +307,8 @@ mod tests {
 
     #[test]
     fn minute_budget_defers_jobs_but_not_maintenance() {
-        let p = Arc::new(FleetParams { arrival_rate_per_min: 0.0, ..(*params()).clone() });
-        let mut t = TrapState::new(0, 1, Arc::clone(&p));
+        let c = FleetConfig { arrival_rate_per_min: 0.0, ..config(1) };
+        let mut t = TrapState::new(0, Arc::new(c));
         // Overload: 100 jobs of 10 s each at the fleet clock's origin.
         for _ in 0..100 {
             t.submit_job(10.0, 0.0);
@@ -374,12 +328,8 @@ mod tests {
 
     #[test]
     fn injected_jump_trips_canary_and_diagnosis_recalibrates() {
-        let p = Arc::new(FleetParams {
-            arrival_rate_per_min: 0.0,
-            canary_cadence_min: 1,
-            ..(*params()).clone()
-        });
-        let mut t = TrapState::new(0, 5, Arc::clone(&p));
+        let c = FleetConfig { arrival_rate_per_min: 0.0, canary_cadence_min: 1, ..config(5) };
+        let mut t = TrapState::new(0, Arc::new(c));
         let victim = Coupling::new(1, 3);
         // Tick 0: clean canary.
         let out = t.tick(0);

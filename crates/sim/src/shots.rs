@@ -1,9 +1,9 @@
 //! Shot-noise utilities.
 //!
 //! Hardware experiments observe probabilities only through finite shot
-//! counts (the paper uses 300–1000 shots per circuit). These helpers
-//! convert exact simulator probabilities into the binomial statistics a
-//! real run would produce.
+//! counts (the paper uses 300–1000 shots per circuit). [`binomial`]
+//! turns an exact simulator probability into the count a real run would
+//! report.
 
 use rand::Rng;
 
@@ -23,30 +23,6 @@ pub fn binomial<R: Rng + ?Sized>(rng: &mut R, shots: usize, p: f64) -> usize {
         return shots;
     }
     (0..shots).filter(|_| rng.gen::<f64>() < p).count()
-}
-
-/// The empirical probability a `shots`-shot experiment would report for an
-/// event of true probability `p`.
-pub fn sampled_probability<R: Rng + ?Sized>(rng: &mut R, shots: usize, p: f64) -> f64 {
-    if shots == 0 {
-        return 0.0;
-    }
-    binomial(rng, shots, p) as f64 / shots as f64
-}
-
-/// Applies symmetric-or-not SPAM readout errors to an exact probability of
-/// observing the *target* string of `weight_target` ones out of `n_qubits`.
-///
-/// This first-order model treats readout flips as independent per qubit:
-/// the probability that the target string is read out unchanged is
-/// `(1−p01)^z·(1−p10)^o` where `z`/`o` are the zero/one counts; misreads
-/// *into* the target from other strings are neglected (they are second
-/// order in the sub-1% flip rates the paper reports).
-pub fn spam_attenuation(n_qubits: usize, weight_target: usize, p01: f64, p10: f64) -> f64 {
-    assert!(weight_target <= n_qubits, "target weight exceeds register");
-    let zeros = (n_qubits - weight_target) as i32;
-    let ones = weight_target as i32;
-    (1.0 - p01).powi(zeros) * (1.0 - p10).powi(ones)
 }
 
 #[cfg(test)]
@@ -72,23 +48,6 @@ mod tests {
         let mean: f64 =
             (0..trials).map(|_| binomial(&mut rng, shots, p) as f64).sum::<f64>() / trials as f64;
         assert!((mean - shots as f64 * p).abs() < 2.0, "mean {mean}");
-    }
-
-    #[test]
-    fn sampled_probability_converges() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let p_hat = sampled_probability(&mut rng, 100_000, 0.25);
-        assert!((p_hat - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn spam_attenuation_bounds() {
-        // No error → no attenuation.
-        assert_eq!(spam_attenuation(8, 3, 0.0, 0.0), 1.0);
-        // 0.5% flips on 8 qubits → ~96% retention.
-        let a = spam_attenuation(8, 0, 0.005, 0.005);
-        assert!((a - 0.995f64.powi(8)).abs() < 1e-12);
-        assert!(a > 0.95 && a < 1.0);
     }
 
     #[test]

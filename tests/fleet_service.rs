@@ -238,3 +238,39 @@ fn fleetd_protocol_answers_every_fuzzed_line_without_panicking() {
     let s = fleet.summary();
     assert_eq!(s.submitted - s.completed, s.queued as u64, "job conservation");
 }
+
+/// Order pin for a saturated fleet: at 20 jobs/trap/minute of 30 s mean
+/// service every trap ends each minute with a backlog, so jobs wait
+/// across many ticks behind earlier arrivals and behind every canary
+/// and diagnosis, and the latency percentiles depend on the order in
+/// which each trap drains its queue. API submissions land part-way
+/// through. The block below was captured before the per-trap queue
+/// became a plain FIFO; it must not move, at any worker count.
+#[test]
+fn saturated_backlog_summary_is_pinned() {
+    for workers in [1usize, 2] {
+        let mut fleet = Fleet::new(FleetConfig {
+            traps: 8,
+            workers,
+            arrival_rate_per_min: 20.0,
+            service_secs_mean: 30.0,
+            ..FleetConfig::default()
+        });
+        fleet.run_minutes(90);
+        fleet.submit(2, 45.0, 50).unwrap();
+        fleet.submit(5, 1.0, 3).unwrap();
+        fleet.run_minutes(60);
+        fleet.submit(0, 5.0, 10).unwrap();
+        fleet.submit(7, 0.0, 1).unwrap();
+        fleet.run_minutes(90);
+        let expected = "\
+fleet summary
+  traps 8 seed 20220402 minutes 240
+  jobs submitted 38459 completed 3633 queued 34826 per-machine-day 21798.0
+  latency_s p50 6565.741 p90 11746.837 p99 12921.731
+  canaries 960 trips 10 diagnoses 10 tests 155 faults_fixed 11
+  duty_s jobs=112341.7 testing=3080.8 calibration=11.0 adaptation=10.0 idle=0.0
+";
+        assert_eq!(fleet.summary().to_string(), expected, "workers={workers}");
+    }
+}
