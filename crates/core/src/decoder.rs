@@ -41,6 +41,7 @@ use itqc_circuit::Coupling;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A failing-test set, as `(bit, value)` pairs.
 pub type FailingSet = BTreeSet<(u32, bool)>;
@@ -216,7 +217,7 @@ pub fn covers_up_to(
 }
 
 /// The one cover search behind [`minimal_covers`] and [`covers_up_to`]:
-/// size-by-size passes of [`search_covers_sized`], smallest first, until
+/// size-by-size passes of [`CoverSearch::sized`], smallest first, until
 /// `cap` covers are found, `max_size` is passed, or — with
 /// `stop_at_first_size` — a pass finds any cover, which is then of
 /// minimum cardinality.
@@ -239,53 +240,89 @@ fn covers_by_size(
         .map(|c| (c, syndrome_mask(c, space.n_bits())))
         .filter(|&(_, syn)| syn != 0)
         .collect();
+    let mut search = CoverSearch::new(&cands, cap);
     let uncovered = failing_mask(failing);
-    let mut found: Vec<Vec<Coupling>> = Vec::new();
     for size in 1..=max_size {
-        if found.len() >= cap || (stop_at_first_size && !found.is_empty()) {
+        if search.found.len() >= cap || (stop_at_first_size && !search.found.is_empty()) {
             break;
         }
-        search_covers_sized(uncovered, &cands, size, &mut Vec::new(), 0, &mut found, cap);
+        search.sized(uncovered, size, 0);
     }
-    found
+    itqc_obs::event::add("core.decoder.cover_nodes", search.nodes);
+    search.found
 }
 
-/// Depth-first search for covers of exactly `budget` more candidates,
-/// chosen in index order so each subset is enumerated once, each member
-/// covering at least one still-uncovered element. Records only covers
-/// that use the whole budget, so size-by-size passes never repeat a
-/// smaller cover found in an earlier pass.
-fn search_covers_sized(
-    uncovered: u64,
-    cands: &[(Coupling, u64)],
-    budget: usize,
-    chosen: &mut Vec<Coupling>,
-    start: usize,
-    found: &mut Vec<Vec<Coupling>>,
+/// One call's depth-first cover search over index-ordered candidates.
+struct CoverSearch<'a> {
+    /// Consistent couplings with their (non-empty) syndrome masks.
+    cands: &'a [(Coupling, u64)],
+    /// `reach[i]`: the OR of every candidate mask from index `i` on.
+    reach: Vec<u64>,
+    /// The largest syndrome weight among the candidates.
+    max_weight: u32,
     cap: usize,
-) {
-    if found.len() >= cap {
-        return;
-    }
-    if uncovered == 0 {
-        if budget == 0 {
-            found.push(chosen.clone());
+    chosen: Vec<Coupling>,
+    found: Vec<Vec<Coupling>>,
+    /// Search nodes visited (calls of [`Self::sized`]).
+    nodes: u64,
+}
+
+impl<'a> CoverSearch<'a> {
+    fn new(cands: &'a [(Coupling, u64)], cap: usize) -> Self {
+        let mut reach = vec![0u64; cands.len() + 1];
+        for i in (0..cands.len()).rev() {
+            reach[i] = reach[i + 1] | cands[i].1;
         }
-        return;
-    }
-    if budget == 0 {
-        return;
-    }
-    for idx in start..cands.len() {
-        let (c, syn) = cands[idx];
-        if syn & uncovered == 0 {
-            continue;
+        CoverSearch {
+            cands,
+            reach,
+            max_weight: cands.iter().map(|&(_, syn)| syn.count_ones()).max().unwrap_or(0),
+            cap,
+            chosen: Vec::new(),
+            found: Vec::new(),
+            nodes: 0,
         }
-        chosen.push(c);
-        search_covers_sized(uncovered & !syn, cands, budget - 1, chosen, idx + 1, found, cap);
-        chosen.pop();
-        if found.len() >= cap {
+    }
+
+    /// Searches for covers of exactly `budget` more candidates, chosen in
+    /// index order from `start` so each subset is enumerated once, each
+    /// member covering at least one still-uncovered element. Records only
+    /// covers that use the whole budget, so size-by-size passes never
+    /// repeat a smaller cover found in an earlier pass.
+    ///
+    /// Two cuts drop branches that cannot complete a cover, so the
+    /// covers found and their order are those of the unpruned search:
+    /// more uncovered elements than `budget` candidates can hold, and an
+    /// uncovered element no candidate from `idx` on covers (`reach`
+    /// only shrinks with `idx`, so the loop stops there).
+    fn sized(&mut self, uncovered: u64, budget: usize, start: usize) {
+        self.nodes += 1;
+        if self.found.len() >= self.cap {
             return;
+        }
+        if uncovered == 0 {
+            if budget == 0 {
+                self.found.push(self.chosen.clone());
+            }
+            return;
+        }
+        if budget == 0 || uncovered.count_ones() as usize > budget * self.max_weight as usize {
+            return;
+        }
+        for idx in start..self.cands.len() {
+            if uncovered & !self.reach[idx] != 0 {
+                return;
+            }
+            let (c, syn) = self.cands[idx];
+            if syn & uncovered == 0 {
+                continue;
+            }
+            self.chosen.push(c);
+            self.sized(uncovered & !syn, budget - 1, idx + 1);
+            self.chosen.pop();
+            if self.found.len() >= self.cap {
+                return;
+            }
         }
     }
 }
@@ -413,27 +450,74 @@ fn grid_u(s: usize) -> f64 {
 /// Index of the all-ones row: a class with no cover member scores 1.
 const CLEAN_ROW: usize = 0;
 
-/// The ranked decoder's forward model tabulated over the magnitude grid
-/// for one [`CoverPosterior::rank`] call. A class's predicted score
-/// depends only on its [`ClassScorePredictor`] (gate repetitions, score
-/// mode, and the members' degree multiset or interference masks), and
-/// those repeat across the covers of one call, so each distinct
-/// predictor is evaluated once per grid point and every cover reads its
-/// rows. Each row holds the same `at(u)` values on the same `u` as a
-/// per-cover evaluation would, so every sum built from it is
-/// bit-identical. The table lives only as long as the call.
+/// The multiply-rotate hash of `rustc`'s `FxHasher`, for the forward
+/// table's index. Its keys are short integer vectors the decoder builds
+/// itself, so SipHash's flooding resistance buys nothing there.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The ranked decoder's forward model tabulated over the magnitude grid,
+/// held by one [`CoverPosterior`]. A class's predicted score depends only
+/// on its [`ClassScorePredictor`] (gate repetitions, score mode, and the
+/// members' degree multiset or interference masks up to relabelling of
+/// qubits), and those repeat across covers, calls and rounds, so each
+/// distinct predictor is evaluated once per grid point and every later
+/// cover reads its row. Each row holds the same `at(u)` values on the
+/// same `u` as a per-cover evaluation would, so every sum built from it
+/// is bit-identical.
+#[derive(Clone, Debug)]
 struct ForwardTable {
     rows: Vec<[f64; GRID_STEPS]>,
-    index: HashMap<ClassScorePredictor, usize>,
+    index: HashMap<ClassScorePredictor, usize, BuildHasherDefault<FxHasher>>,
     /// Scratch for one class's cover members, reused across classes.
     members: Vec<Coupling>,
 }
 
-impl ForwardTable {
-    fn new() -> Self {
-        ForwardTable { rows: vec![[1.0; GRID_STEPS]], index: HashMap::new(), members: Vec::new() }
+impl Default for ForwardTable {
+    fn default() -> Self {
+        ForwardTable {
+            rows: vec![[1.0; GRID_STEPS]],
+            index: HashMap::default(),
+            members: Vec::new(),
+        }
     }
+}
 
+impl ForwardTable {
     /// Rows tabulated so far (the constant clean row not counted).
     fn tabulated(&self) -> usize {
         self.rows.len() - 1
@@ -462,6 +546,69 @@ impl ForwardTable {
             }
         }
     }
+
+    /// The fused log-likelihood profile of one cover, read from its
+    /// forward-model `rows` (one per round × observed class, in order;
+    /// see [`Self::cover_rows`]): at each magnitude grid point the
+    /// per-round log-likelihoods *sum* (joint-magnitude profiling), and
+    /// the returned pair is the profile maximum and its grid index.
+    ///
+    /// The per-u arithmetic is [`cover_log_likelihood`]'s, with the same
+    /// values in the same summation order, so each grid point's sum is
+    /// bit-identical to it. Only the loop nest differs: each class term
+    /// is folded into all grid points at once, so the inner loop runs
+    /// over `s` and vectorises. Both folds start from −0.0, the start of
+    /// `Iterator::sum` over `f64`.
+    fn fused_profile(&self, rounds: &[EvidenceRound], rows: &[usize]) -> (f64, usize) {
+        let mut total = [-0.0f64; GRID_STEPS];
+        let mut rest = rows;
+        for round in rounds {
+            let (round_rows, tail) = rest.split_at(round.observed.len());
+            rest = tail;
+            let inv = 0.5 / (round.model.sigma * round.model.sigma);
+            let mut ll = [-0.0f64; GRID_STEPS];
+            for (&(_, obs), &row) in round.observed.iter().zip(round_rows) {
+                let predicted = &self.rows[row];
+                for (acc, &p) in ll.iter_mut().zip(predicted) {
+                    let d = obs - p;
+                    *acc += -d * d * inv;
+                }
+            }
+            for (acc, round_ll) in total.iter_mut().zip(ll) {
+                *acc += round_ll;
+            }
+        }
+        let mut best = f64::NEG_INFINITY;
+        let mut best_s = 0;
+        for (s, &ll) in total.iter().enumerate() {
+            if ll > best {
+                best = ll;
+                best_s = s;
+            }
+        }
+        (best, best_s)
+    }
+
+    /// [`CoverPosterior::contradicted`] at a pre-computed fused-MAP grid
+    /// index (so [`CoverPosterior::rank`] profiles each cover exactly
+    /// once).
+    fn contradicted_at(&self, rounds: &[EvidenceRound], rows: &[usize], s_hat: usize) -> bool {
+        let mut rest = rows;
+        rounds.iter().any(|round| {
+            let (round_rows, tail) = rest.split_at(round.observed.len());
+            rest = tail;
+            let Some(t) = round.veto_threshold else {
+                return false;
+            };
+            let margin = round.model.sigma;
+            round.observed.iter().zip(round_rows).any(|(&(_, obs), &row)| {
+                if obs < t + margin {
+                    return false; // class not decisively clean this round
+                }
+                row != CLEAN_ROW && self.rows[row][s_hat] <= t - margin
+            })
+        })
+    }
 }
 
 /// The cross-round evidence-fusion posterior over candidate covers.
@@ -477,15 +624,20 @@ impl ForwardTable {
 /// count (`cos²(r·u·π/4)^m` surfaces cross) separate once a second
 /// rung pins the magnitude, which is precisely the residual Table II
 /// gap ROADMAP tracked after PR 3.
+///
+/// The posterior also holds the forward table its [`Self::rank`] calls
+/// read and fill: a row is a pure function of its predictor, so rows
+/// stay valid across calls and added rounds.
 #[derive(Clone, Debug, Default)]
 pub struct CoverPosterior {
     rounds: Vec<EvidenceRound>,
+    table: ForwardTable,
 }
 
 impl CoverPosterior {
     /// An empty ledger (no evidence yet).
     pub fn new() -> Self {
-        CoverPosterior { rounds: Vec::new() }
+        CoverPosterior::default()
     }
 
     /// Accumulates one round of per-class scores without a veto cut.
@@ -503,43 +655,6 @@ impl CoverPosterior {
         self.rounds.len()
     }
 
-    /// The fused log-likelihood profile of one cover, read from its
-    /// forward-model `rows` (one per round × observed class, in order;
-    /// see [`ForwardTable::cover_rows`]): at each magnitude grid point
-    /// the per-round log-likelihoods *sum* (joint-magnitude profiling),
-    /// and the returned pair is the profile maximum and its grid index.
-    /// The per-u arithmetic is [`cover_log_likelihood`]'s (same values,
-    /// same summation order).
-    fn fused_profile(&self, rows: &[usize], table: &ForwardTable) -> (f64, usize) {
-        let mut best = f64::NEG_INFINITY;
-        let mut best_s = 0;
-        for s in 0..GRID_STEPS {
-            let mut rest = rows;
-            let ll: f64 = self
-                .rounds
-                .iter()
-                .map(|r| {
-                    let (round_rows, tail) = rest.split_at(r.observed.len());
-                    rest = tail;
-                    let inv = 0.5 / (r.model.sigma * r.model.sigma);
-                    r.observed
-                        .iter()
-                        .zip(round_rows)
-                        .map(|(&(_, obs), &row)| {
-                            let d = obs - table.rows[row][s];
-                            -d * d * inv
-                        })
-                        .sum::<f64>()
-                })
-                .sum();
-            if ll > best {
-                best = ll;
-                best_s = s;
-            }
-        }
-        (best, best_s)
-    }
-
     /// `true` when a round with a veto cut decisively contradicts the
     /// cover at its own fused-MAP magnitude: the cover predicts a class
     /// a full noise width *below* the round's re-calibrated threshold
@@ -555,75 +670,56 @@ impl CoverPosterior {
     /// set (the magnitude-peel reading of Fig. 5), and those
     /// legitimately leave shallower failures unexplained.
     pub fn contradicted(&self, cover: &[Coupling]) -> bool {
-        let mut table = ForwardTable::new();
+        let mut table = ForwardTable::default();
         let mut rows = Vec::new();
         table.cover_rows(&self.rounds, cover, &mut rows);
-        let (_, s_hat) = self.fused_profile(&rows, &table);
-        self.contradicted_at(&rows, &table, s_hat)
-    }
-
-    /// [`Self::contradicted`] at a pre-computed fused-MAP grid index
-    /// (so [`Self::rank`] profiles each cover exactly once).
-    fn contradicted_at(&self, rows: &[usize], table: &ForwardTable, s_hat: usize) -> bool {
-        let mut rest = rows;
-        self.rounds.iter().any(|round| {
-            let (round_rows, tail) = rest.split_at(round.observed.len());
-            rest = tail;
-            let Some(t) = round.veto_threshold else {
-                return false;
-            };
-            let margin = round.model.sigma;
-            round.observed.iter().zip(round_rows).any(|(&(_, obs), &row)| {
-                if obs < t + margin {
-                    return false; // class not decisively clean this round
-                }
-                row != CLEAN_ROW && table.rows[row][s_hat] <= t - margin
-            })
-        })
+        let (_, s_hat) = table.fused_profile(&self.rounds, &rows);
+        table.contradicted_at(&self.rounds, &rows, s_hat)
     }
 
     /// Ranks a candidate pool by fused log-posterior, best first, after
     /// eliminating covers contradicted by any veto round. Tie-breaking
     /// matches [`rank_covers`] (smaller cover, then lexicographic), so
     /// with a single vetoless round this *is* `rank_covers`.
-    pub fn rank(&self, covers: &[Vec<Coupling>]) -> Vec<RankedCover> {
+    pub fn rank(&mut self, covers: &[Vec<Coupling>]) -> Vec<RankedCover> {
         let _span = itqc_obs::span::timed("core.decoder.rank");
         let prior =
             self.rounds.first().map(|r| r.model.log_fault_prior).unwrap_or(COVER_LOG_FAULT_PRIOR);
         let has_veto = self.rounds.iter().any(|r| r.veto_threshold.is_some());
-        let mut table = ForwardTable::new();
+        let tabulated = self.table.tabulated();
         let mut rows = Vec::new();
-        let mut out: Vec<RankedCover> = covers
-            .iter()
-            .filter_map(|cover| {
-                table.cover_rows(&self.rounds, cover, &mut rows);
-                let (best, best_s) = self.fused_profile(&rows, &table);
-                if has_veto && self.contradicted_at(&rows, &table, best_s) {
-                    return None;
-                }
-                let mut couplings = cover.clone();
-                couplings.sort();
-                Some(RankedCover {
-                    couplings,
-                    log_posterior: best + prior * cover.len() as f64,
-                    magnitude: grid_u(best_s),
-                })
-            })
-            .collect();
+        let mut out: Vec<RankedCover> = Vec::with_capacity(covers.len());
+        for cover in covers {
+            self.table.cover_rows(&self.rounds, cover, &mut rows);
+            let (best, best_s) = self.table.fused_profile(&self.rounds, &rows);
+            if has_veto && self.table.contradicted_at(&self.rounds, &rows, best_s) {
+                continue;
+            }
+            let mut couplings = cover.clone();
+            couplings.sort();
+            out.push(RankedCover {
+                couplings,
+                log_posterior: best + prior * cover.len() as f64,
+                magnitude: grid_u(best_s),
+            });
+        }
         itqc_obs::event::add("core.decoder.covers_ranked", covers.len() as u64);
-        itqc_obs::event::add("core.decoder.forward_rows", table.tabulated() as u64);
+        itqc_obs::event::add(
+            "core.decoder.forward_rows",
+            (self.table.tabulated() - tabulated) as u64,
+        );
         out.sort_by(|a, b| {
             b.log_posterior
                 .partial_cmp(&a.log_posterior)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.couplings.len().cmp(&b.couplings.len()))
-                .then(a.couplings.cmp(&b.couplings))
+                .then_with(|| a.couplings.len().cmp(&b.couplings.len()))
+                .then_with(|| a.couplings.cmp(&b.couplings))
         });
         out
     }
 
     /// [`consensus_accusation`] over the fused ranking of `covers`.
-    pub fn consensus(&self, covers: &[Vec<Coupling>]) -> Option<Coupling> {
+    pub fn consensus(&mut self, covers: &[Vec<Coupling>]) -> Option<Coupling> {
         consensus_accusation(&self.rank(covers))
     }
 }
@@ -1517,6 +1613,96 @@ mod tests {
         }
         assert!(vetoed > 0, "the sweep must exercise veto pruning");
         assert!(interference > 0, "the sweep must exercise the interference branch");
+    }
+
+    #[test]
+    fn repeated_ranks_on_one_posterior_match_a_fresh_posterior() {
+        // A posterior keeps its forward rows across `rank` calls, so a
+        // later call reads rows an earlier call tabulated, under rounds
+        // added since. Every call must agree bit for bit with a fresh
+        // posterior holding the same rounds: seeded 16-qubit 3-fault
+        // cover pools (plus covers packed into one class, the
+        // interference branch), a round added between calls with a veto
+        // cut and one without, and a last call with no new round. The
+        // covers a call drops are exactly the `contradicted` ones.
+        let mut rng = SmallRng::seed_from_u64(0x0E7A_11ED);
+        let n = 16;
+        let space = LabelSpace::new(n);
+        let all = space.all_couplings();
+        let classes = first_round_classes(&space);
+        let none = BTreeSet::new();
+        let mut vetoed = 0usize;
+        let mut ranked_total = 0usize;
+        for case in 0..6 {
+            let mut truth = BTreeSet::new();
+            while truth.len() < 3 {
+                truth.insert(all[rng.gen_range(0..all.len())]);
+            }
+            let u = rng.gen_range(0.22..0.40);
+            let planted: Vec<(Coupling, f64)> = truth.iter().map(|&c| (c, u)).collect();
+            let observed = noiseless_observed(&planted, n, 4);
+            let failing: FailingSet = observed
+                .iter()
+                .filter(|&&(_, s)| s < 0.5)
+                .map(|&(class, _)| (class.bit, class.value))
+                .collect();
+            let mut pool = covers_up_to(&failing, &space, &none, 4, 96);
+            for _ in 0..4 {
+                let class = classes[rng.gen_range(0..classes.len())];
+                let mut members = class.couplings(&space, &none);
+                let size = rng.gen_range(3..=5usize).min(members.len());
+                pool.push(
+                    (0..size)
+                        .map(|_| members.swap_remove(rng.gen_range(0..members.len())))
+                        .collect(),
+                );
+            }
+            let again: Vec<Coupling> = pool[0].iter().rev().copied().collect();
+            pool.push(again);
+
+            let mut posterior = CoverPosterior::new();
+            posterior.observe(observed, CoverModel::new(4, ScoreMode::ExactTarget, 0.04));
+            for call in 0..4 {
+                match call {
+                    1 => posterior.observe_round(EvidenceRound {
+                        observed: noiseless_observed(&planted, n, 2),
+                        model: CoverModel::new(2, ScoreMode::ExactTarget, 0.04),
+                        veto_threshold: Some(crate::threshold::contrast_threshold(u, 2)),
+                    }),
+                    2 => posterior.observe_round(EvidenceRound {
+                        observed: classes.iter().map(|&class| (class, rng.gen::<f64>())).collect(),
+                        model: CoverModel::new(4, ScoreMode::WorstQubit, 0.05),
+                        veto_threshold: if case % 2 == 0 { Some(0.45) } else { None },
+                    }),
+                    _ => {}
+                }
+                let mut fresh = CoverPosterior::new();
+                for round in &posterior.rounds {
+                    fresh.observe_round(round.clone());
+                }
+                let want = fresh.rank(&pool);
+                let got = posterior.rank(&pool);
+                let ctx = format!("case {case} call {call}");
+                assert_eq!(got.len(), want.len(), "{ctx}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.couplings, w.couplings, "{ctx}");
+                    assert_eq!(g.log_posterior.to_bits(), w.log_posterior.to_bits(), "{ctx}");
+                    assert_eq!(g.magnitude.to_bits(), w.magnitude.to_bits(), "{ctx}");
+                }
+                let kept: BTreeSet<&Vec<Coupling>> = got.iter().map(|rc| &rc.couplings).collect();
+                for cover in &pool {
+                    let mut sorted = cover.clone();
+                    sorted.sort();
+                    let dropped = !kept.contains(&sorted);
+                    assert_eq!(posterior.contradicted(cover), dropped, "{ctx}: {cover:?}");
+                    assert_eq!(fresh.contradicted(cover), dropped, "{ctx}: {cover:?}");
+                    vetoed += usize::from(dropped);
+                }
+                ranked_total += got.len();
+            }
+        }
+        assert!(vetoed > 0, "the sweep must exercise veto pruning");
+        assert!(ranked_total > 100, "only {ranked_total} covers ranked");
     }
 
     #[test]

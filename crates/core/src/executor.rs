@@ -262,7 +262,9 @@ fn interference_sum(masks: &[u128], u: f64, reps: usize) -> f64 {
 /// interference mask construction happen at build time, so the
 /// magnitude-profiling grid pays only the per-`u` trigonometry. Two
 /// predictors that compare equal predict the same score at every `u`, so
-/// the ranked decoder keys its tabulated forward model on them.
+/// the ranked decoder keys its tabulated forward model on them; member
+/// lists that match up to a relabelling of qubits build equal
+/// predictors.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ClassScorePredictor {
     reps: usize,
@@ -276,7 +278,8 @@ enum PredictorKind {
     /// `ExactTarget` product truncation: `cos²(δ)^m`.
     Product { m: i32 },
     /// `ExactTarget` even-subgraph interference sum over pre-built
-    /// endpoint masks.
+    /// endpoint masks, with qubits relabelled in order of first
+    /// appearance.
     Interference { masks: Vec<u128> },
     /// `WorstQubit`: the multiset of per-qubit incident-fault degrees,
     /// sorted (the minimum over them does not depend on which qubit
@@ -304,12 +307,26 @@ impl ClassScorePredictor {
                     if m <= 2 || m > INTERFERENCE_SUM_LIMIT || !maskable {
                         PredictorKind::Product { m: m as i32 }
                     } else {
+                        // Qubits are relabelled in order of first
+                        // appearance (at most 2·m ≤ 32 of them): the sum
+                        // only asks which subsets of masks XOR to zero,
+                        // and relabelling keeps those subsets in the same
+                        // order, so isomorphic member lists share one
+                        // predictor with bit-identical scores.
+                        let mut labels: Vec<usize> = Vec::with_capacity(2 * m);
+                        let mut bit = |q: usize| {
+                            let i = labels.iter().position(|&l| l == q).unwrap_or_else(|| {
+                                labels.push(q);
+                                labels.len() - 1
+                            });
+                            1u128 << i
+                        };
                         PredictorKind::Interference {
                             masks: faulty
                                 .iter()
                                 .map(|f| {
                                     let (a, b) = f.endpoints();
-                                    (1u128 << a) | (1u128 << b)
+                                    bit(a) | bit(b)
                                 })
                                 .collect(),
                         }
@@ -424,6 +441,71 @@ mod tests {
         let tri =
             predicted_class_score(&[c(0, 1), c(1, 2), c(0, 2)], 0.30, 4, ScoreMode::ExactTarget);
         assert!((tri - (d.cos().powi(6) + d.sin().powi(6))).abs() < 1e-12);
+    }
+
+    #[test]
+    fn isomorphic_member_lists_share_one_predictor() {
+        // Member lists that match up to a relabelling of qubits, coupling
+        // by coupling in the same order, predict the same class score:
+        // the interference sum only asks which subsets of endpoint masks
+        // XOR to zero. They must build one predictor whose every grid
+        // value is bit-identical to the sum over the original labels.
+        let c = Coupling::new;
+        let families: [[&[Coupling]; 3]; 3] = [
+            // Triangles.
+            [
+                &[c(0, 1), c(1, 2), c(0, 2)],
+                &[c(5, 9), c(9, 12), c(5, 12)],
+                &[c(30, 31), c(7, 31), c(7, 30)],
+            ],
+            // 4-cycles.
+            [
+                &[c(0, 1), c(1, 2), c(2, 3), c(0, 3)],
+                &[c(4, 8), c(8, 10), c(10, 13), c(4, 13)],
+                &[c(20, 90), c(90, 100), c(100, 127), c(20, 127)],
+            ],
+            // 5 members: a triangle with a pendant edge and a disjoint edge.
+            [
+                &[c(0, 1), c(1, 2), c(0, 2), c(2, 3), c(4, 5)],
+                &[c(6, 11), c(11, 14), c(6, 14), c(14, 15), c(2, 3)],
+                &[c(40, 41), c(41, 60), c(40, 60), c(60, 99), c(101, 126)],
+            ],
+        ];
+        let (u_lo, u_hi, steps) = crate::decoder::COVER_U_GRID;
+        let masks_of = |members: &[Coupling]| -> Vec<u128> {
+            members
+                .iter()
+                .map(|f| {
+                    let (a, b) = f.endpoints();
+                    (1u128 << a) | (1u128 << b)
+                })
+                .collect()
+        };
+        for family in families {
+            for reps in [2usize, 4] {
+                let base = ClassScorePredictor::new(family[0], reps, ScoreMode::ExactTarget);
+                assert!(matches!(base.kind, PredictorKind::Interference { .. }));
+                for members in family {
+                    let predictor = ClassScorePredictor::new(members, reps, ScoreMode::ExactTarget);
+                    assert_eq!(predictor, base, "{members:?}");
+                    for s in 0..steps {
+                        let u = u_lo + (u_hi - u_lo) * s as f64 / (steps - 1) as f64;
+                        let want = interference_sum(&masks_of(members), u, reps);
+                        assert_eq!(predictor.at(u).to_bits(), want.to_bits(), "{members:?} u={u}");
+                    }
+                }
+            }
+        }
+        // A label past the mask width keeps the product truncation, even
+        // though the relabelled masks would fit.
+        let wide = [c(0, 1), c(1, 130), c(0, 130)];
+        let predictor = ClassScorePredictor::new(&wide, 4, ScoreMode::ExactTarget);
+        assert!(matches!(predictor.kind, PredictorKind::Product { m: 3 }));
+        // Non-isomorphic lists stay apart: a triangle is not a 3-path.
+        let path =
+            ClassScorePredictor::new(&[c(0, 1), c(1, 2), c(2, 3)], 4, ScoreMode::ExactTarget);
+        let tri = ClassScorePredictor::new(&[c(0, 1), c(1, 2), c(0, 2)], 4, ScoreMode::ExactTarget);
+        assert_ne!(path, tri);
     }
 
     #[test]

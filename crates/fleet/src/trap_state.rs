@@ -102,8 +102,28 @@ pub fn split_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Knuth's product method: one Poisson(`lambda`) draw.
+/// Largest rate [`poisson`] draws in one product: `exp(-lambda)` stays
+/// far above the smallest normal `f64` there.
+const POISSON_CHUNK: f64 = 500.0;
+
+/// One Poisson(`lambda`) draw: Knuth's product method on chunks of rate
+/// at most 500, summed (a sum of independent Poisson draws is Poisson
+/// in the summed rate). One product alone caps near 745, where
+/// `exp(-lambda)` underflows; a rate up to 500 is a single product, so
+/// its random stream is Knuth's.
 pub fn poisson(rng: &mut SmallRng, lambda: f64) -> usize {
+    let mut rest = lambda;
+    let mut total = 0;
+    while rest > POISSON_CHUNK {
+        total += poisson_product(rng, POISSON_CHUNK);
+        rest -= POISSON_CHUNK;
+    }
+    total + poisson_product(rng, rest)
+}
+
+/// Knuth's product method: one Poisson(`lambda`) draw, for `lambda` up
+/// to [`POISSON_CHUNK`].
+fn poisson_product(rng: &mut SmallRng, lambda: f64) -> usize {
     let floor = (-lambda).exp();
     let mut k = 0usize;
     let mut p = 1.0f64;
@@ -267,6 +287,18 @@ mod tests {
     use super::*;
     use crate::machine_day::fig2_diagnosis_config;
     use itqc_faults::drift::{JumpDrift, OrnsteinUhlenbeckDrift};
+
+    #[test]
+    fn poisson_mean_holds_beyond_the_underflow_cap() {
+        // One Knuth product caps near 747 arrivals whatever the rate;
+        // the chunked sum must keep the mean at λ = 5,000 (σ of the
+        // sample mean: sqrt(λ/n) = 5).
+        let mut rng = SmallRng::seed_from_u64(0x9015);
+        let (lambda, n) = (5_000.0, 200);
+        let mean = (0..n).map(|_| poisson(&mut rng, lambda) as f64).sum::<f64>() / n as f64;
+        let sigma = (lambda / n as f64).sqrt();
+        assert!((mean - lambda).abs() < 5.0 * sigma, "mean {mean} at λ = {lambda}");
+    }
 
     fn config(seed: u64) -> FleetConfig {
         FleetConfig {

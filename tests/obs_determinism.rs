@@ -199,12 +199,14 @@ fn attribution_leaf_spans_appear_when_the_layer_is_on() {
     assert_eq!(ranked[0], ranked[1], "covers ranked at threads=1 vs 8");
 }
 
-/// The decoder's forward-model counter on a cell of `table2 --fast`
-/// (8 qubits, 3 faults, its trial count and seed): the rows the ranked
-/// decoder tabulates are a function of the trial inputs alone, so
-/// `core.decoder.forward_rows` is identical at 1 and 8 threads. Each
+/// The decoder's work counters on a cell of `table2 --fast` (8 qubits,
+/// 3 faults, its trial count and seed): the rows the ranked decoder
+/// tabulates and the cover-search nodes it visits are functions of the
+/// trial inputs alone, so `core.decoder.forward_rows` and
+/// `core.decoder.cover_nodes` are identical at 1 and 8 threads. Each
 /// row stands for one predictor on the whole magnitude grid, shared by
-/// every cover of a `rank` call, so there are fewer rows than covers.
+/// every cover its posterior ranks, so there are fewer rows than
+/// covers.
 #[test]
 fn forward_rows_counter_is_thread_invariant_on_table2_fast() {
     let _guard = obs_lock();
@@ -225,11 +227,14 @@ fn forward_rows_counter_is_thread_invariant_on_table2_fast() {
         });
         let rows = snap.counters.get("core.decoder.forward_rows").copied().unwrap_or(0);
         let covers = snap.counters.get("core.decoder.covers_ranked").copied().unwrap_or(0);
+        let nodes = snap.counters.get("core.decoder.cover_nodes").copied().unwrap_or(0);
         assert!(rows > 0, "a 3-fault cell must tabulate forward rows");
         assert!(rows < covers, "rows {rows} must be shared across {covers} covers");
-        counts.push(rows);
+        assert!(nodes > 0, "a 3-fault cell must visit cover-search nodes");
+        counts.push((rows, nodes));
     }
-    assert_eq!(counts[0], counts[1], "forward rows at threads=1 vs 8");
+    assert_eq!(counts[0].0, counts[1].0, "forward rows at threads=1 vs 8");
+    assert_eq!(counts[0].1, counts[1].1, "cover-search nodes at threads=1 vs 8");
 }
 
 /// The reserved `nd.`/`span.` prefixes are rejected at the
