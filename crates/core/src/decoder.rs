@@ -1347,6 +1347,177 @@ mod tests {
         }
     }
 
+    /// One line per ranked list: consensus at margins 1.0 and 1.5, the
+    /// marginal accusation, and the disputed members at both margins.
+    fn tie_outputs(label: &str, ranked: &[RankedCover]) -> String {
+        let one = |c: Option<Coupling>| c.map_or_else(|| "-".to_string(), |c| c.to_string());
+        let list = |v: Vec<Coupling>| v.iter().map(|c| c.to_string()).collect::<Vec<_>>().join("");
+        format!(
+            "{label}: c1={} c15={} m={} d1={} d15={}",
+            one(consensus_accusation_within(ranked, 1.0)),
+            one(consensus_accusation_within(ranked, 1.5)),
+            one(marginal_accusation(ranked)),
+            list(disputed_members(ranked, 1.0)),
+            list(disputed_members(ranked, 1.5)),
+        )
+    }
+
+    #[test]
+    fn tie_analysis_outputs_are_pinned() {
+        // Consensus, marginal and disputed-member outputs on fixed ranked
+        // lists, captured as literals: tied-family fixtures at 8 and 16
+        // qubits (`tied_cover_scenarios`) at an exact tie and a fixed near
+        // tie, two decisive aliased fixtures, and hand-built lists with exactly equal weights, equal
+        // log-posteriors, a cover sitting exactly on the margin, and a
+        // marginal best outside the consensus.
+        use itqc_faults::adversarial::tied_cover_scenarios;
+        let cover = |members: &[(usize, usize)], log_posterior: f64| {
+            let mut couplings: Vec<Coupling> =
+                members.iter().map(|&(a, b)| Coupling::new(a, b)).collect();
+            couplings.sort();
+            RankedCover { couplings, log_posterior, magnitude: 0.3 }
+        };
+        let mut fixtures = Vec::new();
+        for (n, take) in [(8usize, 12), (16, 4)] {
+            for scenario in tied_cover_scenarios(n).into_iter().take(take) {
+                for second_u in [0.30, 0.34] {
+                    let (x, y) = (scenario.faults[0], scenario.faults[1]);
+                    fixtures.push((n, vec![(x, 0.30), (y, second_u)], false));
+                }
+            }
+        }
+        // Seeded 3-fault plants at 16 qubits under a fixed score jitter,
+        // so the covers' weights differ.
+        let mut rng = SmallRng::seed_from_u64(0x71E5);
+        let all16 = LabelSpace::new(16).all_couplings();
+        for _ in 0..8 {
+            let mut truth = BTreeSet::new();
+            while truth.len() < 3 {
+                truth.insert(all16[rng.gen_range(0..all16.len())]);
+            }
+            fixtures.push((16, truth.into_iter().map(|c| (c, 0.30)).collect(), true));
+        }
+        // Decisive aliased fixtures: a consensus exists and the weights
+        // spread over many covers.
+        for truth in [vec![(0, 1), (2, 3)], vec![(0, 2), (1, 3), (4, 6)]] {
+            let planted = truth.iter().map(|&(a, b)| (Coupling::new(a, b), 0.30)).collect();
+            fixtures.push((8, planted, false));
+        }
+        let none = BTreeSet::new();
+        let model = CoverModel::new(4, ScoreMode::ExactTarget, 0.04);
+        let mut got = Vec::new();
+        for (n, planted, jitter) in fixtures {
+            let mut observed = noiseless_observed(&planted, n, 4);
+            if jitter {
+                for (i, (_, s)) in observed.iter_mut().enumerate() {
+                    *s += 0.03 * ((i * 5 % 7) as f64 / 7.0 - 0.5);
+                }
+            }
+            let failing: FailingSet = observed
+                .iter()
+                .filter(|&&(_, s)| s < 0.5)
+                .map(|&(class, _)| (class.bit, class.value))
+                .collect();
+            let covers = covers_up_to(&failing, &LabelSpace::new(n), &none, 4, 96);
+            let mut posterior = CoverPosterior::new();
+            posterior.observe(observed, model);
+            let mut label: String = planted.iter().map(|(c, u)| format!("{c}@{u}")).collect();
+            if jitter {
+                label.push('~');
+            }
+            got.push(tie_outputs(&label, &posterior.rank(&covers)));
+        }
+        let hand: [(&str, Vec<RankedCover>); 6] = [
+            ("empty", vec![]),
+            ("single", vec![cover(&[(3, 5), (0, 7)], -4.0)]),
+            (
+                "equal",
+                vec![
+                    cover(&[(0, 1), (2, 3)], -1.0),
+                    cover(&[(0, 1), (4, 5)], -1.0),
+                    cover(&[(2, 3), (4, 5)], -1.0),
+                ],
+            ),
+            (
+                "shared",
+                vec![cover(&[(0, 1), (2, 3)], -0.5), cover(&[(0, 1), (2, 3), (4, 5)], -0.5)],
+            ),
+            (
+                "boundary",
+                vec![
+                    cover(&[(0, 1)], 0.0),
+                    cover(&[(0, 1), (2, 3)], -1.0),
+                    cover(&[(2, 3)], -1.5),
+                    cover(&[(4, 5)], -2.5),
+                ],
+            ),
+            (
+                "outside",
+                vec![
+                    cover(&[(0, 1)], 0.0),
+                    cover(&[(2, 3), (4, 5)], -1.1),
+                    cover(&[(2, 3), (6, 7)], -1.1),
+                    cover(&[(2, 3)], -1.2),
+                    cover(&[(1, 2), (2, 3)], -1.3),
+                ],
+            ),
+        ];
+        for (label, ranked) in &hand {
+            got.push(tie_outputs(label, ranked));
+        }
+        let want = [
+            "{0,6}@0.3{1,7}@0.3: c1=- c15=- m={0,6} d1={0,6}{1,7}{2,4}{3,5} d15={0,6}{1,7}{2,4}{3,5}",
+            "{0,6}@0.3{1,7}@0.34: c1=- c15=- m={0,6} d1={0,6}{1,7}{2,4}{3,5} d15={0,6}{1,7}{2,4}{3,5}",
+            "{0,6}@0.3{3,5}@0.3: c1=- c15=- m={0,6} d1={0,6}{1,7}{2,4}{3,5} d15={0,6}{1,7}{2,4}{3,5}",
+            "{0,6}@0.3{3,5}@0.34: c1=- c15=- m={0,6} d1={0,6}{1,7}{2,4}{3,5} d15={0,6}{1,7}{2,4}{3,5}",
+            "{1,7}@0.3{2,4}@0.3: c1=- c15=- m={0,6} d1={0,6}{1,7}{2,4}{3,5} d15={0,6}{1,7}{2,4}{3,5}",
+            "{1,7}@0.3{2,4}@0.34: c1=- c15=- m={0,6} d1={0,6}{1,7}{2,4}{3,5} d15={0,6}{1,7}{2,4}{3,5}",
+            "{2,4}@0.3{3,5}@0.3: c1=- c15=- m={0,6} d1={0,6}{1,7}{2,4}{3,5} d15={0,6}{1,7}{2,4}{3,5}",
+            "{2,4}@0.3{3,5}@0.34: c1=- c15=- m={0,6} d1={0,6}{1,7}{2,4}{3,5} d15={0,6}{1,7}{2,4}{3,5}",
+            "{0,5}@0.3{2,7}@0.3: c1=- c15=- m={0,5} d1={0,5}{1,4}{2,7}{3,6} d15={0,5}{1,4}{2,7}{3,6}",
+            "{0,5}@0.3{2,7}@0.34: c1=- c15=- m={0,5} d1={0,5}{1,4}{2,7}{3,6} d15={0,5}{1,4}{2,7}{3,6}",
+            "{0,5}@0.3{3,6}@0.3: c1=- c15=- m={0,5} d1={0,5}{1,4}{2,7}{3,6} d15={0,5}{1,4}{2,7}{3,6}",
+            "{0,5}@0.3{3,6}@0.34: c1=- c15=- m={0,5} d1={0,5}{1,4}{2,7}{3,6} d15={0,5}{1,4}{2,7}{3,6}",
+            "{1,4}@0.3{2,7}@0.3: c1=- c15=- m={0,5} d1={0,5}{1,4}{2,7}{3,6} d15={0,5}{1,4}{2,7}{3,6}",
+            "{1,4}@0.3{2,7}@0.34: c1=- c15=- m={0,5} d1={0,5}{1,4}{2,7}{3,6} d15={0,5}{1,4}{2,7}{3,6}",
+            "{1,4}@0.3{3,6}@0.3: c1=- c15=- m={0,5} d1={0,5}{1,4}{2,7}{3,6} d15={0,5}{1,4}{2,7}{3,6}",
+            "{1,4}@0.3{3,6}@0.34: c1=- c15=- m={0,5} d1={0,5}{1,4}{2,7}{3,6} d15={0,5}{1,4}{2,7}{3,6}",
+            "{0,3}@0.3{4,7}@0.3: c1=- c15=- m={0,3} d1={0,3}{1,2}{4,7}{5,6} d15={0,3}{1,2}{4,7}{5,6}",
+            "{0,3}@0.3{4,7}@0.34: c1=- c15=- m={0,3} d1={0,3}{1,2}{4,7}{5,6} d15={0,3}{1,2}{4,7}{5,6}",
+            "{0,3}@0.3{5,6}@0.3: c1=- c15=- m={0,3} d1={0,3}{1,2}{4,7}{5,6} d15={0,3}{1,2}{4,7}{5,6}",
+            "{0,3}@0.3{5,6}@0.34: c1=- c15=- m={0,3} d1={0,3}{1,2}{4,7}{5,6} d15={0,3}{1,2}{4,7}{5,6}",
+            "{1,2}@0.3{4,7}@0.3: c1=- c15=- m={0,3} d1={0,3}{1,2}{4,7}{5,6} d15={0,3}{1,2}{4,7}{5,6}",
+            "{1,2}@0.3{4,7}@0.34: c1=- c15=- m={0,3} d1={0,3}{1,2}{4,7}{5,6} d15={0,3}{1,2}{4,7}{5,6}",
+            "{1,2}@0.3{5,6}@0.3: c1=- c15=- m={0,3} d1={0,3}{1,2}{4,7}{5,6} d15={0,3}{1,2}{4,7}{5,6}",
+            "{1,2}@0.3{5,6}@0.34: c1=- c15=- m={0,3} d1={0,3}{1,2}{4,7}{5,6} d15={0,3}{1,2}{4,7}{5,6}",
+            "{0,14}@0.3{1,15}@0.3: c1=- c15=- m={0,14} d1={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9} d15={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9}",
+            "{0,14}@0.3{1,15}@0.34: c1=- c15=- m={0,14} d1={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9} d15={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9}",
+            "{0,14}@0.3{3,13}@0.3: c1=- c15=- m={0,14} d1={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9} d15={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9}",
+            "{0,14}@0.3{3,13}@0.34: c1=- c15=- m={0,14} d1={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9} d15={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9}",
+            "{0,14}@0.3{5,11}@0.3: c1=- c15=- m={0,14} d1={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9} d15={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9}",
+            "{0,14}@0.3{5,11}@0.34: c1=- c15=- m={0,14} d1={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9} d15={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9}",
+            "{0,14}@0.3{7,9}@0.3: c1=- c15=- m={0,14} d1={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9} d15={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9}",
+            "{0,14}@0.3{7,9}@0.34: c1=- c15=- m={0,14} d1={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9} d15={0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{6,8}{7,9}",
+            "{5,6}@0.3{8,11}@0.3{11,13}@0.3~: c1=- c15=- m={0,3} d1={0,3}{5,7}{13,15}{9,11}{1,3}{12,15}{13,14}{4,7}{5,6}{8,11}{9,10}{1,2} d15={0,3}{5,7}{13,15}{9,11}{1,3}{12,15}{13,14}{4,7}{5,6}{8,11}{9,10}{1,2}",
+            "{0,7}@0.3{3,10}@0.3{6,7}@0.3~: c1={6,7} c15={6,7} m={6,7} d1= d15=",
+            "{3,4}@0.3{6,10}@0.3{6,12}@0.3~: c1=- c15=- m={2,6} d1={2,6}{6,14}{4,6}{0,6}{2,14}{4,14}{6,12}{6,10}{2,4} d15={2,6}{6,14}{4,6}{0,6}{2,14}{4,14}{6,12}{6,10}{2,4}",
+            "{0,6}@0.3{8,11}@0.3{9,14}@0.3~: c1=- c15=- m={0,3} d1={0,3}{0,2}{8,10}{8,14}{10,12}{0,6}{2,4}{8,11}{9,10}{1,2}{8,15}{9,14}{10,13}{11,12}{0,7}{1,6}{2,5}{3,4} d15={0,3}{0,2}{8,10}{8,14}{10,12}{0,6}{2,4}{8,11}{9,10}{1,2}{8,15}{9,14}{10,13}{11,12}{0,7}{1,6}{2,5}{3,4}",
+            "{0,2}@0.3{0,4}@0.3{5,15}@0.3~: c1={0,1} c15={0,1} m={0,1} d1={4,6}{5,7}{0,6}{1,7}{2,4}{3,5}{5,15}{7,13}{4,14}{6,12}{0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{7,9} d15={4,6}{5,7}{0,6}{1,7}{2,4}{3,5}{5,15}{7,13}{4,14}{6,12}{0,14}{1,15}{2,12}{3,13}{4,10}{5,11}{7,9}",
+            "{4,14}@0.3{8,15}@0.3{9,15}@0.3~: c1=- c15=- m={13,15} d1={13,15}{12,14}{9,15}{11,13}{8,14}{10,12} d15={13,15}{12,14}{9,15}{11,13}{8,14}{10,12}",
+            "{4,5}@0.3{6,12}@0.3{7,13}@0.3~: c1=- c15=- m={4,6} d1={4,6}{4,12}{5,7}{5,13} d15={4,6}{4,12}{5,7}{5,13}",
+            "{3,5}@0.3{3,6}@0.3{4,15}@0.3~: c1=- c15=- m={3,7} d1={3,7}{6,7}{5,7}{2,7}{3,6}{1,7}{3,5}{4,7}{5,6} d15={3,7}{6,7}{5,7}{2,7}{3,6}{1,7}{3,5}{4,7}{5,6}",
+            "{0,1}@0.3{2,3}@0.3: c1={2,3} c15={2,3} m={2,3} d1= d15=",
+            "{0,2}@0.3{1,3}@0.3{4,6}@0.3: c1={1,3} c15={1,3} m={1,3} d1= d15=",
+            "empty: c1=- c15=- m=- d1= d15=",
+            "single: c1={0,7} c15={0,7} m={0,7} d1= d15=",
+            "equal: c1=- c15=- m={0,1} d1={0,1}{2,3}{4,5} d15={0,1}{2,3}{4,5}",
+            "shared: c1={0,1} c15={0,1} m={0,1} d1={4,5} d15={4,5}",
+            "boundary: c1={0,1} c15=- m={0,1} d1={2,3} d15={0,1}{2,3}",
+            "outside: c1={0,1} c15=- m={2,3} d1= d15={2,3}{0,1}{4,5}{6,7}{1,2}",
+        ];
+        assert_eq!(got, want, "{got:#?}");
+    }
+
     // -----------------------------------------------------------------
     // Cross-round evidence fusion (the `CoverPosterior` ledger).
     // -----------------------------------------------------------------
