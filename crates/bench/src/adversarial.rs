@@ -51,7 +51,6 @@ pub fn adversarial_config(
         canary_score: ScoreMode::WorstQubit,
         max_threshold_retunes: 4,
         fusion_rounds: 2,
-        fault_magnitude: 0.10,
         canary_rotations: if countermeasures { ADV_CANARY_ROTATIONS } else { 0 },
         canary_seed,
     }

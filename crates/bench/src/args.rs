@@ -313,8 +313,12 @@ mod tests {
             let err = parse(&[bad]).unwrap_err();
             assert!(err.contains(flag), "{bad}: {err}");
         }
-        let err = own::<DecoderPolicy>(&["--decoder=best"], "--decoder=").unwrap_err();
-        assert!(err.contains("--decoder") && err.contains("best"), "{err}");
+        // Only the four printed decoder names parse; the old aliases do not.
+        for bad in ["best", "set_cover", "cover"] {
+            let flag = format!("--decoder={bad}");
+            let err = own::<DecoderPolicy>(&[flag.as_str()], "--decoder=").unwrap_err();
+            assert!(err.contains("--decoder") && err.contains(bad), "{err}");
+        }
         let err = own::<BackendChoice>(&["--backend=gpu"], "--backend=").unwrap_err();
         assert!(err.contains("--backend") && err.contains("gpu"), "{err}");
     }

@@ -127,7 +127,6 @@ fn main() {
                     canary_score: ScoreMode::WorstQubit,
                     max_threshold_retunes: retunes,
                     fusion_rounds: 2,
-                    fault_magnitude: 0.10,
                     canary_rotations: 0,
                     canary_seed: 0,
                 };

@@ -79,7 +79,6 @@ pub fn fig9_trial<R: Rng + ?Sized>(
         canary_score: FIG9_SCORE,
         max_threshold_retunes: 4,
         fusion_rounds: 2,
-        fault_magnitude: 0.10,
         canary_rotations: 0,
         canary_seed: 0,
     };

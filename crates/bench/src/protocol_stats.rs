@@ -32,7 +32,6 @@ pub fn table2_config(k: usize, decoder: DecoderPolicy) -> MultiFaultConfig {
         canary_score: ScoreMode::WorstQubit,
         max_threshold_retunes: 4,
         fusion_rounds: 2,
-        fault_magnitude: 0.10,
         canary_rotations: 0,
         canary_seed: 0,
     }

@@ -56,6 +56,9 @@ impl<E: TestExecutor> TestExecutor for ShotSampled<E> {
         if shots == 0 {
             return p;
         }
+        // The draw is test execution too; its span opens after the inner
+        // executor's has closed, so the two never nest.
+        let _span = itqc_obs::span::timed(RUN_TEST_SPAN);
         binomial(&mut self.rng, shots, p) as f64 / shots as f64
     }
 

@@ -76,11 +76,6 @@ pub struct SubcubeClass {
 }
 
 impl SubcubeClass {
-    /// The flat test index `2·i + b` used to order first-round tests.
-    pub fn test_index(&self) -> usize {
-        2 * self.bit as usize + usize::from(self.value)
-    }
-
     /// `true` when `label` belongs to the class.
     pub fn contains(&self, label: usize) -> bool {
         bits::bit(label, self.bit) == self.value

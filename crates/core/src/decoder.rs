@@ -17,16 +17,16 @@
 //! there:
 //!
 //! * it measures raw round-1 aliasing ([`minimal_covers`],
-//!   [`identification_probability`]);
+//!   [`identify`]);
 //! * it powers the **cross-round evidence-fusion decoder**
 //!   ([`DecoderPolicy::Ranked`], the reproduction default): candidate
 //!   covers up to the fault budget ([`covers_up_to`]) are ranked by a
 //!   posterior that scores each cover's *predicted analog scores*
 //!   against the observed ones — accumulated across every adaptive
-//!   round under a joint fault-magnitude profile ([`CoverPosterior`],
-//!   single-round convenience [`rank_covers`]). Pass/fail patterns
-//!   alias far earlier than the analog score vectors do, because a test
-//!   containing two faults sits measurably below one containing one;
+//!   round under a joint fault-magnitude profile ([`CoverPosterior`]).
+//!   Pass/fail patterns alias far earlier than the analog score vectors
+//!   do, because a test containing two faults sits measurably below one
+//!   containing one;
 //! * as optional extensions beyond the paper (`DESIGN.md`) it proposes
 //!   candidate fault sets for targeted disputed-member interrogation
 //!   ([`DecoderPolicy::Interrogate`], [`marginal_accusation`]) or
@@ -34,11 +34,10 @@
 //!   ([`DecoderPolicy::SetCoverFallback`]).
 
 use crate::classes::{LabelSpace, SubcubeClass};
-use crate::executor::{predicted_class_score, ClassScorePredictor};
+use crate::executor::ClassScorePredictor;
 use crate::syndrome::Syndrome;
 use crate::testplan::ScoreMode;
 use itqc_circuit::Coupling;
-use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -119,7 +118,7 @@ impl std::str::FromStr for DecoderPolicy {
             "greedy" => Ok(DecoderPolicy::Greedy),
             "ranked" => Ok(DecoderPolicy::Ranked),
             "interrogate" => Ok(DecoderPolicy::Interrogate),
-            "set-cover" | "set_cover" | "cover" => Ok(DecoderPolicy::SetCoverFallback),
+            "set-cover" => Ok(DecoderPolicy::SetCoverFallback),
             other => Err(format!(
                 "unknown decoder policy '{other}' (greedy|ranked|interrogate|set-cover)"
             )),
@@ -355,15 +354,13 @@ pub struct CoverModel {
     pub score: ScoreMode,
     /// Gaussian observation-noise scale for a single test score.
     pub sigma: f64,
-    /// Log-prior per cover member (defaults to [`COVER_LOG_FAULT_PRIOR`]).
-    pub log_fault_prior: f64,
 }
 
 impl CoverModel {
     /// A model for round-1 tests at `reps` repetitions scored by `score`,
     /// with observation noise `sigma`.
     pub fn new(reps: usize, score: ScoreMode, sigma: f64) -> Self {
-        CoverModel { reps, score, sigma: sigma.max(1e-6), log_fault_prior: COVER_LOG_FAULT_PRIOR }
+        CoverModel { reps, score, sigma: sigma.max(1e-6) }
     }
 }
 
@@ -377,42 +374,6 @@ pub struct RankedCover {
     pub log_posterior: f64,
     /// The magnitude at which the profile peaks.
     pub magnitude: f64,
-}
-
-/// Gaussian log-likelihood of the observed round-1 scores under the
-/// hypothesis "exactly the couplings of `cover` are faulty, all with
-/// under-rotation `u`". Predicted per-class scores come from the
-/// product forward model ([`predicted_class_score`]).
-pub fn cover_log_likelihood(
-    cover: &[Coupling],
-    u: f64,
-    observed: &[(SubcubeClass, f64)],
-    model: &CoverModel,
-) -> f64 {
-    let inv = 0.5 / (model.sigma * model.sigma);
-    observed
-        .iter()
-        .map(|&(class, obs)| {
-            let members: Vec<Coupling> =
-                cover.iter().copied().filter(|&c| class.contains_coupling(c)).collect();
-            let d = obs - predicted_class_score(&members, u, model.reps, model.score);
-            -d * d * inv
-        })
-        .sum()
-}
-
-/// Ranks candidate covers by profiled log-posterior, best first.
-/// Ties break on smaller cover, then lexicographic coupling order, so
-/// the ranking is deterministic. Single-round convenience wrapper over
-/// [`CoverPosterior`].
-pub fn rank_covers(
-    covers: &[Vec<Coupling>],
-    observed: &[(SubcubeClass, f64)],
-    model: &CoverModel,
-) -> Vec<RankedCover> {
-    let mut posterior = CoverPosterior::new();
-    posterior.observe(observed.to_vec(), *model);
-    posterior.rank(covers)
 }
 
 // ---------------------------------------------------------------------
@@ -553,11 +514,12 @@ impl ForwardTable {
     /// per-round log-likelihoods *sum* (joint-magnitude profiling), and
     /// the returned pair is the profile maximum and its grid index.
     ///
-    /// The per-u arithmetic is [`cover_log_likelihood`]'s, with the same
-    /// values in the same summation order, so each grid point's sum is
-    /// bit-identical to it. Only the loop nest differs: each class term
-    /// is folded into all grid points at once, so the inner loop runs
-    /// over `s` and vectorises. Both folds start from −0.0, the start of
+    /// Each grid point's sum is the per-u Gaussian log-likelihood
+    /// `Σ −(obs − predicted)²/(2σ²)` over each round's classes, with the
+    /// same values in the same summation order as a per-u evaluation, so
+    /// it is bit-identical to one. Only the loop nest differs: each class
+    /// term is folded into all grid points at once, so the inner loop
+    /// runs over `s` and vectorises. Both folds start from −0.0, the start of
     /// `Iterator::sum` over `f64`.
     fn fused_profile(&self, rounds: &[EvidenceRound], rows: &[usize]) -> (f64, usize) {
         let mut total = [-0.0f64; GRID_STEPS];
@@ -589,9 +551,20 @@ impl ForwardTable {
         (best, best_s)
     }
 
-    /// [`CoverPosterior::contradicted`] at a pre-computed fused-MAP grid
-    /// index (so [`CoverPosterior::rank`] profiles each cover exactly
-    /// once).
+    /// `true` when a round with a veto cut decisively contradicts the
+    /// cover at its fused-MAP grid index `s_hat` (computed once per cover
+    /// by [`CoverPosterior::rank`]): the cover predicts a class a full
+    /// noise width *below* the round's re-calibrated threshold (a fault
+    /// it insists on) while the round observed that class a full noise
+    /// width *above* it (clean). Such covers are eliminated from the
+    /// candidate set — the "narrowing" half of evidence fusion.
+    ///
+    /// Only this overreach direction prunes. The converse — a cover
+    /// predicting clean where the round observed a failure — is *not* a
+    /// contradiction: the gap-threshold walk deliberately ranks partial
+    /// covers that explain only the deepest-scoring band of the failing
+    /// set (the magnitude-peel reading of Fig. 5), and those
+    /// legitimately leave shallower failures unexplained.
     fn contradicted_at(&self, rounds: &[EvidenceRound], rows: &[usize], s_hat: usize) -> bool {
         let mut rest = rows;
         rounds.iter().any(|round| {
@@ -650,41 +623,13 @@ impl CoverPosterior {
         self.rounds.push(round);
     }
 
-    /// Number of accumulated evidence rounds.
-    pub fn rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// `true` when a round with a veto cut decisively contradicts the
-    /// cover at its own fused-MAP magnitude: the cover predicts a class
-    /// a full noise width *below* the round's re-calibrated threshold
-    /// (a fault it insists on) while the round observed that class a
-    /// full noise width *above* it (clean). Such covers are eliminated
-    /// from the candidate set — the "narrowing" half of evidence
-    /// fusion.
-    ///
-    /// Only this overreach direction prunes. The converse — a cover
-    /// predicting clean where the round observed a failure — is *not* a
-    /// contradiction: the gap-threshold walk deliberately ranks partial
-    /// covers that explain only the deepest-scoring band of the failing
-    /// set (the magnitude-peel reading of Fig. 5), and those
-    /// legitimately leave shallower failures unexplained.
-    pub fn contradicted(&self, cover: &[Coupling]) -> bool {
-        let mut table = ForwardTable::default();
-        let mut rows = Vec::new();
-        table.cover_rows(&self.rounds, cover, &mut rows);
-        let (_, s_hat) = table.fused_profile(&self.rounds, &rows);
-        table.contradicted_at(&self.rounds, &rows, s_hat)
-    }
-
-    /// Ranks a candidate pool by fused log-posterior, best first, after
-    /// eliminating covers contradicted by any veto round. Tie-breaking
-    /// matches [`rank_covers`] (smaller cover, then lexicographic), so
-    /// with a single vetoless round this *is* `rank_covers`.
+    /// Ranks a candidate pool by fused log-posterior plus
+    /// [`COVER_LOG_FAULT_PRIOR`] per member, best first, after
+    /// eliminating covers contradicted by any veto round. Ties break on
+    /// the smaller cover, then lexicographic coupling order, so the
+    /// ranking is deterministic.
     pub fn rank(&mut self, covers: &[Vec<Coupling>]) -> Vec<RankedCover> {
         let _span = itqc_obs::span::timed("core.decoder.rank");
-        let prior =
-            self.rounds.first().map(|r| r.model.log_fault_prior).unwrap_or(COVER_LOG_FAULT_PRIOR);
         let has_veto = self.rounds.iter().any(|r| r.veto_threshold.is_some());
         let tabulated = self.table.tabulated();
         let mut rows = Vec::new();
@@ -699,7 +644,7 @@ impl CoverPosterior {
             couplings.sort();
             out.push(RankedCover {
                 couplings,
-                log_posterior: best + prior * cover.len() as f64,
+                log_posterior: best + COVER_LOG_FAULT_PRIOR * cover.len() as f64,
                 magnitude: grid_u(best_s),
             });
         }
@@ -717,11 +662,6 @@ impl CoverPosterior {
         });
         out
     }
-
-    /// [`consensus_accusation`] over the fused ranking of `covers`.
-    pub fn consensus(&mut self, covers: &[Vec<Coupling>]) -> Option<Coupling> {
-        consensus_accusation(&self.rank(covers))
-    }
 }
 
 /// Posterior margin (in log units) within which two covers count as
@@ -733,7 +673,8 @@ pub const COVER_TIE_MARGIN: f64 = 1.0;
 
 /// The coupling the ranked posterior *decisively* implicates, if any:
 /// the posterior-marginal-best member among those shared by **every**
-/// cover within [`COVER_TIE_MARGIN`] of the MAP cover.
+/// cover within `margin` of the MAP cover (ties on the smaller
+/// coupling).
 ///
 /// This is the honest reading of aliasing: when the near-optimal covers
 /// disagree about a member, the analog scores genuinely cannot tell the
@@ -742,40 +683,14 @@ pub const COVER_TIE_MARGIN: f64 = 1.0;
 /// quantifies. When they *agree* on a member, that coupling is faulty
 /// under every surviving explanation and can be accused, verified, and
 /// excluded, after which the sequential loop re-diagnoses the rest.
-pub fn consensus_accusation(ranked: &[RankedCover]) -> Option<Coupling> {
-    consensus_accusation_within(ranked, COVER_TIE_MARGIN)
-}
-
-/// [`consensus_accusation`] at an explicit tie margin: wider margins
-/// demand agreement across more near-optimal covers, so accusations get
-/// rarer but stronger. The multi-fault loop uses a wider margin on
-/// internally *inconsistent* (non-conflicting) first rounds, which lack
-/// the corroborating bit-conflict a collision record carries.
-pub fn consensus_accusation_within(ranked: &[RankedCover], margin: f64) -> Option<Coupling> {
-    let top = ranked.first()?.log_posterior;
-    let tied: Vec<&RankedCover> =
-        ranked.iter().take_while(|rc| top - rc.log_posterior <= margin).collect();
-    let mut common: BTreeSet<Coupling> = tied[0].couplings.iter().copied().collect();
-    for rc in &tied[1..] {
-        common.retain(|c| rc.couplings.contains(c));
-    }
-    // Posterior-weighted marginal over ALL ranked covers, restricted to
-    // the consensus members; ties break on the smallest coupling.
-    let mut weight: BTreeMap<Coupling, f64> = BTreeMap::new();
-    for rc in ranked {
-        let w = (rc.log_posterior - top).exp();
-        for &c in &rc.couplings {
-            if common.contains(&c) {
-                *weight.entry(c).or_insert(0.0) += w;
-            }
-        }
-    }
-    weight
-        .into_iter()
-        .max_by(|(ca, wa), (cb, wb)| {
-            wa.partial_cmp(wb).unwrap_or(std::cmp::Ordering::Equal).then(cb.cmp(ca))
-        })
-        .map(|(c, _)| c)
+///
+/// Wider margins demand agreement across more near-optimal covers, so
+/// accusations get rarer but stronger. The multi-fault loop passes
+/// [`COVER_TIE_MARGIN`] on conflicting first rounds and a wider margin
+/// on internally *inconsistent* (non-conflicting) ones, which lack the
+/// corroborating bit-conflict a collision record carries.
+pub fn consensus_accusation(ranked: &[RankedCover], margin: f64) -> Option<Coupling> {
+    heaviest(tie_marginals(ranked, margin, |shared| shared))
 }
 
 /// The coupling to *interrogate next* when the ranked posterior has no
@@ -788,59 +703,83 @@ pub fn consensus_accusation_within(ranked: &[RankedCover], margin: f64) -> Optio
 /// a healthy outcome eliminates all of them, and either way the cover
 /// set narrows decisively. Ties break on the smallest coupling.
 pub fn marginal_accusation(ranked: &[RankedCover]) -> Option<Coupling> {
-    let top = ranked.first()?.log_posterior;
-    let mut weight: BTreeMap<Coupling, f64> = BTreeMap::new();
-    for rc in ranked {
-        let w = (rc.log_posterior - top).exp();
-        for &c in &rc.couplings {
-            *weight.entry(c).or_insert(0.0) += w;
-        }
-    }
-    weight
-        .into_iter()
-        .max_by(|(ca, wa), (cb, wb)| {
-            wa.partial_cmp(wb).unwrap_or(std::cmp::Ordering::Equal).then(cb.cmp(ca))
-        })
-        .map(|(c, _)| c)
+    heaviest(tie_marginals(ranked, f64::INFINITY, |_| true))
 }
 
 /// The *disputed* members of a tie: couplings appearing in at least one
 /// but not every cover within `margin` of the MAP cover, ordered by
 /// descending posterior-weighted marginal (ties on the smaller
-/// coupling). These are exactly the members [`consensus_accusation_within`]
+/// coupling). These are exactly the members [`consensus_accusation`]
 /// cannot rule on — for genuinely tied disjoint perfect-fit covers the
 /// tie set shares *no* member and every member is disputed — and
 /// therefore the targets of the interrogation extension's point tests:
 /// each healthy outcome eliminates every cover containing the member,
 /// collapsing the tie family one test at a time.
 pub fn disputed_members(ranked: &[RankedCover], margin: f64) -> Vec<Coupling> {
+    let mut disputed: Vec<(Coupling, f64)> =
+        tie_marginals(ranked, margin, |shared| !shared).into_iter().collect();
+    disputed.sort_by(|(a, wa), (b, wb)| {
+        wb.partial_cmp(wa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
+    });
+    disputed.into_iter().map(|(c, _)| c).collect()
+}
+
+/// The tie analysis behind the three functions above. The tie set is
+/// the leading covers of `ranked` within `margin` of the MAP cover
+/// (`top − log_posterior ≤ margin`; an infinite margin takes them all).
+/// A member of a tied cover is kept when `keep(shared)` holds, where
+/// `shared` says whether every tied cover contains it. Returns every
+/// kept member's posterior-weighted marginal: `exp(log_posterior − top)`
+/// summed over **every** ranked cover containing it, in ranked order.
+fn tie_marginals(
+    ranked: &[RankedCover],
+    margin: f64,
+    keep: impl Fn(bool) -> bool,
+) -> BTreeMap<Coupling, f64> {
     let Some(first) = ranked.first() else {
-        return Vec::new();
+        return BTreeMap::new();
     };
     let top = first.log_posterior;
-    let tied: Vec<&RankedCover> =
-        ranked.iter().take_while(|rc| top - rc.log_posterior <= margin).collect();
-    let mut count: BTreeMap<Coupling, usize> = BTreeMap::new();
-    for rc in &tied {
-        for &c in &rc.couplings {
-            *count.entry(c).or_insert(0) += 1;
-        }
+    let tied = &ranked[..ranked.iter().take_while(|rc| top - rc.log_posterior <= margin).count()];
+    let Some((head, rest)) = tied.split_first() else {
+        return BTreeMap::new();
+    };
+    let mut shared: BTreeSet<Coupling> = head.couplings.iter().copied().collect();
+    for rc in rest {
+        shared.retain(|c| rc.couplings.contains(c));
     }
-    let mut weight: BTreeMap<Coupling, f64> = BTreeMap::new();
+    // Only an unshared member needs the whole tie set's union.
+    let mut weight: BTreeMap<Coupling, f64> = if keep(false) {
+        let union = tied.iter().flat_map(|rc| rc.couplings.iter().copied());
+        union.filter(|c| keep(shared.contains(c))).map(|c| (c, 0.0)).collect()
+    } else if keep(true) {
+        shared.into_iter().map(|c| (c, 0.0)).collect()
+    } else {
+        BTreeMap::new()
+    };
+    if weight.is_empty() {
+        return weight;
+    }
     for rc in ranked {
         let w = (rc.log_posterior - top).exp();
-        for &c in &rc.couplings {
-            *weight.entry(c).or_insert(0.0) += w;
+        for c in &rc.couplings {
+            if let Some(sum) = weight.get_mut(c) {
+                *sum += w;
+            }
         }
     }
-    let mut disputed: Vec<Coupling> =
-        count.into_iter().filter(|&(_, n)| n < tied.len()).map(|(c, _)| c).collect();
-    disputed.sort_by(|a, b| {
-        let wa = weight.get(a).copied().unwrap_or(0.0);
-        let wb = weight.get(b).copied().unwrap_or(0.0);
-        wb.partial_cmp(&wa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
-    });
-    disputed
+    weight
+}
+
+/// The heaviest coupling of a [`tie_marginals`] map, ties on the
+/// smaller coupling.
+fn heaviest(weight: BTreeMap<Coupling, f64>) -> Option<Coupling> {
+    weight
+        .into_iter()
+        .max_by(|(ca, wa), (cb, wb)| {
+            wa.partial_cmp(wb).unwrap_or(std::cmp::Ordering::Equal).then(cb.cmp(ca))
+        })
+        .map(|(c, _)| c)
 }
 
 /// Decodes a failing set: returns `Some(fault set)` when there is a
@@ -857,40 +796,6 @@ pub fn identify(
     } else {
         None
     }
-}
-
-/// Monte-Carlo estimate of the probability that `k` random simultaneous
-/// faults are identified (Table II): plants `k` distinct faulty couplings
-/// uniformly, observes the failing set, and scores a success when
-/// [`identify`] returns exactly the planted set.
-pub fn identification_probability<R: Rng + ?Sized>(
-    n_qubits: usize,
-    k: usize,
-    trials: usize,
-    rng: &mut R,
-) -> f64 {
-    let space = LabelSpace::new(n_qubits);
-    let all = space.all_couplings();
-    let none = BTreeSet::new();
-    let mut successes = 0usize;
-    for _ in 0..trials {
-        // Sample k distinct couplings.
-        let mut chosen: BTreeSet<usize> = BTreeSet::new();
-        while chosen.len() < k {
-            chosen.insert(rng.gen_range(0..all.len()));
-        }
-        let faults: Vec<Coupling> = chosen.iter().map(|&i| all[i]).collect();
-        let failing = failing_set_of(&faults, &space);
-        if let Some(mut decoded) = identify(&failing, &space, &none, k) {
-            decoded.sort();
-            let mut truth = faults.clone();
-            truth.sort();
-            if decoded == truth {
-                successes += 1;
-            }
-        }
-    }
-    successes as f64 / trials.max(1) as f64
 }
 
 #[cfg(test)]
@@ -1152,21 +1057,33 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_matches_exhaustive_at_8q() {
-        let mut rng = SmallRng::seed_from_u64(77);
-        let p = identification_probability(8, 1, 400, &mut rng);
-        // Round-1-only identification succeeds exactly for the 12 of 28
-        // couplings with maximal syndromes (L = n−1) → 42.9%.
-        assert!((p - 12.0 / 28.0).abs() < 0.07, "p = {p}");
-    }
-
-    #[test]
     fn identification_decays_with_fault_count() {
-        let mut rng = SmallRng::seed_from_u64(78);
-        let p1 = identification_probability(8, 1, 200, &mut rng);
-        let p2 = identification_probability(8, 2, 200, &mut rng);
-        let p3 = identification_probability(8, 3, 150, &mut rng);
-        assert!(p1 > p2 && p2 >= p3, "{p1} > {p2} >= {p3} expected");
+        // Round-1-only identification over every 1-, 2- and 3-subset at
+        // 8 qubits: exactly the 12 of 28 couplings with maximal
+        // syndromes (L = n−1) are unique alone, no pair is (see
+        // `exhaustive_two_fault_identification_rate_8q`), and a third
+        // fault cannot restore uniqueness.
+        let space = space8();
+        let none = BTreeSet::new();
+        let all = space.all_couplings();
+        let identified = |truth: &[Coupling]| {
+            let failing = failing_set_of(truth, &space);
+            identify(&failing, &space, &none, truth.len()).is_some_and(|mut d| {
+                d.sort();
+                d == truth
+            })
+        };
+        let singles = all.iter().filter(|&&a| identified(&[a])).count();
+        assert_eq!(singles, 12);
+        let mut triples = 0usize;
+        for (i, &a) in all.iter().enumerate() {
+            for (j, &b) in all.iter().enumerate().skip(i + 1) {
+                for &c in &all[j + 1..] {
+                    triples += usize::from(identified(&[a, b, c]));
+                }
+            }
+        }
+        assert_eq!(triples, 0, "3-fault round-1-only identifications");
     }
 
     // -----------------------------------------------------------------
@@ -1174,8 +1091,40 @@ mod tests {
     // -----------------------------------------------------------------
 
     use crate::classes::first_round_classes;
-    use crate::executor::ExactExecutor;
+    use crate::executor::{predicted_class_score, ExactExecutor};
     use crate::testplan::TestSpec;
+
+    /// The per-u reference for the ranked posterior: the Gaussian
+    /// log-likelihood of the observed scores under the hypothesis "exactly
+    /// the couplings of `cover` are faulty, all with under-rotation `u`",
+    /// each class predicted by [`predicted_class_score`].
+    fn cover_log_likelihood(
+        cover: &[Coupling],
+        u: f64,
+        observed: &[(SubcubeClass, f64)],
+        model: &CoverModel,
+    ) -> f64 {
+        let inv = 0.5 / (model.sigma * model.sigma);
+        observed
+            .iter()
+            .map(|&(class, obs)| {
+                let members: Vec<Coupling> =
+                    cover.iter().copied().filter(|&c| class.contains_coupling(c)).collect();
+                let d = obs - predicted_class_score(&members, u, model.reps, model.score);
+                -d * d * inv
+            })
+            .sum()
+    }
+
+    /// The reference for a veto: [`ForwardTable::contradicted_at`] on a
+    /// fresh table at the cover's own fused-MAP magnitude.
+    fn contradicted(posterior: &CoverPosterior, cover: &[Coupling]) -> bool {
+        let mut table = ForwardTable::default();
+        let mut rows = Vec::new();
+        table.cover_rows(&posterior.rounds, cover, &mut rows);
+        let (_, s_hat) = table.fused_profile(&posterior.rounds, &rows);
+        table.contradicted_at(&posterior.rounds, &rows, s_hat)
+    }
 
     /// Exact (noiseless, shot-free) first-round scores of a machine with
     /// the given planted faults — the observation vector the ranked
@@ -1209,8 +1158,9 @@ mod tests {
         let space = LabelSpace::new(n);
         let none = BTreeSet::new();
         let covers = covers_up_to(&failing, &space, &none, faults.len() + 2, 96);
-        let model = CoverModel::new(reps, ScoreMode::ExactTarget, 0.04);
-        rank_covers(&covers, &observed, &model)
+        let mut posterior = CoverPosterior::new();
+        posterior.observe(observed, CoverModel::new(reps, ScoreMode::ExactTarget, 0.04));
+        posterior.rank(&covers)
     }
 
     #[test]
@@ -1273,7 +1223,7 @@ mod tests {
         // consensus returns must be planted (never a healthy coupling).
         let truth = vec![Coupling::new(0, 1), Coupling::new(2, 3)];
         let ranked = ranked_for(&truth, 0.30, 8, 4);
-        let accused = consensus_accusation(&ranked).expect("fixture is decisive");
+        let accused = consensus_accusation(&ranked, COVER_TIE_MARGIN).expect("fixture is decisive");
         assert!(truth.contains(&accused));
     }
 
@@ -1324,16 +1274,18 @@ mod tests {
                         .map(|&(class, _)| (class.bit, class.value))
                         .collect();
                     let covers = covers_up_to(&failing, &space, &none, 4, 96);
-                    let ranked = rank_covers(&covers, &observed, &model);
+                    let mut posterior = CoverPosterior::new();
+                    posterior.observe(observed, model);
+                    let ranked = posterior.rank(&covers);
                     assert!(!ranked.is_empty(), "n={n} {:?}: no covers", scenario.faults);
                     if second_u == 0.30 {
                         assert_eq!(
-                            consensus_accusation(&ranked),
+                            consensus_accusation(&ranked, COVER_TIE_MARGIN),
                             None,
                             "n={n} {:?}: exact ties admit no consensus",
                             scenario.faults
                         );
-                    } else if let Some(c) = consensus_accusation(&ranked) {
+                    } else if let Some(c) = consensus_accusation(&ranked, COVER_TIE_MARGIN) {
                         assert!(allowed.contains(&c), "n={n} consensus fabricated {c}");
                     }
                     if let Some(c) = marginal_accusation(&ranked) {
@@ -1354,8 +1306,8 @@ mod tests {
         let list = |v: Vec<Coupling>| v.iter().map(|c| c.to_string()).collect::<Vec<_>>().join("");
         format!(
             "{label}: c1={} c15={} m={} d1={} d15={}",
-            one(consensus_accusation_within(ranked, 1.0)),
-            one(consensus_accusation_within(ranked, 1.5)),
+            one(consensus_accusation(ranked, 1.0)),
+            one(consensus_accusation(ranked, 1.5)),
             one(marginal_accusation(ranked)),
             list(disputed_members(ranked, 1.0)),
             list(disputed_members(ranked, 1.5)),
@@ -1523,31 +1475,6 @@ mod tests {
     // -----------------------------------------------------------------
 
     #[test]
-    fn single_round_posterior_is_exactly_rank_covers() {
-        // The fused posterior with one vetoless round must reproduce
-        // `rank_covers` bit-for-bit — PR 3's ranking is the fusion base
-        // case, not a separate code path.
-        let truth = vec![Coupling::new(0, 1), Coupling::new(2, 3)];
-        let planted: Vec<(Coupling, f64)> = truth.iter().map(|&c| (c, 0.30)).collect();
-        let observed = noiseless_observed(&planted, 8, 4);
-        let space = space8();
-        let none = BTreeSet::new();
-        let failing = failing_set_of(&truth, &space);
-        let covers = covers_up_to(&failing, &space, &none, 4, 96);
-        let model = CoverModel::new(4, ScoreMode::ExactTarget, 0.04);
-        let direct = rank_covers(&covers, &observed, &model);
-        let mut posterior = CoverPosterior::new();
-        posterior.observe(observed, model);
-        let fused = posterior.rank(&covers);
-        assert_eq!(direct.len(), fused.len());
-        for (a, b) in direct.iter().zip(&fused) {
-            assert_eq!(a.couplings, b.couplings);
-            assert_eq!(a.log_posterior.to_bits(), b.log_posterior.to_bits());
-            assert_eq!(a.magnitude.to_bits(), b.magnitude.to_bits());
-        }
-    }
-
-    #[test]
     fn fusing_a_round_never_worsens_the_true_covers_rank() {
         // Seeded property sweep: plant 2-3 equal-magnitude faults,
         // observe the noiseless class battery at 4-MS, then fuse the
@@ -1640,14 +1567,14 @@ mod tests {
             "the truth must survive every veto round"
         );
         for rc in &pruned {
-            assert!(!posterior.contradicted(&rc.couplings));
+            assert!(!contradicted(&posterior, &rc.couplings));
         }
     }
 
     #[test]
     fn tabulated_profile_matches_per_u_reference() {
-        // `rank` reads its forward model from a per-call table of grid
-        // rows; it must agree bit for bit with the per-u definition: at
+        // `rank` reads its forward model from the posterior's table of
+        // grid rows; it must agree bit for bit with the per-u definition: at
         // every grid magnitude the rounds' `cover_log_likelihood`s sum,
         // the profile maximum wins, and a veto round contradicts a cover
         // when `predicted_class_score` at the fused-MAP magnitude
@@ -1738,7 +1665,6 @@ mod tests {
                         })
                     })
                 };
-                let prior = posterior.rounds[0].model.log_fault_prior;
                 let has_veto = posterior.rounds.iter().any(|r| r.veto_threshold.is_some());
                 let mut reference: Vec<RankedCover> = Vec::new();
                 for cover in &covers {
@@ -1752,9 +1678,9 @@ mod tests {
                             best_u = u;
                         }
                     }
-                    let contradicted = has_veto && reference_contradicted(cover, best_u);
-                    assert_eq!(posterior.contradicted(cover), contradicted, "n={n} case {case}");
-                    if contradicted {
+                    let is_vetoed = has_veto && reference_contradicted(cover, best_u);
+                    assert_eq!(contradicted(&posterior, cover), is_vetoed, "n={n} case {case}");
+                    if is_vetoed {
                         vetoed += 1;
                         continue;
                     }
@@ -1762,7 +1688,7 @@ mod tests {
                     couplings.sort();
                     reference.push(RankedCover {
                         couplings,
-                        log_posterior: best + prior * cover.len() as f64,
+                        log_posterior: best + COVER_LOG_FAULT_PRIOR * cover.len() as f64,
                         magnitude: best_u,
                     });
                 }
@@ -1865,8 +1791,8 @@ mod tests {
                     let mut sorted = cover.clone();
                     sorted.sort();
                     let dropped = !kept.contains(&sorted);
-                    assert_eq!(posterior.contradicted(cover), dropped, "{ctx}: {cover:?}");
-                    assert_eq!(fresh.contradicted(cover), dropped, "{ctx}: {cover:?}");
+                    assert_eq!(contradicted(&posterior, cover), dropped, "{ctx}: {cover:?}");
+                    assert_eq!(contradicted(&fresh, cover), dropped, "{ctx}: {cover:?}");
                     vetoed += usize::from(dropped);
                 }
                 ranked_total += got.len();

@@ -15,8 +15,9 @@ use std::rc::Rc;
 
 /// Wall-clock span around one test execution — compile, prepare,
 /// sample and score. Executors open it at their leaf (the exact score,
-/// or a string sampler's prepare-and-draw), never in a wrapper that
-/// delegates, so instances do not nest.
+/// or a string sampler's prepare-and-draw); a wrapper that delegates
+/// opens it only around its own work after the delegate returns (a
+/// binomial shot draw), so instances do not nest.
 pub const RUN_TEST_SPAN: &str = "core.executor.run_test";
 
 /// Runs test circuits and reports observed target-state fidelity.

@@ -23,15 +23,16 @@
 //!   fallback extension.
 //! * [`decoder`] — multi-fault syndrome aliasing analysis (Table II):
 //!   exact cover enumeration plus the fused posterior behind the
-//!   ranked policy ([`decoder::CoverPosterior`], [`decoder::rank_covers`]).
-//! * [`baselines`] — point checks and adaptive binary search (§IV).
-//! * [`cost`] — the Fig. 10 wall-clock model; [`threshold`] — empirical
-//!   pass/fail threshold calibration, per-round gap re-calibration, and
-//!   the observation-noise model feeding the ranked posterior.
+//!   ranked policy ([`decoder::CoverPosterior`]).
+//! * [`cost`] — the Fig. 10 wall-clock model, which also prices the
+//!   §IV baselines (point checks and adaptive binary search);
+//!   [`threshold`] — empirical pass/fail threshold calibration,
+//!   per-round gap re-calibration, and the observation-noise model
+//!   feeding the ranked posterior.
 //!
 //! Reproducing Table II: `cargo run --release -p itqc-bench --bin table2`
 //! runs the full pipeline with the ranked decoder (pass
-//! `--decoder=greedy|ranked|set-cover` to ablate the policies).
+//! `--decoder=greedy|ranked|interrogate|set-cover` to ablate the policies).
 //!
 //! Protocols talk to hardware through the [`executor::TestExecutor`]
 //! trait, implemented both by the [`itqc_trap::VirtualTrap`] machine and
@@ -54,7 +55,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod classes;
 pub mod cost;
 pub mod decoder;

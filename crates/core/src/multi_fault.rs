@@ -40,10 +40,15 @@ use crate::classes::{first_round_classes, LabelSpace, SubcubeClass};
 use crate::decoder::{self, CoverModel, DecoderPolicy, FailingSet};
 use crate::executor::TestExecutor;
 use crate::single_fault::{Diagnosis, SingleFaultProtocol};
-use crate::testplan::{canary_for, canary_rotation, rotation_seed, ScoreMode, TestSpec};
+use crate::testplan::{canary_for, canary_rotation, rotation_seed, ScoreMode, TestSpec, PLAN_SPAN};
 use crate::threshold;
 use itqc_circuit::Coupling;
 use std::collections::BTreeSet;
+
+/// Minimum |under-rotation| that counts as a fault during magnitude
+/// verification of retuned diagnoses (the paper's ~10% recalibration
+/// line in Fig. 7C).
+pub const FAULT_MAGNITUDE: f64 = 0.10;
 
 /// Configuration of the multi-fault loop.
 #[derive(Clone, Debug)]
@@ -92,10 +97,6 @@ pub struct MultiFaultConfig {
     /// behaviour. Each fusion round costs one adaptation plus one class
     /// battery (`2n` tests).
     pub fusion_rounds: usize,
-    /// Minimum |under-rotation| that counts as a fault during magnitude
-    /// verification of retuned diagnoses (the paper's ~10% recalibration
-    /// line in Fig. 7C).
-    pub fault_magnitude: f64,
     /// Rotating-canary countermeasure (an extension beyond the paper):
     /// when the fixed full-coupling canary *passes*, run up to this many
     /// seeded random-subset canaries ([`crate::testplan::canary_rotation`]).
@@ -112,30 +113,6 @@ pub struct MultiFaultConfig {
     /// rotation counters via [`crate::testplan::rotation_seed`]), so the
     /// drawn subsets are deterministic in the configuration alone.
     pub canary_seed: u64,
-}
-
-impl MultiFaultConfig {
-    /// Paper-flavoured defaults: 2-MS and 4-MS tests, 0.5/0.25 thresholds,
-    /// 300 shots, the ranked aliasing decoder.
-    pub fn paper_defaults() -> Self {
-        MultiFaultConfig {
-            reps_ladder: vec![2, 4],
-            threshold: 0.5,
-            canary_threshold: 0.25,
-            shots: 300,
-            canary_shots: 30,
-            max_faults: 8,
-            decoder: DecoderPolicy::Ranked,
-            ranked_sigma: threshold::observation_sigma(300, 0.0, 4),
-            score: ScoreMode::ExactTarget,
-            canary_score: ScoreMode::WorstQubit,
-            max_threshold_retunes: 4,
-            fusion_rounds: 2,
-            fault_magnitude: 0.10,
-            canary_rotations: 0,
-            canary_seed: 0,
-        }
-    }
 }
 
 /// One diagnosed coupling.
@@ -213,6 +190,7 @@ pub fn diagnose_all_excluding<E: TestExecutor>(
 
     'outer: while diagnosed.len() <= config.max_faults {
         // Canary: every relevant coupling at maximal amplification.
+        let plan = itqc_obs::span::timed(PLAN_SPAN);
         let relevant: Vec<Coupling> =
             space.all_couplings().into_iter().filter(|c| !excluded.contains(c)).collect();
         if relevant.is_empty() {
@@ -221,6 +199,7 @@ pub fn diagnose_all_excluding<E: TestExecutor>(
         }
         outer_round += 1;
         let canary = canary_for(&relevant, max_reps, config.canary_score);
+        drop(plan);
         tests_run += 1;
         let f = exec.run_test(&canary, config.canary_shots);
         // The round's working sets: a tripped rotation below restricts
@@ -277,8 +256,11 @@ pub fn diagnose_all_excluding<E: TestExecutor>(
             if r == max_reps {
                 break; // canary already told us it fails at max_reps
             }
-            let probe = TestSpec::for_couplings(format!("magnitude x{r}MS"), &round_relevant, r)
-                .with_score(config.canary_score);
+            let probe = {
+                let _plan = itqc_obs::span::timed(PLAN_SPAN);
+                TestSpec::for_couplings(format!("magnitude x{r}MS"), &round_relevant, r)
+                    .with_score(config.canary_score)
+            };
             tests_run += 1;
             if exec.run_test(&probe, config.canary_shots) < config.canary_threshold {
                 start_idx = idx;
@@ -443,7 +425,7 @@ pub fn diagnose_all_excluding<E: TestExecutor>(
 }
 
 /// Estimates the under-rotation magnitude of one coupling from a point
-/// test and checks it against the configured fault line. A point test at
+/// test and checks it against the [`FAULT_MAGNITUDE`] line. A point test at
 /// `r` repetitions scores `(1 + cos(r·u·π/2))/2`; inverted, that gives
 /// `|û|`. Verification is capped at 4 repetitions so `|u| ≤ 0.5` stays on
 /// the principal branch (no accidental-cancellation aliasing —
@@ -456,14 +438,16 @@ fn magnitude_verify<E: TestExecutor>(
     tests_run: &mut usize,
 ) -> bool {
     let verify_reps = reps.clamp(2, 4);
-    let spec =
+    let spec = {
+        let _plan = itqc_obs::span::timed(PLAN_SPAN);
         TestSpec::for_couplings(format!("magnitude verify {coupling}"), &[coupling], verify_reps)
-            .with_score(config.score);
+            .with_score(config.score)
+    };
     *tests_run += 1;
     let s = exec.run_test(&spec, config.shots).clamp(0.0, 1.0);
     let dev = (2.0 * s - 1.0).clamp(-1.0, 1.0).acos();
     let u_est = dev / (verify_reps as f64 * std::f64::consts::FRAC_PI_2);
-    u_est.abs() >= config.fault_magnitude
+    u_est.abs() >= FAULT_MAGNITUDE
 }
 
 /// Fig. 5's threshold-adjustment loop: take the conflicted first round's
@@ -630,7 +614,7 @@ fn ranked_isolate<E: TestExecutor>(
             RANKED_COVER_CAP,
         );
         let ranked = posterior.rank(&covers);
-        let accused = match decoder::consensus_accusation_within(&ranked, tie_margin) {
+        let accused = match decoder::consensus_accusation(&ranked, tie_margin) {
             Some(c) => Some(c),
             None if fusion_left > 0 => {
                 // Ambiguous under all evidence so far: spend a fusion
@@ -640,10 +624,8 @@ fn ranked_isolate<E: TestExecutor>(
                 let probe_reps = probe_rungs[probe_idx];
                 probe_idx += 1;
                 fusion_left -= 1;
-                let u_hat = ranked
-                    .first()
-                    .map(|rc| rc.magnitude)
-                    .unwrap_or_else(|| config.fault_magnitude.max(0.25));
+                let u_hat =
+                    ranked.first().map(|rc| rc.magnitude).unwrap_or(FAULT_MAGNITUDE.max(0.25));
                 fuse_class_round(
                     exec,
                     space,
@@ -722,21 +704,25 @@ fn fuse_class_round<E: TestExecutor>(
     adaptations: &mut usize,
 ) {
     *adaptations += 1;
-    let compiled: usize = classes.iter().map(|c| c.couplings(space, excluded).len()).sum();
-    exec.note_adaptation(compiled);
-    let fresh: Vec<(SubcubeClass, f64)> = classes
-        .iter()
-        .map(|&class| {
-            let couplings = class.couplings(space, excluded);
-            if couplings.is_empty() {
+    let battery: Vec<(SubcubeClass, TestSpec)> = {
+        let _plan = itqc_obs::span::timed(PLAN_SPAN);
+        classes
+            .iter()
+            .map(|&class| {
+                let couplings = class.couplings(space, excluded);
+                let label = format!("fusion {class} x{probe_reps}MS");
+                let spec = TestSpec::for_couplings(label, &couplings, probe_reps);
+                (class, spec.with_score(config.score))
+            })
+            .collect()
+    };
+    exec.note_adaptation(battery.iter().map(|(_, spec)| spec.couplings.len()).sum());
+    let fresh: Vec<(SubcubeClass, f64)> = battery
+        .into_iter()
+        .map(|(class, spec)| {
+            if spec.couplings.is_empty() {
                 return (class, 1.0); // nothing under test: trivially clean
             }
-            let spec = TestSpec::for_couplings(
-                format!("fusion {class} x{probe_reps}MS"),
-                &couplings,
-                probe_reps,
-            )
-            .with_score(config.score);
             *tests_run += 1;
             (class, exec.run_test(&spec, config.shots))
         })
@@ -814,7 +800,6 @@ mod tests {
             canary_score: ScoreMode::ExactTarget,
             max_threshold_retunes: 0,
             fusion_rounds: 0,
-            fault_magnitude: 0.10,
             canary_rotations: 0,
             canary_seed: 0,
         }

@@ -248,8 +248,10 @@ impl SingleFaultProtocol {
         let mut equal_flags = Vec::with_capacity(second.len());
         if !second.is_empty() {
             adaptations += 1;
-            let compiled: usize =
-                second.iter().map(|c| c.couplings(&self.space, &self.excluded).len()).sum();
+            let compiled: usize = {
+                let _plan = itqc_obs::span::timed(PLAN_SPAN);
+                second.iter().map(|c| c.couplings(&self.space, &self.excluded).len()).sum()
+            };
             exec.note_adaptation(compiled);
             for class in &second {
                 let spec = {

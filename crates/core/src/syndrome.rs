@@ -78,11 +78,6 @@ impl Syndrome {
         self.entries.iter().map(|(&i, &v)| (i, v))
     }
 
-    /// The value fixed at `bit`, if any.
-    pub fn value_at(&self, bit: u32) -> Option<bool> {
-        self.entries.get(&bit).copied()
-    }
-
     /// Bit positions *not* fixed by the syndrome, ascending.
     pub fn free_positions(&self, n_bits: u32) -> Vec<u32> {
         (0..n_bits).filter(|i| !self.entries.contains_key(i)).collect()
@@ -91,13 +86,6 @@ impl Syndrome {
     /// `true` if `label` has every fixed bit at its syndrome value.
     pub fn matches(&self, label: usize) -> bool {
         self.entries.iter().all(|(&i, &v)| bits::bit(label, i) == v)
-    }
-
-    /// `true` when this syndrome is a subset of `other` (every entry of
-    /// `self` appears in `other`) — the consistency relation used by the
-    /// multi-fault decoder.
-    pub fn is_subset_of(&self, other: &Syndrome) -> bool {
-        self.entries.iter().all(|(&i, &v)| other.value_at(i) == Some(v))
     }
 
     /// All candidate faulty couplings consistent with this syndrome on an
@@ -159,8 +147,7 @@ mod tests {
     fn paper_example_v4_syndromes() {
         // {2,7} = {010, 111} share bit 1 with value 1 → syndrome {(1,1)}.
         let s = Syndrome::of_coupling(Coupling::new(2, 7), 3);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.value_at(1), Some(true));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![(1, true)]);
         // Complementary pairs have empty syndromes.
         for (a, b) in [(0, 7), (1, 6), (2, 5), (3, 4)] {
             assert!(Syndrome::of_coupling(Coupling::new(a, b), 3).is_empty());
@@ -228,15 +215,6 @@ mod tests {
         assert!(s.insert(0, false));
         assert!(!s.insert(2, false), "conflicting value must be rejected");
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn subset_relation() {
-        let small = Syndrome::from_entries([(1, true)]);
-        let big = Syndrome::from_entries([(0, false), (1, true)]);
-        assert!(small.is_subset_of(&big));
-        assert!(!big.is_subset_of(&small));
-        assert!(Syndrome::empty().is_subset_of(&small));
     }
 
     #[test]

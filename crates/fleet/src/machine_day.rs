@@ -48,7 +48,6 @@ pub fn fig2_diagnosis_config() -> MultiFaultConfig {
         canary_score: itqc_core::testplan::ScoreMode::ExactTarget,
         max_threshold_retunes: 4,
         fusion_rounds: 0, // set-cover policy: the fused ranked path is not taken
-        fault_magnitude: 0.10,
         canary_rotations: 0,
         canary_seed: 0,
     }

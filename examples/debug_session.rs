@@ -62,7 +62,6 @@ fn main() {
         canary_score: ScoreMode::ExactTarget,
         max_threshold_retunes: 4,
         fusion_rounds: 2,
-        fault_magnitude: 0.10,
         canary_rotations: 0,
         canary_seed: 0,
     };

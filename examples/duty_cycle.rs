@@ -47,7 +47,6 @@ fn config() -> MultiFaultConfig {
         canary_score: ScoreMode::ExactTarget,
         max_threshold_retunes: 4,
         fusion_rounds: 0,
-        fault_magnitude: 0.10,
         canary_rotations: 0,
         canary_seed: 0,
     }

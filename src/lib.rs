@@ -18,7 +18,7 @@
 //! | [`backend`] | pluggable simulation-backend subsystem: dense + scalable analytic engines behind `PreparedCircuit`, prepared-circuit cache, `ScoreMode` and the worst-qubit string count |
 //! | [`faults`] | Table-I taxonomy, Fig.-4 fault models, 1/f noise, SPAM, drift, Eq. 1–2 estimators |
 //! | [`trap`] | virtual machine with hidden calibration state, ion-chain physics, timing/duty model |
-//! | [`core`] | THE PAPER'S CONTRIBUTION: classes, syndromes, single-/multi-fault protocols, baselines, cost model |
+//! | [`core`] | THE PAPER'S CONTRIBUTION: classes, syndromes, single-/multi-fault protocols, cost model |
 //! | [`fleet`] | `fleetd` fleet service: sharded tick scheduler, canary → diagnose → recalibrate per trap |
 //! | [`obs`] | observability: deterministic counters/histograms, wall-clock spans, JSON metrics documents |
 //!

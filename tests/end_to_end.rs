@@ -20,7 +20,6 @@ fn multi_config(ladder: Vec<usize>, threshold: f64, canary_threshold: f64) -> Mu
         canary_score: ScoreMode::ExactTarget,
         max_threshold_retunes: 4,
         fusion_rounds: 0,
-        fault_magnitude: 0.10,
         canary_rotations: 0,
         canary_seed: 0,
     }
@@ -137,24 +136,6 @@ fn dense_noise_channels_run_through_trap_circuits() {
         as f64
         / 600.0;
     assert!(p_ends > 0.7, "GHZ structure should survive realistic noise, got {p_ends}");
-}
-
-#[test]
-fn baselines_and_protocol_agree_on_diagnosis() {
-    let truth = Coupling::new(1, 5);
-    let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 3));
-    trap.inject_fault(truth, 0.4);
-    // Point checks.
-    let base = itqc::core::baselines::point_check_all(&mut trap, 8, 4, 0.5, 200);
-    assert_eq!(base.faulty, vec![truth]);
-    // Binary search.
-    let (found, report) =
-        itqc::core::baselines::binary_search_single(&mut trap, 8, 4, 0.5, 200, &BTreeSet::new());
-    assert_eq!(found, Some(truth));
-    // Binary search pays an adaptation per test; the paper's protocol
-    // needs at most two.
-    let protocol_report = SingleFaultProtocol::new(8, 4, 0.5, 200).diagnose(&mut trap);
-    assert!(report.adaptations > protocol_report.adaptations);
 }
 
 #[test]

@@ -6,17 +6,19 @@ use itqc::core::testplan::ScoreMode;
 use itqc::prelude::*;
 use std::collections::BTreeSet;
 
-#[test]
-fn catastrophic_drift_fails_gracefully() {
-    // Every coupling far out of calibration ("catastrophic effects with
-    // numerous faults" — §V-C says test-driven calibration makes little
-    // sense here). The pipeline must terminate without panicking and
-    // without converging to a clean verdict.
-    let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 1));
+/// A trap with every coupling far out of calibration (35% under-rotation).
+fn catastrophic_trap(seed: u64) -> VirtualTrap {
+    let mut trap = VirtualTrap::new(TrapConfig::ideal(8, seed));
     for c in trap.couplings() {
         trap.inject_fault(c, 0.35);
     }
-    let config = MultiFaultConfig {
+    trap
+}
+
+/// The greedy pipeline with a 50-shot `WorstQubit` canary at 0.5, run
+/// on [`catastrophic_trap`].
+fn catastrophic_config() -> MultiFaultConfig {
+    MultiFaultConfig {
         reps_ladder: vec![2, 4],
         threshold: 0.5,
         canary_threshold: 0.5,
@@ -29,14 +31,37 @@ fn catastrophic_drift_fails_gracefully() {
         canary_score: ScoreMode::WorstQubit,
         max_threshold_retunes: 2,
         fusion_rounds: 0,
-        fault_magnitude: 0.10,
         canary_rotations: 0,
         canary_seed: 0,
-    };
+    }
+}
+
+#[test]
+fn catastrophic_drift_fails_gracefully() {
+    // Every coupling far out of calibration ("catastrophic effects with
+    // numerous faults" — §V-C says test-driven calibration makes little
+    // sense here). The pipeline must terminate without panicking and
+    // without converging to a clean verdict.
+    let mut trap = catastrophic_trap(1);
+    let config = catastrophic_config();
     let report = diagnose_all(&mut trap, 8, &config);
     assert!(!report.converged, "a machine this broken cannot be certified clean");
     // Anything it did accuse must actually be faulty (all are).
     assert!(report.diagnosed.len() <= config.max_faults + 1);
+}
+
+#[test]
+fn catastrophic_drift_false_clean_rate_is_bounded() {
+    // The seed-1 test above asserts one draw. Over trap seeds 0–399 the
+    // 50-shot string canary certifies the broken machine clean on 64 of
+    // 400 (p = 0.16). The bound adds a one-sided 99% binomial margin,
+    // ⌊2.326·√(400·0.16·0.84)⌋ = 17, so a protocol change that raises
+    // the rate fails here.
+    let config = catastrophic_config();
+    let clean = (0..400u64)
+        .filter(|&seed| diagnose_all(&mut catastrophic_trap(seed), 8, &config).converged)
+        .count();
+    assert!(clean <= 64 + 17, "{clean} of 400 broken machines certified clean");
 }
 
 #[test]
@@ -120,7 +145,6 @@ fn excluding_every_coupling_is_a_clean_no_op() {
         canary_score: ScoreMode::ExactTarget,
         max_threshold_retunes: 0,
         fusion_rounds: 0,
-        fault_magnitude: 0.10,
         canary_rotations: 0,
         canary_seed: 0,
     };
