@@ -6,7 +6,7 @@ CARGO ?= cargo
 # The 13 evaluation binaries, in paper order (extensions last).
 REPRO_BINS := table1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 table2 rb ablations fig_adv
 
-.PHONY: build test bench fleet-bench repro attribution obs-check fmt lint clean
+.PHONY: build test bench fleet-bench repro attribution obs-check identity fmt lint clean
 
 ## build: release build of every workspace member
 build:
@@ -129,6 +129,52 @@ obs-check:
 	$(CARGO) bench -p itqc-obs
 	@rm -f obs.t1.* obs.t8.* obs.plain.out obs.t2t1.* obs.t2t8.* obs.t2plain.out obs.w1.* obs.w8.* \
 		obs.fig9.json
+
+## identity: stdout byte-identity against a base revision, the gate for
+## changes that must move no output: `make identity BASE=<rev>`. BASE is
+## exported with `git archive` into $(IDENTITY_DIR)/src (no worktree is
+## registered, so an interrupted run leaves nothing behind in .git) and
+## built into its own target dir, $(IDENTITY_DIR)/target, which is kept
+## for the next run. Every run below, and the four examples, goes on
+## both builds single-threaded; their stdouts must match byte for byte.
+## The exported source is removed after the build, and the captured
+## outputs after a clean pass (they stay in $(IDENTITY_DIR)/out when a
+## run differs).
+IDENTITY_DIR ?= target/identity
+IDENTITY_RUNS := "fig2" "fig6" "fig7" "rb" "fig3 --fast" "fig10 --fast" "fig11 --fast" \
+	"fig_adv --fast" "fig8 --fast --sizes=8,16" "fig9 --fast" "table2" "table2 --xl" "table1" \
+	"ablations"
+IDENTITY_EXAMPLES := quickstart debug_session duty_cycle map_around_faults
+
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	rm -rf $(IDENTITY_DIR)/src $(IDENTITY_DIR)/out
+	mkdir -p $(IDENTITY_DIR)/src $(IDENTITY_DIR)/out/base $(IDENTITY_DIR)/out/head
+	git archive $(BASE) | tar -x -C $(IDENTITY_DIR)/src
+	CARGO_TARGET_DIR=$(abspath $(IDENTITY_DIR))/target $(CARGO) build --release \
+		--manifest-path $(IDENTITY_DIR)/src/Cargo.toml --bins --examples
+	rm -rf $(IDENTITY_DIR)/src
+	$(CARGO) build --release --bins --examples
+	@set -e; differ=0; \
+	for side in base head; do \
+		if [ $$side = base ]; then bin=$(IDENTITY_DIR)/target/release; else bin=target/release; fi; \
+		for run in $(IDENTITY_RUNS); do \
+			$$bin/$$run --threads=1 > "$(IDENTITY_DIR)/out/$$side/$$run" 2>/dev/null; \
+		done; \
+		$$bin/loadgen --traps=256 --minutes=60 --workers=1 \
+			> "$(IDENTITY_DIR)/out/$$side/loadgen" 2>/dev/null; \
+		for ex in $(IDENTITY_EXAMPLES); do \
+			$$bin/examples/$$ex > "$(IDENTITY_DIR)/out/$$side/example $$ex" 2>/dev/null; \
+		done; \
+	done; \
+	for out in $(IDENTITY_DIR)/out/base/*; do \
+		name=$$(basename "$$out"); \
+		if cmp -s "$$out" "$(IDENTITY_DIR)/out/head/$$name"; then echo "identical: $$name"; \
+		else echo "DIFFERS:   $$name"; differ=1; fi; \
+	done; \
+	if [ $$differ = 1 ]; then echo "stdout differs from $(BASE); outputs kept in $(IDENTITY_DIR)/out"; \
+		exit 1; fi; \
+	rm -rf $(IDENTITY_DIR)/out; echo "stdout byte-identical to $(BASE)"
 
 ## repro: regenerate every paper table/figure (see EXPERIMENTS.md)
 repro: build

@@ -33,9 +33,7 @@
 
 use crate::cache::{xx_key, PrepCache};
 use crate::chain::{self, ChainDist, CHAIN_MAX_SPECIAL};
-use crate::dist::{
-    sample_strings, sample_strings_blocked, walsh_hadamard, ComponentDist, SampleComponent,
-};
+use crate::dist::{sample_strings_blocked, walsh_hadamard, ComponentDist, SampleComponent};
 use crate::memo::{cached_score, SCORE_MEMO_MIN_TERMS};
 use crate::{BackendError, PreparedCircuit, ScoreMode};
 use itqc_circuit::Circuit;
@@ -164,9 +162,9 @@ impl XxAnalyticBackend {
 }
 
 /// One unmemoised evaluation of [`XxAnalyticBackend::score`]. Component
-/// walks and closed-form evaluations are recorded by size for the
-/// observed cost report; which evaluations the per-thread memo absorbs
-/// depends on the sharding, so both are nondeterministic telemetry.
+/// walks and closed-form evaluations are recorded by size as `--metrics`
+/// histograms; which evaluations the per-thread memo absorbs depends on
+/// the sharding, so both are nondeterministic telemetry.
 fn evaluate(xx: &XxCircuit, target: BitString, kind: ScoreMode) -> Result<f64, BackendError> {
     match kind {
         ScoreMode::WorstQubit => {
@@ -247,8 +245,8 @@ impl XxPrepared {
             self.comp_circuits
                 .iter()
                 .map(|(sub, mask)| {
-                    // Component tables built, by size: the prep phase of
-                    // the observed cost report.
+                    // Component tables built, by size (`--metrics`
+                    // telemetry).
                     let c = mask.count_ones() as usize;
                     itqc_obs::event::observe_nd("backend.prep.component_qubits", c as u64, 1);
                     if c <= MAX_COMPONENT {
@@ -261,11 +259,6 @@ impl XxPrepared {
                 })
                 .collect()
         })
-    }
-
-    /// Connected-component sizes in qubits, in preparation order.
-    pub fn component_sizes(&self) -> Vec<usize> {
-        self.comp_circuits.iter().map(|(_, mask)| mask.count_ones() as usize).collect()
     }
 }
 
@@ -364,12 +357,6 @@ impl PreparedCircuit for XxPrepared {
     }
 
     fn sample(&self, rng: &mut SmallRng, shots: usize) -> Vec<BitString> {
-        let dists = self.distributions();
-        record_sampler_dispatch(dists);
-        sample_strings(dists, rng, shots)
-    }
-
-    fn sample_block(&self, rng: &mut SmallRng, shots: usize) -> Vec<BitString> {
         let dists = self.distributions();
         record_sampler_dispatch(dists);
         sample_strings_blocked(dists, rng, shots)
@@ -515,7 +502,7 @@ mod tests {
             let xx = random_xx(&mut rng, n, gates);
             let masks = xx.component_masks();
             let prep = XxPrepared::prepare(xx).unwrap();
-            for s in PreparedCircuit::sample_block(&prep, &mut rng, 300) {
+            for s in PreparedCircuit::sample(&prep, &mut rng, 300) {
                 for &m in &masks {
                     assert_eq!((s & m).count_ones() % 2, 0, "case {case}: {s:b} on {m:b}");
                 }
@@ -604,7 +591,8 @@ mod tests {
         let mut xx = XxCircuit::new(6);
         xx.add_xx(0, 2, 0.3).add_xx(3, 5, 0.4);
         let prep = XxPrepared::prepare(xx).unwrap();
-        assert_eq!(prep.component_sizes(), vec![2, 2]);
+        let sizes: Vec<usize> = prep.distributions().iter().map(|d| d.qubits().len()).collect();
+        assert_eq!(sizes, vec![2, 2]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! support allows. Memory remains exponential in the support; the
 //! analytic backend is the scalable path for commuting-XX circuits.
 
-use crate::dist::{connected_components, sample_strings, sample_strings_blocked, ComponentDist};
+use crate::dist::{connected_components, sample_strings_blocked, ComponentDist};
 use crate::{BackendError, PreparedCircuit};
 use itqc_circuit::{Circuit, Op};
 use itqc_sim::statevector::MAX_QUBITS;
@@ -156,10 +156,6 @@ impl PreparedCircuit for DensePrepared {
     }
 
     fn sample(&self, rng: &mut SmallRng, shots: usize) -> Vec<BitString> {
-        sample_strings(&self.components, rng, shots)
-    }
-
-    fn sample_block(&self, rng: &mut SmallRng, shots: usize) -> Vec<BitString> {
         sample_strings_blocked(&self.components, rng, shots)
     }
 }

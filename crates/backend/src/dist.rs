@@ -107,13 +107,6 @@ impl ComponentDist {
         }
         local
     }
-
-    /// Draws one component outcome and ORs its bits into `string`,
-    /// consuming exactly one uniform variate.
-    pub fn sample_into(&self, rng: &mut SmallRng, string: &mut BitString) {
-        let x = rng.gen::<f64>() * self.mass();
-        self.place(x, string);
-    }
 }
 
 impl SampleComponent for ComponentDist {
@@ -137,10 +130,9 @@ impl SampleComponent for ComponentDist {
 
 /// Records the deterministic sampling events of one sampler call.
 /// Shots drawn and components touched are *logical work* — the same at
-/// any thread count — so they belong to the deterministic snapshot; the
-/// per-component draw histogram drives the observed per-phase cost
-/// report. One call per public sampler entry point (the blocked
-/// delegator does not double-count).
+/// any thread count — so they belong to the deterministic snapshot,
+/// with a histogram of draws by component size. One call per public
+/// sampler entry point (the blocked delegator does not double-count).
 fn record_sample_events<S: SampleComponent>(dists: &[S], shots: usize) {
     if !itqc_obs::enabled() {
         return;
@@ -161,8 +153,11 @@ fn record_sample_events<S: SampleComponent>(dists: &[S], shots: usize) {
 }
 
 /// Samples `shots` full-register output strings from the canonical
-/// component-ordered scheme. `dists` must be sorted ascending by first
-/// qubit (prepare methods guarantee this); untouched qubits read 0.
+/// component-ordered scheme, one shot at a time. `dists` must be sorted
+/// ascending by first qubit (prepare methods guarantee this); untouched
+/// qubits read 0. This is the reference the blocked sampler every
+/// [`PreparedCircuit::sample`](crate::PreparedCircuit::sample) runs,
+/// [`sample_strings_blocked`], is pinned against.
 pub fn sample_strings<S: SampleComponent>(
     dists: &[S],
     rng: &mut SmallRng,

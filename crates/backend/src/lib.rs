@@ -131,19 +131,12 @@ pub trait PreparedCircuit: fmt::Debug {
     }
 
     /// Draws `shots` full output strings via the canonical
-    /// component-ordered sampler (one uniform variate per component per
-    /// shot; untouched qubits read 0).
+    /// component-ordered scheme (one uniform variate per component per
+    /// shot, consumed shot-major; untouched qubits read 0), resolved in
+    /// blocks by [`sample_strings_blocked`]. **Bit-identical** to the
+    /// per-shot reference [`dist::sample_strings`] from the same RNG
+    /// state.
     fn sample(&self, rng: &mut SmallRng, shots: usize) -> Vec<BitString>;
-
-    /// Blocked variant of [`sample`](PreparedCircuit::sample): draws
-    /// whole shot blocks against flat cumulative tables where the
-    /// backend supports it. **Bit-identical** to `sample` from the same
-    /// RNG state — implementations must consume the uniform stream in
-    /// the canonical shot-major order, so callers may switch freely.
-    /// The default delegates to the per-shot path.
-    fn sample_block(&self, rng: &mut SmallRng, shots: usize) -> Vec<BitString> {
-        self.sample(rng, shots)
-    }
 }
 
 /// How a test's pass/fail statistic is computed from measurements.

@@ -39,7 +39,6 @@ type ScoreMemoKey = (Vec<u64>, itqc_sim::BitString, ScoreMode);
 
 thread_local! {
     static SCORE_MEMO: RefCell<HashMap<ScoreMemoKey, f64>> = RefCell::new(HashMap::new());
-    static SCORE_STATS: RefCell<(u64, u64)> = const { RefCell::new((0, 0)) };
 }
 
 /// Returns the memoised score for `(circuit_key, target, kind)`,
@@ -60,11 +59,9 @@ pub(crate) fn cached_score<E>(
     // nondeterministic telemetry.
     itqc_obs::event::add("backend.memo.lookups", 1);
     if let Some(hit) = SCORE_MEMO.with(|m| m.borrow().get(&key).copied()) {
-        SCORE_STATS.with(|s| s.borrow_mut().0 += 1);
         itqc_obs::event::add_nd("backend.memo.hits", 1);
         return Ok(hit);
     }
-    SCORE_STATS.with(|s| s.borrow_mut().1 += 1);
     itqc_obs::event::add_nd("backend.memo.misses", 1);
     let value = compute()?;
     SCORE_MEMO.with(|m| {
@@ -75,11 +72,6 @@ pub(crate) fn cached_score<E>(
         m.insert(key, value);
     });
     Ok(value)
-}
-
-/// (hits, misses) of this thread's memo since thread start.
-pub fn score_memo_stats() -> (u64, u64) {
-    SCORE_STATS.with(|s| *s.borrow())
 }
 
 #[cfg(test)]

@@ -71,7 +71,7 @@ fn bench_ranked_decoder_rank(c: &mut Criterion) {
             .into_iter()
             .map(|class| {
                 let spec = TestSpec::for_couplings("rank", &class.couplings(&space, &none), reps);
-                (class, exec.exact_fidelity(&spec))
+                (class, exec.exact_score(&spec))
             })
             .collect()
     };

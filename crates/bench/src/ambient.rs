@@ -222,7 +222,7 @@ mod tests {
         let c = Coupling::new(0, 3);
         let exec = ambient_executor_uniform(8, 0.05, &[(c, 0.4)], &mut rng);
         let spec = itqc_core::TestSpec::for_couplings("t", &[c], 4);
-        let f = exec.exact_fidelity(&spec);
+        let f = exec.exact_score(&spec);
         let expect = (std::f64::consts::PI * 0.4).cos().powi(2);
         assert!((f - expect).abs() < 1e-9);
     }

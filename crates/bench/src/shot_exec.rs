@@ -119,7 +119,7 @@ impl TestExecutor for StringSampled {
         // Blocked sampling: bit-identical to the per-shot path (the
         // equivalence suite pins it), but resolves each component's
         // draws in one pass over its flat cumulative table.
-        let strings = prepared.sample_block(&mut self.rng, shots);
+        let strings = prepared.sample(&mut self.rng, shots);
         match spec.score {
             ScoreMode::ExactTarget => {
                 strings.iter().filter(|&&s| s == spec.target).count() as f64 / shots as f64

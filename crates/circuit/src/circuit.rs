@@ -6,7 +6,6 @@
 
 use crate::gates::Gate;
 use itqc_math::CMatrix;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -317,15 +316,6 @@ impl Circuit {
         self.ops.iter().filter_map(Op::coupling).collect()
     }
 
-    /// Gate-name histogram.
-    pub fn gate_counts(&self) -> BTreeMap<&'static str, usize> {
-        let mut m = BTreeMap::new();
-        for op in &self.ops {
-            *m.entry(op.gate.name()).or_insert(0) += 1;
-        }
-        m
-    }
-
     /// Circuit depth: the length of the longest qubit-dependency chain,
     /// computed by greedy levelisation.
     pub fn depth(&self) -> usize {
@@ -478,15 +468,6 @@ mod tests {
         assert_eq!(used.len(), 2);
         assert!(used.contains(&Coupling::new(0, 1)));
         assert!(used.contains(&Coupling::new(2, 3)));
-    }
-
-    #[test]
-    fn gate_counts_histogram() {
-        let mut c = Circuit::new(2);
-        c.h(0).h(1).cnot(0, 1);
-        let counts = c.gate_counts();
-        assert_eq!(counts["h"], 2);
-        assert_eq!(counts["cnot"], 1);
     }
 
     #[test]

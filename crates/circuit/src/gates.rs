@@ -130,12 +130,6 @@ impl Gate {
         matches!(self, Gate::R { .. } | Gate::Rz(_) | Gate::Xx(_) | Gate::Ms { .. })
     }
 
-    /// `true` for two-qubit entangling gates (arity 2, excluding SWAP which
-    /// is non-entangling but still exercises a coupling).
-    pub fn is_two_qubit(&self) -> bool {
-        self.arity() == 2
-    }
-
     /// The inverse gate.
     pub fn dagger(&self) -> Gate {
         match *self {

@@ -513,7 +513,8 @@ mod tests {
     fn vqe_ansatz_structure() {
         let c = vqe_ansatz(4, 2, &[0.1, 0.2, 0.3]);
         assert_eq!(c.used_couplings().len(), 3);
-        assert!(c.gate_counts()["ry"] == 8 && c.gate_counts()["rz"] == 8);
+        let count = |name| c.ops().iter().filter(|op| op.gate.name() == name).count();
+        assert!(count("ry") == 8 && count("rz") == 8);
     }
 
     #[test]

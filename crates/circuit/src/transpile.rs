@@ -388,7 +388,8 @@ mod tests {
         let ops = synthesize_1q(&Mat2::identity(), 0);
         assert!(ops.is_empty());
         // Global phase only — still identity physically.
-        let phased = Mat2::identity().scale_c(Complex64::cis(1.234));
+        let z = Complex64::cis(1.234);
+        let phased = Mat2::new([[z, Complex64::ZERO], [Complex64::ZERO, z]]);
         assert!(synthesize_1q(&phased, 0).is_empty());
     }
 

@@ -362,7 +362,8 @@ mod tests {
     fn second_round_class_count() {
         // k free bits → k−1 second-round tests.
         let s = space8();
-        let syn = Syndrome::from_entries([(1, true)]);
+        let mut syn = Syndrome::empty();
+        syn.insert(1, true);
         let classes = second_round_classes(&syn, &s);
         assert_eq!(classes.len(), 1); // free = {0, 2}
         let empty = Syndrome::empty();

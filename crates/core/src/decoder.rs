@@ -1142,7 +1142,7 @@ mod tests {
             .map(|class| {
                 let couplings = class.couplings(&space, &none);
                 let spec = TestSpec::for_couplings("obs", &couplings, reps);
-                (class, exec.exact_fidelity(&spec))
+                (class, exec.exact_score(&spec))
             })
             .collect()
     }

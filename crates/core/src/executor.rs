@@ -112,12 +112,6 @@ impl ExactExecutor {
         self.backend.prepare(&self.noisy_circuit(spec))
     }
 
-    /// The exact target-state fidelity of a spec on this machine
-    /// (ExactTarget scoring regardless of the spec's score mode).
-    pub fn exact_fidelity(&self, spec: &TestSpec) -> f64 {
-        self.score(spec, ScoreMode::ExactTarget)
-    }
-
     /// The exact score of a spec under its own [`ScoreMode`].
     pub fn exact_score(&self, spec: &TestSpec) -> f64 {
         self.score(spec, spec.score)
@@ -368,6 +362,30 @@ mod tests {
     use super::*;
     use crate::testplan::TestSpec;
     use itqc_trap::TrapConfig;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serialises the tests that switch the process-wide obs layer on to
+    /// read the exact-score memo's traffic.
+    static MEMO_TRAFFIC: Mutex<()> = Mutex::new(());
+
+    /// Locks [`MEMO_TRAFFIC`] and switches the obs layer on; it stays on
+    /// until the guard's holder switches it off.
+    fn observe_memo() -> MutexGuard<'static, ()> {
+        let guard = MEMO_TRAFFIC.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        itqc_obs::set_enabled(true);
+        guard
+    }
+
+    /// The exact-score memo's `(hits, misses)` so far, read from the obs
+    /// layer's nondeterministic counters after folding in this thread's
+    /// shard. No other test in this crate flushes, so between two reads
+    /// the totals move only with the reading tests' own lookups.
+    fn memo_traffic() -> (u64, u64) {
+        itqc_obs::event::flush();
+        let nd = itqc_obs::global().nondeterministic_snapshot();
+        let count = |name: &str| nd.counters.get(name).copied().unwrap_or(0);
+        (count("backend.memo.hits"), count("backend.memo.misses"))
+    }
 
     #[test]
     fn exact_executor_perfect_machine() {
@@ -428,7 +446,7 @@ mod tests {
                     let mut tested = faults.to_vec();
                     tested.push(c(6, 7)); // healthy coupling in the same test
                     let spec = TestSpec::for_couplings("t", &tested, reps);
-                    let expect = exec.exact_fidelity(&spec);
+                    let expect = exec.exact_score(&spec);
                     let got = predicted_class_score(faults, u, reps, ScoreMode::ExactTarget);
                     assert!(
                         (got - expect).abs() < 1e-12,
@@ -531,7 +549,6 @@ mod tests {
                     "{choice:?} disagrees on {}",
                     spec.label
                 );
-                assert!((default.exact_fidelity(spec) - routed.exact_fidelity(spec)).abs() < 1e-9);
             }
         }
         // Preparation reuses one analytic build per distinct circuit.
@@ -578,16 +595,17 @@ mod tests {
 
     #[test]
     fn dense_routed_scores_bypass_the_memo() {
-        use itqc_backend::memo::score_memo_stats;
         use itqc_backend::BackendChoice;
         let exec = ExactExecutor::new(6)
             .with_fault(Coupling::new(0, 1), 0.2)
             .with_backend(BackendChoice::Dense);
         let spec = TestSpec::for_couplings("t", &[Coupling::new(0, 1), Coupling::new(2, 3)], 4);
-        let before = score_memo_stats();
+        let _observing = observe_memo();
+        let before = memo_traffic();
         let _ = exec.exact_score(&spec);
         let _ = exec.exact_score(&spec.clone().with_score(crate::testplan::ScoreMode::WorstQubit));
-        assert_eq!(score_memo_stats(), before, "the dense reference engine is unmemoised");
+        assert_eq!(memo_traffic(), before, "the dense reference engine is unmemoised");
+        itqc_obs::set_enabled(false);
     }
 
     #[test]
@@ -598,7 +616,6 @@ mod tests {
         // the second a hit. Score, clock and Testing seconds must agree
         // bit for bit.
         use crate::testplan::canary_for;
-        use itqc_backend::memo::score_memo_stats;
         fn run(canary: &TestSpec) -> [u64; 3] {
             let mut trap = VirtualTrap::new(TrapConfig::ideal(11, 77));
             for (c, u) in [
@@ -620,19 +637,21 @@ mod tests {
             (0..11).flat_map(|a| (a + 1..11).map(move |b| Coupling::new(a, b))).collect();
         let canary = canary_for(&couplings, 4, ScoreMode::ExactTarget);
         let on_fresh_thread = canary.clone();
+        let _observing = observe_memo();
         let miss = std::thread::spawn(move || {
-            let before = score_memo_stats();
+            let before = memo_traffic();
             let bits = run(&on_fresh_thread);
-            assert_eq!(score_memo_stats(), (before.0, before.1 + 1), "a fresh thread misses");
+            assert_eq!(memo_traffic(), (before.0, before.1 + 1), "a fresh thread misses");
             bits
         })
         .join()
         .expect("miss thread");
         let _ = run(&canary);
-        let before = score_memo_stats();
+        let before = memo_traffic();
         let hit = run(&canary);
-        assert_eq!(score_memo_stats(), (before.0 + 1, before.1), "the repeat hits");
+        assert_eq!(memo_traffic(), (before.0 + 1, before.1), "the repeat hits");
         assert_eq!(hit, miss);
+        itqc_obs::set_enabled(false);
     }
 
     #[test]

@@ -33,23 +33,6 @@ impl Syndrome {
         Syndrome { entries }
     }
 
-    /// Builds a syndrome from explicit `(bit, value)` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bit position repeats (a single-fault syndrome never
-    /// repeats positions — Lemma V.2).
-    pub fn from_entries<I: IntoIterator<Item = (u32, bool)>>(iter: I) -> Self {
-        let mut entries = BTreeMap::new();
-        for (i, v) in iter {
-            assert!(
-                entries.insert(i, v).is_none(),
-                "bit position {i} repeated: not a single-fault syndrome"
-            );
-        }
-        Syndrome { entries }
-    }
-
     /// Adds one failing test `(bit, value)`. Returns `false` (and leaves
     /// the syndrome unchanged) if the position is already present with the
     /// *other* value — the signature of multiple faults.
@@ -143,6 +126,11 @@ impl fmt::Display for Syndrome {
 mod tests {
     use super::*;
 
+    /// A syndrome with the given `(bit, value)` entries.
+    fn syndrome_with<const K: usize>(entries: [(u32, bool); K]) -> Syndrome {
+        Syndrome { entries: entries.into_iter().collect() }
+    }
+
     #[test]
     fn paper_example_v4_syndromes() {
         // {2,7} = {010, 111} share bit 1 with value 1 → syndrome {(1,1)}.
@@ -185,11 +173,11 @@ mod tests {
     #[test]
     fn paper_example_v11_candidates() {
         // Syndrome (0,0) ∧ (1,1): labels *10b → candidates {2,6} only.
-        let s = Syndrome::from_entries([(0, false), (1, true)]);
+        let s = syndrome_with([(0, false), (1, true)]);
         let c = s.candidates(3, 8);
         assert_eq!(c, vec![Coupling::new(2, 6)]);
         // Syndrome (0,0) alone: **0b → {0,6} and {2,4}.
-        let s = Syndrome::from_entries([(0, false)]);
+        let s = syndrome_with([(0, false)]);
         let mut c = s.candidates(3, 8);
         c.sort();
         assert_eq!(c, vec![Coupling::new(0, 6), Coupling::new(2, 4)]);
@@ -219,7 +207,7 @@ mod tests {
 
     #[test]
     fn matches_checks_fixed_bits() {
-        let s = Syndrome::from_entries([(0, false), (2, true)]);
+        let s = syndrome_with([(0, false), (2, true)]);
         assert!(s.matches(0b100));
         assert!(s.matches(0b110));
         assert!(!s.matches(0b101));
@@ -228,7 +216,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let s = Syndrome::from_entries([(0, false), (1, true)]);
+        let s = syndrome_with([(0, false), (1, true)]);
         assert_eq!(s.to_string(), "(0,0) (1,1)");
         assert_eq!(Syndrome::empty().to_string(), "(empty syndrome)");
     }

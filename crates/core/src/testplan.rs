@@ -76,21 +76,6 @@ impl TestSpec {
         self
     }
 
-    /// Number of two-qubit gates in the circuit.
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// Renders the spec as a [`Circuit`] (for the dense simulation path).
-    pub fn as_circuit(&self, n_qubits: usize) -> Circuit {
-        let mut c = Circuit::new(n_qubits);
-        for &(coupling, theta) in &self.gates {
-            let (a, b) = coupling.endpoints();
-            c.xx(a, b, theta);
-        }
-        c
-    }
-
     /// Accumulates the spec into the commuting-XX circuit a machine with
     /// the given per-coupling under-rotations would actually execute:
     /// every programmed `θ` becomes `θ·(1−u)`. This is the entry point
@@ -251,12 +236,22 @@ mod tests {
     use super::*;
     use itqc_sim::run;
 
+    /// The spec's ideal circuit on an `n_qubits` register.
+    fn ideal_circuit(spec: &TestSpec, n_qubits: usize) -> Circuit {
+        let mut c = Circuit::new(n_qubits);
+        for &(coupling, theta) in &spec.gates {
+            let (a, b) = coupling.endpoints();
+            c.xx(a, b, theta);
+        }
+        c
+    }
+
     #[test]
     fn four_ms_target_is_all_zero() {
         let cs = [Coupling::new(0, 1), Coupling::new(1, 2)];
         let spec = TestSpec::for_couplings("t", &cs, 4);
         assert_eq!(spec.target, 0);
-        assert_eq!(spec.gate_count(), 8);
+        assert_eq!(spec.gates.len(), 8);
     }
 
     #[test]
@@ -285,7 +280,7 @@ mod tests {
         for reps in [2usize, 4] {
             for cs in &sets {
                 let spec = TestSpec::for_couplings("t", cs, reps);
-                let state = run(&spec.as_circuit(5));
+                let state = run(&ideal_circuit(&spec, 5));
                 let p = state.probability(spec.target as usize);
                 assert!((p - 1.0).abs() < 1e-9, "set {cs:?} reps {reps}: P(target) = {p}");
             }
@@ -420,7 +415,7 @@ mod tests {
         };
         // Plain repetition test: passes despite the fault.
         let spec = TestSpec::for_couplings("rep", &[faulty], 2);
-        let plain = inject(&spec.as_circuit(8));
+        let plain = inject(&ideal_circuit(&spec, 8));
         let p_plain = run(&plain).probability(spec.target as usize);
         assert!((p_plain - 1.0).abs() < 1e-10, "sign fault self-cancels: p={p_plain}");
         // Swap-insertion test: fails loudly.

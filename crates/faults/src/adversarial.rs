@@ -107,12 +107,6 @@ impl AdversarialScenario {
         }
         d
     }
-
-    /// `true` when every touched qubit has even faulty degree — the
-    /// canary-invisibility condition.
-    pub fn is_even_degree(&self) -> bool {
-        self.degrees().values().all(|&d| d % 2 == 0)
-    }
 }
 
 /// The label-agreement syndrome of a coupling: the `(bit, value)` pairs
@@ -126,115 +120,6 @@ pub fn syndrome_bits(c: Coupling, n_bits: u32) -> Vec<(u32, bool)> {
         .filter(|&i| bits::bit(a, i) == bits::bit(b, i))
         .map(|i| (i, bits::bit(a, i)))
         .collect()
-}
-
-/// All simple cycles on exactly `len` distinct qubits of an `n_qubits`
-/// machine, as edge lists, in a deterministic canonical order: vertex
-/// subsets ascend lexicographically; within a subset the smallest
-/// vertex is fixed first and reflections are deduplicated.
-///
-/// # Panics
-///
-/// Panics if `len < 3`.
-pub fn cycles(n_qubits: usize, len: usize) -> Vec<Vec<Coupling>> {
-    assert!(len >= 3, "a cycle needs at least three vertices");
-    let mut out = Vec::new();
-    if len > n_qubits {
-        return out;
-    }
-    let mut subset = Vec::with_capacity(len);
-    enumerate_subsets(n_qubits, len, 0, &mut subset, &mut |vs| {
-        // Fix vs[0] first; enumerate orders of the rest with
-        // order[0] < order[last] so each undirected cycle appears once.
-        let rest: Vec<usize> = vs[1..].to_vec();
-        let mut order = Vec::with_capacity(rest.len());
-        let mut used = vec![false; rest.len()];
-        permute_cycles(vs[0], &rest, &mut used, &mut order, &mut out);
-    });
-    out
-}
-
-fn enumerate_subsets(
-    n: usize,
-    len: usize,
-    start: usize,
-    acc: &mut Vec<usize>,
-    emit: &mut impl FnMut(&[usize]),
-) {
-    if acc.len() == len {
-        emit(acc);
-        return;
-    }
-    for v in start..n {
-        if n - v < len - acc.len() {
-            break;
-        }
-        acc.push(v);
-        enumerate_subsets(n, len, v + 1, acc, emit);
-        acc.pop();
-    }
-}
-
-fn permute_cycles(
-    anchor: usize,
-    rest: &[usize],
-    used: &mut [bool],
-    order: &mut Vec<usize>,
-    out: &mut Vec<Vec<Coupling>>,
-) {
-    if order.len() == rest.len() {
-        if order.first() < order.last() {
-            let mut edges = Vec::with_capacity(rest.len() + 1);
-            let mut prev = anchor;
-            for &v in order.iter() {
-                edges.push(Coupling::new(prev, v));
-                prev = v;
-            }
-            edges.push(Coupling::new(prev, anchor));
-            edges.sort();
-            out.push(edges);
-        }
-        return;
-    }
-    for i in 0..rest.len() {
-        if used[i] {
-            continue;
-        }
-        used[i] = true;
-        order.push(rest[i]);
-        permute_cycles(anchor, rest, used, order, out);
-        order.pop();
-        used[i] = false;
-    }
-}
-
-/// Systematic enumeration of even-degree configurations: every single
-/// cycle of length `3..=max_cycle`, plus (when the machine is large
-/// enough) every union of two vertex-disjoint triangles. Deterministic
-/// order: ascending fault count, then the cycle enumeration order.
-pub fn even_degree_configs(n_qubits: usize, max_cycle: usize) -> Vec<Vec<Coupling>> {
-    let mut out = Vec::new();
-    for len in 3..=max_cycle.min(n_qubits) {
-        out.extend(cycles(n_qubits, len));
-    }
-    if n_qubits >= 6 && max_cycle >= 6 {
-        // Unions of two vertex-disjoint triangles, first triangle's
-        // smallest vertex below the second's (each union once).
-        let triangles = cycles(n_qubits, 3);
-        for (i, t1) in triangles.iter().enumerate() {
-            let v1: BTreeSet<usize> = t1.iter().flat_map(|c| [c.lo(), c.hi()]).collect();
-            for t2 in &triangles[i + 1..] {
-                let disjoint = t2.iter().all(|c| !v1.contains(&c.lo()) && !v1.contains(&c.hi()));
-                if disjoint {
-                    let mut union = t1.clone();
-                    union.extend(t2.iter().copied());
-                    union.sort();
-                    out.push(union);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Draws `k` distinct qubits, deterministic in the rng stream.
@@ -392,27 +277,10 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn triangle_count_matches_binomial() {
-        assert_eq!(cycles(8, 3).len(), 56); // C(8,3)
-        assert_eq!(cycles(8, 4).len(), 210); // C(8,4) * 3
-        assert_eq!(cycles(4, 5).len(), 0);
-    }
-
-    #[test]
-    fn every_enumerated_config_is_even_degree() {
-        for cfg in even_degree_configs(8, 6) {
-            let s = AdversarialScenario::new(ConfigClass::EvenDegree, cfg, Vec::new());
-            assert!(s.is_even_degree(), "{:?}", s.faults);
-            assert!(s.kind.is_recalibration_target());
-        }
-    }
-
-    #[test]
-    fn enumeration_has_no_duplicates() {
-        let pool = even_degree_configs(8, 5);
-        let distinct: BTreeSet<Vec<Coupling>> = pool.iter().cloned().collect();
-        assert_eq!(distinct.len(), pool.len());
+    /// Every touched qubit has even faulty degree: the
+    /// canary-invisibility condition.
+    fn all_degrees_even(s: &AdversarialScenario) -> bool {
+        s.degrees().values().all(|&d| d % 2 == 0)
     }
 
     #[test]
@@ -424,7 +292,7 @@ mod tests {
                 sample_even_degree(8, &mut rng),
                 Vec::new(),
             );
-            assert!(s.is_even_degree(), "{:?}", s.faults);
+            assert!(all_degrees_even(&s), "{:?}", s.faults);
         }
         let a: Vec<_> =
             (0..10).map(|_| sample_even_degree(16, &mut SmallRng::seed_from_u64(7))).collect();

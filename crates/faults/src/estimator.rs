@@ -1,9 +1,7 @@
 //! Gate-fidelity estimation (paper §III, Eqs. 1–2) and the XX-angle
 //! monitor used in Fig. 7C.
 
-use itqc_circuit::Circuit;
 use itqc_math::lstsq::fit_sin2phi_amplitude;
-use itqc_sim::run;
 use std::f64::consts::FRAC_PI_2;
 
 /// Eq. (1): average MS-gate fidelity from Lamb–Dicke couplings and mode
@@ -58,38 +56,6 @@ pub fn eq2_fidelity_from_data(
     MsFidelityEstimate { p00, p11, contrast, fidelity: (p00 + p11 + contrast) / 2.0 }
 }
 
-/// Runs the two Eq.-(2) fidelity-determining circuits on the dense
-/// simulator for an MS gate implemented as `XX(θ_actual)` and returns the
-/// estimate. `scan_points` analysis phases are used (the paper scans φ and
-/// fits the parity fringe).
-///
-/// The two circuits are `XX(θ)` and `(R_φ(π/2)⊗R_φ(π/2))·XX(θ)` on `|00⟩`.
-pub fn eq2_fidelity_of_xx(theta_actual: f64, scan_points: usize) -> MsFidelityEstimate {
-    assert!(scan_points >= 4, "need at least 4 scan points for a fringe fit");
-    // Circuit 1: populations.
-    let mut c1 = Circuit::new(2);
-    c1.xx(0, 1, theta_actual);
-    let s1 = run(&c1);
-    let p00 = s1.probability(0b00);
-    let p11 = s1.probability(0b11);
-
-    // Circuit 2: parity scan.
-    let mut phis = Vec::with_capacity(scan_points);
-    let mut parities = Vec::with_capacity(scan_points);
-    for k in 0..scan_points {
-        let phi = std::f64::consts::PI * k as f64 / scan_points as f64;
-        let mut c2 = Circuit::new(2);
-        c2.xx(0, 1, theta_actual).r(0, FRAC_PI_2, phi).r(1, FRAC_PI_2, phi);
-        let s2 = run(&c2);
-        let parity = s2.probability(0b00) + s2.probability(0b11)
-            - s2.probability(0b01)
-            - s2.probability(0b10);
-        phis.push(phi);
-        parities.push(parity);
-    }
-    eq2_fidelity_from_data(p00, p11, &phis, &parities)
-}
-
 /// Estimates the implemented `XX(θ)` angle from the even populations of a
 /// single application on `|00⟩`: `P₀₀ = cos²(θ/2)`, `P₁₁ = sin²(θ/2)`,
 /// hence `θ̂ = 2·atan2(√P₁₁, √P₀₀)`.
@@ -109,6 +75,40 @@ pub fn under_rotation_from_angle(theta_measured: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itqc_circuit::Circuit;
+    use itqc_sim::run;
+
+    /// Runs the two Eq.-(2) fidelity-determining circuits on the dense
+    /// simulator for an MS gate implemented as `XX(θ_actual)` and returns the
+    /// estimate. `scan_points` analysis phases are used (the paper scans φ and
+    /// fits the parity fringe).
+    ///
+    /// The two circuits are `XX(θ)` and `(R_φ(π/2)⊗R_φ(π/2))·XX(θ)` on `|00⟩`.
+    fn simulated_eq2(theta_actual: f64, scan_points: usize) -> MsFidelityEstimate {
+        assert!(scan_points >= 4, "need at least 4 scan points for a fringe fit");
+        // Circuit 1: populations.
+        let mut c1 = Circuit::new(2);
+        c1.xx(0, 1, theta_actual);
+        let s1 = run(&c1);
+        let p00 = s1.probability(0b00);
+        let p11 = s1.probability(0b11);
+
+        // Circuit 2: parity scan.
+        let mut phis = Vec::with_capacity(scan_points);
+        let mut parities = Vec::with_capacity(scan_points);
+        for k in 0..scan_points {
+            let phi = std::f64::consts::PI * k as f64 / scan_points as f64;
+            let mut c2 = Circuit::new(2);
+            c2.xx(0, 1, theta_actual).r(0, FRAC_PI_2, phi).r(1, FRAC_PI_2, phi);
+            let s2 = run(&c2);
+            let parity = s2.probability(0b00) + s2.probability(0b11)
+                - s2.probability(0b01)
+                - s2.probability(0b10);
+            phis.push(phi);
+            parities.push(parity);
+        }
+        eq2_fidelity_from_data(p00, p11, &phis, &parities)
+    }
 
     #[test]
     fn eq1_perfect_decoupling_gives_unit_fidelity() {
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn eq2_perfect_gate_estimates_one() {
-        let est = eq2_fidelity_of_xx(FRAC_PI_2, 16);
+        let est = simulated_eq2(FRAC_PI_2, 16);
         assert!((est.fidelity - 1.0).abs() < 1e-9, "F = {}", est.fidelity);
         assert!((est.p00 - 0.5).abs() < 1e-9);
         assert!((est.p11 - 0.5).abs() < 1e-9);
@@ -137,7 +137,7 @@ mod tests {
         // XX(π/2 + ε): populations unbalance as cos²/sin² and the paper
         // predicts contrast cos(ε).
         let eps = 0.2;
-        let est = eq2_fidelity_of_xx(FRAC_PI_2 + eps, 32);
+        let est = simulated_eq2(FRAC_PI_2 + eps, 32);
         assert!(est.fidelity < 1.0 - eps * eps / 8.0);
         assert!(est.fidelity > 0.9);
         assert!((est.contrast - eps.cos()).abs() < 0.02, "contrast {}", est.contrast);
@@ -147,7 +147,7 @@ mod tests {
     fn eq2_monotone_in_error() {
         let mut last = 1.1;
         for &eps in &[0.0, 0.1, 0.2, 0.3, 0.4] {
-            let f = eq2_fidelity_of_xx(FRAC_PI_2 + eps, 16).fidelity;
+            let f = simulated_eq2(FRAC_PI_2 + eps, 16).fidelity;
             assert!(f < last, "fidelity must decrease with ε");
             last = f;
         }

@@ -2,8 +2,7 @@
 //!
 //! The paper notes SPAM errors on ion traps are below 1% and *stable*, so
 //! they "can be addressed in post-processing" (§III). We model asymmetric
-//! per-qubit readout flips and provide the standard post-processing
-//! inversion for marginal probabilities.
+//! per-qubit readout flips.
 
 use rand::Rng;
 
@@ -57,18 +56,6 @@ impl SpamModel {
         let zeros = n_qubits as i32 - ones;
         (1.0 - self.p01).powi(zeros) * (1.0 - self.p10).powi(ones)
     }
-
-    /// Post-processing correction of a single-qubit "one" probability:
-    /// inverts `p̂ = p01 + p·(1 − p01 − p10)`, clamped to `[0, 1]`.
-    ///
-    /// This is the stable-SPAM correction the paper alludes to.
-    pub fn correct_marginal(&self, measured_p_one: f64) -> f64 {
-        let denom = 1.0 - self.p01 - self.p10;
-        if denom.abs() < 1e-12 {
-            return measured_p_one;
-        }
-        ((measured_p_one - self.p01) / denom).clamp(0.0, 1.0)
-    }
 }
 
 impl Default for SpamModel {
@@ -118,13 +105,5 @@ mod tests {
         let spam = SpamModel::new(0.01, 0.03);
         let r = spam.retention(0b011, 3);
         assert!((r - 0.99 * 0.97f64.powi(2)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn marginal_correction_round_trip() {
-        let spam = SpamModel::new(0.02, 0.04);
-        let p_true = 0.37;
-        let p_meas = spam.p01 + p_true * (1.0 - spam.p01 - spam.p10);
-        assert!((spam.correct_marginal(p_meas) - p_true).abs() < 1e-12);
     }
 }

@@ -10,12 +10,6 @@ pub fn bit(x: usize, i: u32) -> bool {
     (x >> i) & 1 == 1
 }
 
-/// Returns bit `i` of `x` as `0` or `1`.
-#[inline]
-pub fn bit01(x: usize, i: u32) -> u8 {
-    ((x >> i) & 1) as u8
-}
-
 /// Complements the low `n` bits of `x` (the paper's bit-complementary
 /// partner of a qubit label).
 ///
@@ -55,12 +49,6 @@ pub fn shared_bit_positions(a: usize, b: usize, n: u32) -> Vec<u32> {
     (0..n).filter(|&i| bit(same, i)).collect()
 }
 
-/// The bit positions (ascending) where `a` and `b` differ, over `n` bits.
-pub fn differing_bit_positions(a: usize, b: usize, n: u32) -> Vec<u32> {
-    let diff = (a ^ b) & mask(n);
-    (0..n).filter(|&i| bit(diff, i)).collect()
-}
-
 /// Number of bits needed to label `count` items: `ceil(log2(count))`,
 /// with a minimum of 1.
 ///
@@ -84,8 +72,8 @@ mod tests {
     fn bit_accessors() {
         assert!(bit(0b100, 2));
         assert!(!bit(0b100, 1));
-        assert_eq!(bit01(0b110, 1), 1);
-        assert_eq!(bit01(0b110, 0), 0);
+        assert!(bit(0b110, 1));
+        assert!(!bit(0b110, 0));
     }
 
     #[test]
@@ -118,8 +106,9 @@ mod tests {
         for a in 0..16usize {
             for b in 0..16usize {
                 let s = shared_bit_positions(a, b, 4);
-                let d = differing_bit_positions(a, b, 4);
-                assert_eq!(s.len() + d.len(), 4);
+                let d = (a ^ b).count_ones() as usize;
+                assert_eq!(s.len() + d, 4);
+                assert!(s.iter().all(|&i| bit(a, i) == bit(b, i)));
             }
         }
     }

@@ -38,16 +38,6 @@ impl CMatrix {
         m
     }
 
-    /// Creates a matrix from a row-major entry vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<Complex64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "shape mismatch");
-        CMatrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -68,11 +58,6 @@ impl CMatrix {
     #[inline]
     pub fn at_mut(&mut self, r: usize, c: usize) -> &mut Complex64 {
         &mut self.data[r * self.cols + c]
-    }
-
-    /// Raw row-major entries.
-    pub fn as_slice(&self) -> &[Complex64] {
-        &self.data
     }
 
     /// Matrix product `self · rhs`.

@@ -40,7 +40,3 @@ pub use complex::Complex64;
 pub use dense::CMatrix;
 pub use gray::gray;
 pub use mat::{Mat2, Mat4};
-
-/// Numerical tolerance used across the workspace for "exact" identities
-/// (unitarity checks, matrix equality up to round-off).
-pub const EPS: f64 = 1e-10;

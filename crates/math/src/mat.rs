@@ -84,17 +84,6 @@ impl Mat2 {
         out
     }
 
-    /// Multiplies every entry by a complex scalar.
-    pub fn scale_c(&self, s: Complex64) -> Mat2 {
-        let mut out = *self;
-        for r in 0..2 {
-            for c in 0..2 {
-                out.m[r][c] *= s;
-            }
-        }
-        out
-    }
-
     /// Trace of the matrix.
     pub fn trace(&self) -> Complex64 {
         self.m[0][0] + self.m[1][1]
@@ -363,7 +352,8 @@ mod tests {
     #[test]
     fn global_phase_equality() {
         let h = hadamard();
-        let phased = h.scale_c(Complex64::cis(0.7));
+        let z = Complex64::cis(0.7);
+        let phased = Mat2::new([[z, Complex64::ZERO], [Complex64::ZERO, z]]).mul(&h);
         assert!(h.approx_eq_up_to_phase(&phased, 1e-12));
         assert!(!h.approx_eq(&phased, 1e-12));
         assert!(!h.approx_eq_up_to_phase(&pauli_x(), 1e-9));

@@ -25,107 +25,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u.ln()).sqrt() * (2.0 * PI * v).cos()
 }
 
-/// The normal distribution `N(mean, std²)`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std < 0` or either parameter is non-finite.
-    pub fn new(mean: f64, std: f64) -> Self {
-        assert!(std >= 0.0 && mean.is_finite() && std.is_finite(), "bad normal parameters");
-        Normal { mean, std }
-    }
-
-    /// The mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The standard deviation.
-    pub fn std(&self) -> f64 {
-        self.std
-    }
-}
-
-impl Distribution for Normal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std * standard_normal(rng)
-    }
-}
-
-/// Half-normal distribution `|N(0, σ²)|`.
-///
-/// Its mean is `σ·√(2/π)`. The paper's "10% average amplitude error" is
-/// modelled as a zero-mean normal whose absolute value averages 0.10, i.e.
-/// `σ = 0.10·√(π/2)` — construct that with [`HalfNormal::with_mean`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HalfNormal {
-    sigma: f64,
-}
-
-impl HalfNormal {
-    /// Creates a half-normal with scale parameter `sigma`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or non-finite.
-    pub fn new(sigma: f64) -> Self {
-        assert!(sigma >= 0.0 && sigma.is_finite(), "bad half-normal sigma");
-        HalfNormal { sigma }
-    }
-
-    /// Creates a half-normal whose *mean* is `mean`, i.e. `σ = mean·√(π/2)`.
-    pub fn with_mean(mean: f64) -> Self {
-        Self::new(mean * (PI / 2.0).sqrt())
-    }
-
-    /// The scale parameter σ.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-}
-
-impl Distribution for HalfNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.sigma * standard_normal(rng)).abs()
-    }
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or bounds are non-finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi && lo.is_finite() && hi.is_finite(), "bad uniform bounds");
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.lo == self.hi {
-            return self.lo;
-        }
-        rng.gen_range(self.lo..self.hi)
-    }
-}
-
 /// The paper's composite under-rotation law (§VII, Fig. 9):
 /// density is flat at height `a` on `[0, c]` (c = 6% calibration threshold)
 /// and falls off as a right-tail Gaussian `a·exp(−(u−c)²/(2σ²))` beyond,
@@ -216,31 +115,22 @@ mod tests {
     #[test]
     fn normal_moments() {
         let mut rng = SmallRng::seed_from_u64(42);
-        let d = Normal::new(1.5, 0.5);
-        let xs = d.sample_vec(&mut rng, N);
+        let xs: Vec<f64> = (0..N).map(|_| 1.5 + 0.5 * standard_normal(&mut rng)).collect();
         let m = stats::mean(&xs);
-        let s = stats::std_dev(&xs);
+        let s = stats::variance(&xs).sqrt();
         assert!((m - 1.5).abs() < 0.01, "mean {m}");
         assert!((s - 0.5).abs() < 0.01, "std {s}");
     }
 
     #[test]
     fn half_normal_mean_matches_construction() {
+        // The "10% average amplitude error" convention: |σ·N(0,1)| with
+        // σ = 0.10·√(π/2) averages 0.10.
         let mut rng = SmallRng::seed_from_u64(43);
-        let d = HalfNormal::with_mean(0.10);
-        let xs = d.sample_vec(&mut rng, N);
+        let sigma = 0.10 * (PI / 2.0).sqrt();
+        let xs: Vec<f64> = (0..N).map(|_| (sigma * standard_normal(&mut rng)).abs()).collect();
         let m = stats::mean(&xs);
         assert!((m - 0.10).abs() < 0.002, "mean {m}");
-        assert!(xs.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let mut rng = SmallRng::seed_from_u64(44);
-        let d = Uniform::new(-1.0, 3.0);
-        let xs = d.sample_vec(&mut rng, N);
-        assert!(xs.iter().all(|&x| (-1.0..3.0).contains(&x)));
-        assert!((stats::mean(&xs) - 1.0).abs() < 0.02);
     }
 
     #[test]

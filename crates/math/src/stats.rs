@@ -17,11 +17,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Linearly interpolated quantile, `q ∈ [0, 1]`.
 ///
 /// # Panics
@@ -136,23 +131,6 @@ impl Histogram {
     }
 }
 
-/// Wilson score interval for a binomial proportion (95% by default `z=1.96`).
-///
-/// Returns `(low, high)`. Useful for reporting identification probabilities
-/// from Monte-Carlo trials.
-pub fn wilson_interval(successes: usize, trials: usize, z: f64) -> (f64, f64) {
-    if trials == 0 {
-        return (0.0, 1.0);
-    }
-    let n = trials as f64;
-    let p = successes as f64 / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let centre = (p + z2 / (2.0 * n)) / denom;
-    let half = (z / denom) * ((p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt());
-    ((centre - half).max(0.0), (centre + half).min(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,13 +163,6 @@ mod tests {
         let h = Histogram::new(0.0, 1.0, 2);
         assert!((h.bin_center(0) - 0.25).abs() < 1e-12);
         assert!((h.bin_center(1) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wilson_contains_point_estimate() {
-        let (lo, hi) = wilson_interval(95, 100, 1.96);
-        assert!(lo < 0.95 && 0.95 < hi);
-        assert!(lo > 0.85 && hi < 1.0);
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -369,7 +363,7 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("cache.hits");
         c.add(3);
-        r.counter("cache.hits").incr();
+        r.counter("cache.hits").add(1);
         r.add("cache.hits", 2);
         assert_eq!(r.deterministic_snapshot().counters["cache.hits"], 6);
     }

@@ -10,7 +10,6 @@
 use itqc_circuit::{Circuit, Op};
 use itqc_math::{Complex64, Mat2, Mat4};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Maximum register size `unitary`-style dense simulation will accept.
 pub const MAX_QUBITS: usize = 26;
@@ -54,20 +53,6 @@ impl StateVector {
         StateVector { n_qubits, amps }
     }
 
-    /// A computational basis state `|basis⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`StateVector::zero_state`], or
-    /// if `basis` is out of range.
-    pub fn basis_state(n_qubits: usize, basis: usize) -> Self {
-        let mut s = Self::zero_state(n_qubits);
-        assert!(basis < s.amps.len(), "basis state out of range");
-        s.amps[0] = Complex64::ZERO;
-        s.amps[basis] = Complex64::ONE;
-        s
-    }
-
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
@@ -98,19 +83,6 @@ impl StateVector {
     /// The state norm (should be 1 for a physical state).
     pub fn norm(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
-    }
-
-    /// Rescales to unit norm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is numerically zero.
-    pub fn normalize(&mut self) {
-        let n = self.norm();
-        assert!(n > 1e-12, "cannot normalise a zero state");
-        for a in &mut self.amps {
-            *a = *a / n;
-        }
     }
 
     /// Overlap `⟨other|self⟩`.
@@ -223,19 +195,6 @@ impl StateVector {
             u -= p;
         }
         self.amps.len() - 1 // numerical slack lands on the last state
-    }
-
-    /// Samples `shots` measurement outcomes and returns a count map.
-    pub fn sample_counts<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        shots: usize,
-    ) -> BTreeMap<usize, usize> {
-        let mut counts = BTreeMap::new();
-        for _ in 0..shots {
-            *counts.entry(self.sample(rng)).or_insert(0) += 1;
-        }
-        counts
     }
 
     /// Measures all qubits, collapsing the state to the sampled basis
@@ -358,7 +317,10 @@ mod tests {
     fn sampling_statistics_match_probabilities() {
         let mut rng = SmallRng::seed_from_u64(99);
         let s = run(&library::ghz(3));
-        let counts = s.sample_counts(&mut rng, 20_000);
+        let mut counts = std::collections::BTreeMap::new();
+        for _ in 0..20_000 {
+            *counts.entry(s.sample(&mut rng)).or_insert(0) += 1;
+        }
         let p0 = *counts.get(&0).unwrap_or(&0) as f64 / 20_000.0;
         let p7 = *counts.get(&7).unwrap_or(&0) as f64 / 20_000.0;
         assert!((p0 - 0.5).abs() < 0.02);
@@ -384,8 +346,10 @@ mod tests {
 
     #[test]
     fn overlap_of_orthogonal_states() {
-        let a = StateVector::basis_state(2, 0);
-        let b = StateVector::basis_state(2, 3);
+        let a = StateVector::zero_state(2);
+        let mut flip = Circuit::new(2);
+        flip.x(0).x(1);
+        let b = run(&flip);
         assert!(a.overlap(&b).norm() < 1e-15);
         assert!((a.fidelity(&a) - 1.0).abs() < 1e-15);
     }

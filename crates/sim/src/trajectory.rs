@@ -53,51 +53,6 @@ where
     state
 }
 
-/// Average probability of observing `target` over `n_traj` noisy
-/// trajectories — the exact-measurement analogue of repeating the circuit.
-pub fn average_target_probability<M, R>(
-    circuit: &Circuit,
-    target: usize,
-    n_traj: usize,
-    model: &mut M,
-    rng: &mut R,
-) -> f64
-where
-    M: NoiseModel,
-    R: Rng + ?Sized,
-{
-    assert!(n_traj > 0, "need at least one trajectory");
-    let mut acc = 0.0;
-    for _ in 0..n_traj {
-        acc += run_trajectory(circuit, model, rng).probability(target);
-    }
-    acc / n_traj as f64
-}
-
-/// Simulates a `shots`-shot experiment under trajectory noise: each shot
-/// draws a fresh trajectory and samples one measurement outcome, exactly as
-/// hardware would. Returns the number of shots that landed on `target`.
-pub fn shots_on_target<M, R>(
-    circuit: &Circuit,
-    target: usize,
-    shots: usize,
-    model: &mut M,
-    rng: &mut R,
-) -> usize
-where
-    M: NoiseModel,
-    R: Rng + ?Sized,
-{
-    let mut hits = 0;
-    for _ in 0..shots {
-        let state = run_trajectory(circuit, model, rng);
-        if state.sample(rng) == target {
-            hits += 1;
-        }
-    }
-    hits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +93,7 @@ mod tests {
         for _ in 0..4 {
             c.xx(0, 1, FRAC_PI_2);
         }
-        let f = average_target_probability(&c, 0, 3, &mut FixedUnderRotation(u), &mut rng);
+        let f = run_trajectory(&c, &mut FixedUnderRotation(u), &mut rng).probability(0);
         let expect = (std::f64::consts::PI * u).cos().powi(2);
         assert!((f - expect).abs() < 1e-10, "{f} vs {expect}");
     }
@@ -152,7 +107,10 @@ mod tests {
             c.xx(0, 1, FRAC_PI_2);
         }
         let shots = 2000;
-        let hits = shots_on_target(&c, 0, shots, &mut FixedUnderRotation(u), &mut rng);
+        let mut model = FixedUnderRotation(u);
+        let hits = (0..shots)
+            .filter(|_| run_trajectory(&c, &mut model, &mut rng).sample(&mut rng) == 0)
+            .count();
         let expect = (std::f64::consts::PI * u).cos().powi(2);
         let p_hat = hits as f64 / shots as f64;
         assert!((p_hat - expect).abs() < 0.04, "{p_hat} vs {expect}");

@@ -137,25 +137,6 @@ impl IonChain {
         &self.positions
     }
 
-    /// Axial normal modes (frequencies in units of `ω_z`).
-    pub fn axial_modes(&self) -> ModeSpectrum {
-        let n = self.n_ions();
-        let mut a = vec![0.0; n * n];
-        for i in 0..n {
-            let mut diag = 1.0;
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let w = 2.0 / (self.positions[i] - self.positions[j]).abs().powi(3);
-                diag += w;
-                a[i * n + j] = -w;
-            }
-            a[i * n + i] = diag;
-        }
-        ModeSpectrum::from_hessian(&a, n)
-    }
-
     /// Transverse normal modes for trap anisotropy
     /// `a = (ω_transverse/ω_z)²`.
     ///
@@ -203,11 +184,6 @@ impl ModeSpectrum {
             frequencies: eig.values.iter().map(|l| l.sqrt()).collect(),
             vectors: eig.vectors,
         }
-    }
-
-    /// Number of modes (= number of ions).
-    pub fn n_modes(&self) -> usize {
-        self.frequencies.len()
     }
 
     /// Mode frequencies in units of `ω_z`, ascending.
@@ -272,78 +248,6 @@ pub fn pulse_alpha_sqr(segments: &[PulseSegment], modes: &ModeSpectrum) -> Vec<f
     modes.frequencies().iter().map(|&w| pulse_alpha(segments, w).norm_sqr()).collect()
 }
 
-/// Designs an amplitude-modulated pulse that *exactly decouples* the
-/// selected modes: `α_p = 0` for every `p ∈ null_modes` at the end of the
-/// pulse. This is the amplitude-modulation flavour of the power-optimal
-/// stabilised-gate construction the paper builds on (its refs. \[3\], \[4\]):
-/// `α_p` is linear in the segment amplitudes, so nulling `K` complex
-/// residuals is `2K` real linear constraints on the `n_segments` unknowns.
-///
-/// The first segment's amplitude is pinned to 1 (overall power is
-/// calibrated separately by the entangling-angle condition) and the rest
-/// solve the constraints in the least-squares sense; with
-/// `n_segments ≥ 2·K + 1` the solution is exact.
-///
-/// Returns `None` if the constraint system is singular (e.g. duplicate
-/// frequencies in `null_modes`).
-///
-/// # Panics
-///
-/// Panics if `n_segments < 2`, `duration <= 0`, or a mode index is out of
-/// range.
-pub fn design_decoupled_pulse(
-    modes: &ModeSpectrum,
-    null_modes: &[usize],
-    duration: f64,
-    n_segments: usize,
-) -> Option<Vec<PulseSegment>> {
-    assert!(n_segments >= 2, "need at least two segments to shape anything");
-    assert!(duration > 0.0, "pulse duration must be positive");
-    for &p in null_modes {
-        assert!(p < modes.n_modes(), "mode index {p} out of range");
-    }
-    let seg_t = duration / n_segments as f64;
-    // Influence of segment s on mode p: I_{p,s} = ∫_{t_s}^{t_{s+1}} e^{iωt} dt.
-    let influence = |p: usize, s: usize| -> Complex64 {
-        // ∫ e^{iωt} dt over [t₀, t₀ + seg_t].
-        let w = modes.frequencies()[p];
-        let t0 = s as f64 * seg_t;
-        let t1 = t0 + seg_t;
-        if w.abs() < 1e-12 {
-            Complex64::real(seg_t)
-        } else {
-            (Complex64::cis(w * t1) - Complex64::cis(w * t0)) / Complex64::new(0.0, w)
-        }
-    };
-    // Rows: Re/Im of α_p for each nulled mode. Unknowns: amplitudes 1..n.
-    // Fixed: A_0 = 1 contributes the right-hand side.
-    let rows = 2 * null_modes.len();
-    let cols = n_segments - 1;
-    let mut design = vec![0.0; rows * cols];
-    let mut rhs = vec![0.0; rows];
-    for (k, &p) in null_modes.iter().enumerate() {
-        let base = influence(p, 0);
-        rhs[2 * k] = -base.re;
-        rhs[2 * k + 1] = -base.im;
-        for s in 1..n_segments {
-            let i = influence(p, s);
-            design[(2 * k) * cols + (s - 1)] = i.re;
-            design[(2 * k + 1) * cols + (s - 1)] = i.im;
-        }
-    }
-    let solution = itqc_math::lstsq::least_squares(&design, &rhs, cols)?;
-    let mut segments = Vec::with_capacity(n_segments);
-    segments.push(PulseSegment { amplitude: 1.0, duration: seg_t });
-    for a in solution {
-        segments.push(PulseSegment { amplitude: a, duration: seg_t });
-    }
-    // Exactness check: if the system was over-constrained the residuals
-    // stay finite — report failure rather than a half-decoupled pulse.
-    let ok =
-        null_modes.iter().all(|&p| pulse_alpha(&segments, modes.frequencies()[p]).norm() < 1e-8);
-    ok.then_some(segments)
-}
-
 /// Predicts the Eq. (1) MS-gate fidelity for ions `i`, `j` of a chain with
 /// the given transverse anisotropy and pulse.
 pub fn eq1_fidelity_for_pair(
@@ -366,6 +270,27 @@ pub fn eq1_fidelity_for_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Axial normal modes (frequencies in units of `ω_z`): the classic
+    /// closed-form spectrum the equilibrium solver is checked against.
+    fn axial_spectrum(chain: &IonChain) -> ModeSpectrum {
+        let u = chain.positions();
+        let n = u.len();
+        let mut a = vec![0.0; n * n];
+        for i in 0..n {
+            let mut diag = 1.0;
+            for j in 0..n {
+                if i == j {
+                    continue;
+                }
+                let w = 2.0 / (u[i] - u[j]).abs().powi(3);
+                diag += w;
+                a[i * n + j] = -w;
+            }
+            a[i * n + i] = diag;
+        }
+        ModeSpectrum::from_hessian(&a, n)
+    }
 
     #[test]
     fn two_ion_equilibrium_is_exact() {
@@ -400,7 +325,7 @@ mod tests {
         // Classic results: axial eigenvalues are exactly 1 (COM) and 3
         // (stretch) independent of N for the lowest two modes.
         for n in [2usize, 3, 5, 11] {
-            let modes = IonChain::new(n).axial_modes();
+            let modes = axial_spectrum(&IonChain::new(n));
             let f = modes.frequencies();
             assert!((f[0] - 1.0).abs() < 1e-8, "COM at ω_z (n={n})");
             assert!((f[1] - 3.0f64.sqrt()).abs() < 1e-8, "stretch at √3·ω_z (n={n})");
@@ -409,7 +334,7 @@ mod tests {
 
     #[test]
     fn axial_com_vector_is_uniform() {
-        let modes = IonChain::new(5).axial_modes();
+        let modes = axial_spectrum(&IonChain::new(5));
         let v = modes.vector(0);
         let expect = 1.0 / 5.0f64.sqrt();
         for &x in v {
@@ -441,7 +366,7 @@ mod tests {
     #[test]
     fn lamb_dicke_scaling() {
         let chain = IonChain::new(3);
-        let modes = chain.axial_modes();
+        let modes = axial_spectrum(&chain);
         let eta = modes.lamb_dicke(0.1, 1.0);
         // COM mode: η = 0.1·(1/√3)·√(1/1) per ion.
         let expect = 0.1 / 3.0f64.sqrt();
@@ -495,62 +420,6 @@ mod tests {
         assert!(pulse_alpha(&segs, omega).norm() < 1e-12);
         // …but not for an incommensurate mode.
         assert!(pulse_alpha(&segs, 2.3).norm() > 1e-3);
-    }
-
-    #[test]
-    fn designed_pulse_nulls_selected_modes() {
-        let chain = IonChain::new(11);
-        let modes = chain.transverse_modes(25.0);
-        // Null the five highest modes (closest to a COM-tuned drive).
-        let null: Vec<usize> = (6..11).collect();
-        let pulse = design_decoupled_pulse(&modes, &null, 40.0, 12)
-            .expect("12 segments suffice for 5 complex constraints");
-        for &p in &null {
-            let a = pulse_alpha(&pulse, modes.frequencies()[p]);
-            assert!(a.norm() < 1e-8, "mode {p} residual {}", a.norm());
-        }
-        // Non-nulled modes generically keep residuals.
-        let leftover: f64 =
-            (0..6).map(|p| pulse_alpha(&pulse, modes.frequencies()[p]).norm()).sum();
-        assert!(leftover > 1e-6);
-    }
-
-    #[test]
-    fn designed_pulse_beats_constant_pulse_on_eq1() {
-        let chain = IonChain::new(11);
-        let a = 25.0;
-        let modes = chain.transverse_modes(a);
-        let duration = 40.0;
-        let constant = [PulseSegment { amplitude: 1.0, duration }];
-        // Null every mode that couples strongly to ions 3 and 8.
-        let null: Vec<usize> = (5..11).collect();
-        let designed = design_decoupled_pulse(&modes, &null, duration, 14).unwrap();
-        // Rescale both pulses to equal energy so the comparison is fair.
-        let scale = |segs: &[PulseSegment]| -> f64 {
-            segs.iter().map(|s| s.amplitude * s.amplitude * s.duration).sum::<f64>()
-        };
-        let ratio = (scale(&constant) / scale(&designed)).sqrt() * 0.05;
-        let designed_scaled: Vec<PulseSegment> = designed
-            .iter()
-            .map(|s| PulseSegment { amplitude: s.amplitude * ratio, duration: s.duration })
-            .collect();
-        let constant_scaled = [PulseSegment { amplitude: 0.05, duration }];
-        let f_const = eq1_fidelity_for_pair(&chain, a, 0.08, &constant_scaled, 3, 8);
-        let f_designed = eq1_fidelity_for_pair(&chain, a, 0.08, &designed_scaled, 3, 8);
-        assert!(
-            f_designed > f_const,
-            "decoupled pulse must improve Eq.(1) fidelity: {f_designed} vs {f_const}"
-        );
-        assert!(f_designed > 0.999, "nulled modes should leave near-unit fidelity");
-    }
-
-    #[test]
-    fn design_rejects_overconstrained_systems() {
-        let chain = IonChain::new(4);
-        let modes = chain.transverse_modes(25.0);
-        // 4 modes → 8 real constraints, but only 3 free amplitudes.
-        let result = design_decoupled_pulse(&modes, &[0, 1, 2, 3], 10.0, 4);
-        assert!(result.is_none());
     }
 
     #[test]

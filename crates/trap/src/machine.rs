@@ -3,15 +3,16 @@
 //! [`VirtualTrap`] stands in for the commercial 11-qubit ion trap of the
 //! paper's §VI (see `DESIGN.md` §1 for the substitution argument). It keeps
 //! a hidden per-coupling miscalibration state, evolves it under drift,
-//! executes circuits with the full §III noise model and finite shots, and
-//! bills every operation to a duty-cycle ledger through the §VIII timing
-//! model.
+//! executes circuits with per-gate amplitude and one-qubit jitter, SPAM
+//! and finite shots, and bills every operation to a duty-cycle ledger
+//! through the §VIII timing model. The other §III channels, 1/f phase
+//! noise and residual bus coupling, are driven through
+//! [`IonTrapNoise`] directly by the Fig. 3 echo study.
 //!
 //! Two execution paths are provided, matching the paper's own methodology:
 //!
-//! * [`VirtualTrap::run_circuit`] — dense trajectory simulation with every
-//!   noise channel (amplitude, 1/f phase, residual bus, SPAM); used at
-//!   hardware scale (≤ ~14 qubits).
+//! * [`VirtualTrap::run_circuit`] — dense trajectory simulation of the
+//!   trap's channels; used at hardware scale (≤ ~14 qubits).
 //! * [`VirtualTrap::run_xx_test`] — the exact commuting-XX engine for test
 //!   circuits, with amplitude-type channels and SPAM, read out under the
 //!   test's [`ScoreMode`]; like the paper's scaling study, it "suppresses
@@ -25,14 +26,19 @@ use itqc_backend::{
 use itqc_circuit::{Circuit, Coupling};
 use itqc_faults::drift::DriftProcess;
 use itqc_faults::models::CouplingFault;
-use itqc_faults::phase_noise::OneOverF;
 use itqc_faults::{IonTrapNoise, SpamModel};
 use itqc_math::rng::standard_normal;
 use itqc_sim::trajectory::run_trajectory;
 use itqc_sim::{shots, BitString, XxCircuit};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::BTreeMap;
+
+/// Wall-clock cost of recalibrating one coupling, seconds.
+const RECALIBRATION_SECONDS: f64 = 1.0;
+
+/// The timing model every operation is billed through.
+const TIMING: TimingModel = TimingModel::paper_defaults();
 
 /// Configuration of a [`VirtualTrap`].
 #[derive(Clone, Debug)]
@@ -47,54 +53,19 @@ pub struct TrapConfig {
     /// Additive angle jitter on single-qubit rotation gates (radians).
     /// 0 disables.
     pub one_qubit_jitter_std: f64,
-    /// RMS of 1/f phase noise on MS beam phases (radians). 0 disables.
-    pub phase_noise_rms: f64,
-    /// Odd-population leakage per MS gate from residual bus coupling.
-    /// 0 disables.
-    pub residual_odd_population: f64,
     /// Readout error model.
     pub spam: SpamModel,
-    /// Residual |under-rotation| remaining immediately after a coupling is
-    /// recalibrated (drawn uniformly in `[−r, r]`).
-    pub recalibration_residual: f64,
-    /// Wall-clock cost of recalibrating one coupling, seconds.
-    pub recalibration_seconds: f64,
-    /// Timing model for everything else.
-    pub timing: TimingModel,
 }
 
 impl TrapConfig {
-    /// A machine with the paper's §VI noise operating point: 1% residual
-    /// odd population, 1/f phase noise, sub-1% SPAM, and no ambient
-    /// amplitude jitter (add it per experiment).
-    pub fn paper_like(n_qubits: usize, seed: u64) -> Self {
-        TrapConfig {
-            n_qubits,
-            seed,
-            amplitude_jitter_std: 0.0,
-            one_qubit_jitter_std: 0.02,
-            phase_noise_rms: 0.03,
-            residual_odd_population: 0.01,
-            spam: SpamModel::new(0.004, 0.006),
-            recalibration_residual: 0.01,
-            recalibration_seconds: 1.0,
-            timing: TimingModel::paper_defaults(),
-        }
-    }
-
-    /// A noiseless ideal machine (useful for protocol logic tests).
+    /// A noiseless ideal machine; experiments add jitter or SPAM to it.
     pub fn ideal(n_qubits: usize, seed: u64) -> Self {
         TrapConfig {
             n_qubits,
             seed,
             amplitude_jitter_std: 0.0,
             one_qubit_jitter_std: 0.0,
-            phase_noise_rms: 0.0,
-            residual_odd_population: 0.0,
             spam: SpamModel::IDEAL,
-            recalibration_residual: 0.0,
-            recalibration_seconds: 1.0,
-            timing: TimingModel::paper_defaults(),
         }
     }
 }
@@ -138,11 +109,6 @@ impl VirtualTrap {
         self.config.n_qubits
     }
 
-    /// The machine configuration.
-    pub fn config(&self) -> &TrapConfig {
-        &self.config
-    }
-
     /// All `C(N,2)` couplings, ascending.
     pub fn couplings(&self) -> Vec<Coupling> {
         self.calibration.keys().copied().collect()
@@ -180,38 +146,17 @@ impl VirtualTrap {
         *slot = under_rotation;
     }
 
-    /// Draws an ambient miscalibration for every coupling: zero-mean
-    /// normal with `E|u| = mean_abs` (the paper's "10% average calibration
-    /// error" convention — see DESIGN.md §3.3).
-    pub fn randomize_calibration(&mut self, mean_abs: f64) {
-        let sigma = mean_abs * (std::f64::consts::PI / 2.0).sqrt();
-        for v in self.calibration.values_mut() {
-            *v = sigma * standard_normal(&mut self.rng);
-        }
-    }
-
-    /// Draws every coupling's under-rotation from an arbitrary law (e.g.
-    /// the Fig. 9 composite distribution).
-    pub fn calibration_from_law<D: itqc_math::rng::Distribution>(&mut self, law: &D) {
-        for v in self.calibration.values_mut() {
-            *v = law.sample(&mut self.rng);
-        }
-    }
-
-    /// Recalibrates one coupling: its error drops to the configured
-    /// post-calibration residual, and the ledger is billed.
+    /// Recalibrates one coupling: its error drops to exactly zero, and
+    /// the ledger is billed one second of calibration time.
     ///
     /// # Panics
     ///
     /// Panics if the coupling does not exist on this machine.
     pub fn recalibrate(&mut self, coupling: Coupling) {
-        let r = self.config.recalibration_residual;
-        let residual = if r > 0.0 { self.rng.gen_range(-r..r) } else { 0.0 };
         let slot = self.calibration.get_mut(&coupling).expect("coupling not on this machine");
-        *slot = residual;
-        let dt = self.config.recalibration_seconds;
-        self.clock_seconds += dt;
-        self.duty.record(Activity::Calibration, dt);
+        *slot = 0.0;
+        self.clock_seconds += RECALIBRATION_SECONDS;
+        self.duty.record(Activity::Calibration, RECALIBRATION_SECONDS);
     }
 
     /// Advances the wall clock by `minutes`, applying `drift` to every
@@ -249,7 +194,7 @@ impl VirtualTrap {
     /// Bills one classical adaptation round that compiles pulses for
     /// `couplings_compiled` couplings.
     pub fn bill_adaptation(&mut self, couplings_compiled: usize) {
-        let dt = self.config.timing.adaptation(couplings_compiled);
+        let dt = TIMING.adaptation(couplings_compiled);
         self.clock_seconds += dt;
         self.duty.record(Activity::Adaptation, dt);
     }
@@ -262,24 +207,16 @@ impl VirtualTrap {
         self.duty.record(Activity::Testing, seconds);
     }
 
-    fn noise_model(&mut self) -> IonTrapNoise {
-        let faults: Vec<CouplingFault> =
-            self.calibration.iter().map(|(&c, &u)| CouplingFault::new(c, u)).collect();
-        let mut model = IonTrapNoise::new()
+    fn noise_model(&self) -> IonTrapNoise {
+        let faults = self.calibration.iter().map(|(&c, &u)| CouplingFault::new(c, u));
+        IonTrapNoise::new()
             .with_coupling_faults(faults)
             .with_amplitude_noise(self.config.amplitude_jitter_std)
-            .with_one_qubit_noise(self.config.one_qubit_jitter_std);
-        if self.config.phase_noise_rms > 0.0 {
-            model = model.with_phase_noise(OneOverF::new(self.config.phase_noise_rms, 1.0, 8), 0.2);
-        }
-        if self.config.residual_odd_population > 0.0 {
-            model = model.with_residual_coupling(self.config.residual_odd_population);
-        }
-        model
+            .with_one_qubit_noise(self.config.one_qubit_jitter_std)
     }
 
-    /// Executes `circuit` for `shots` shots with the full noise model and
-    /// per-shot trajectory sampling (dense backend). Outcomes include SPAM
+    /// Executes `circuit` for `shots` shots with the trap's noise channels
+    /// and per-shot trajectory sampling (dense backend). Outcomes include SPAM
     /// corruption. Time is billed to `activity`.
     ///
     /// # Panics
@@ -301,7 +238,7 @@ impl VirtualTrap {
             let read = self.config.spam.corrupt(raw, circuit.n_qubits(), &mut self.rng);
             *counts.entry(read).or_insert(0) += 1;
         }
-        let dt = self.config.timing.shots(
+        let dt = TIMING.shots(
             self.config.n_qubits,
             circuit.two_qubit_gate_count(),
             circuit.len() - circuit.two_qubit_gate_count(),
@@ -356,14 +293,14 @@ impl VirtualTrap {
             ScoreMode::WorstQubit => {
                 let prepared =
                     XxPrepared::prepare(xx).expect("trap registers fit the joint tables");
-                let mut strings = prepared.sample_block(&mut self.rng, shot_count);
+                let mut strings = prepared.sample(&mut self.rng, shot_count);
                 for s in &mut strings {
                     *s = spam.corrupt(*s as usize, n, &mut self.rng) as BitString;
                 }
                 worst_qubit_count(&strings, prepared.support(), target)
             }
         };
-        let dt = self.config.timing.shots(n, gates.len(), 0, shot_count);
+        let dt = TIMING.shots(n, gates.len(), 0, shot_count);
         self.clock_seconds += dt;
         self.duty.record(activity, dt);
         hits
@@ -404,7 +341,7 @@ impl VirtualTrap {
             let p11 = ones as f64 / shot_count.max(1) as f64;
             let est = itqc_faults::estimator::estimate_xx_angle(1.0 - p11, p11);
             out.push((coupling, itqc_faults::estimator::under_rotation_from_angle(est)));
-            let dt = self.config.timing.shots(self.config.n_qubits, 1, 0, shot_count);
+            let dt = TIMING.shots(self.config.n_qubits, 1, 0, shot_count);
             self.clock_seconds += dt;
             self.duty.record(Activity::Testing, dt);
         }
@@ -475,13 +412,17 @@ mod tests {
     }
 
     #[test]
-    fn randomize_calibration_has_requested_spread() {
-        let mut trap = VirtualTrap::new(TrapConfig::ideal(16, 5));
-        trap.randomize_calibration(0.10);
-        let mean_abs: f64 =
-            trap.couplings().iter().map(|&c| trap.true_under_rotation(c).abs()).sum::<f64>()
-                / trap.couplings().len() as f64;
-        assert!((mean_abs - 0.10).abs() < 0.02, "mean |u| = {mean_abs}");
+    fn recalibration_zeroes_the_coupling_and_bills_one_second() {
+        let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 5));
+        let c = Coupling::new(1, 6);
+        trap.inject_fault(c, -0.12);
+        trap.bill_job_time(30.0);
+        trap.recalibrate(c);
+        assert_eq!(trap.true_under_rotation(c), 0.0);
+        assert_eq!(trap.duty().seconds(Activity::Calibration), 1.0);
+        assert_eq!(trap.clock_seconds(), 31.0);
+        trap.recalibrate(c);
+        assert_eq!(trap.duty().seconds(Activity::Calibration), 2.0);
     }
 
     #[test]

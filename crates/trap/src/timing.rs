@@ -1,11 +1,16 @@
-//! Machine timing model (paper §VIII, Fig. 10 assumptions).
+//! The virtual trap's wall-clock model (paper §VIII): what
+//! [`VirtualTrap`](crate::VirtualTrap) bills to its duty-cycle ledger.
 //!
 //! The cost of a test is dominated by qubit initialisation and readout —
 //! not by gate count — while the cost of an *adaptive* step is dominated by
-//! classical decision and pulse compilation/upload. Fig. 10 assumes the
-//! two-qubit gate time grows as `N²` from 0.2 ms at 8 qubits (gate *speed*
-//! scales as `1/N²`). All knobs are explicit so the Fig. 10 sweep can vary
-//! them.
+//! classical decision and pulse compilation/upload. Here the two-qubit
+//! gate time grows as `(N/8)²` from 0.2 ms at 8 qubits.
+//!
+//! This is not Fig. 10's model. Fig. 10 prices the protocols with
+//! `itqc_core::cost::CostModel`, whose gate time *shrinks* as `(8/N)²`
+//! (the paper's "gate time scales as 1/N²"). The two exponents are
+//! opposite; both models are pinned by the outputs that read them
+//! (`DESIGN.md` §1).
 
 /// Wall-clock model for a trapped-ion machine. All times in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -34,7 +39,7 @@ impl TimingModel {
     /// Defaults calibrated so an 11-qubit full point-check characterisation
     /// takes on the order of a minute and the diagnosis protocols take
     /// ~10 s — the operating points quoted in the paper's §IX.
-    pub fn paper_defaults() -> Self {
+    pub const fn paper_defaults() -> Self {
         TimingModel {
             prep: 0.5e-3,
             readout: 0.4e-3,

@@ -178,10 +178,15 @@ fn adversarial_scenarios_agree_across_backends() {
 
 #[test]
 fn batched_prepare_and_blocked_sampling_match_the_unbatched_path_bit_for_bit() {
-    // The blocked sampler — the path fig8/fig9/table2 and the fleet
-    // ride — must be bit-identical to per-shot `sample` from the same
-    // RNG state on every backend's preparations, at shot counts
-    // straddling the 4096-shot block boundary.
+    // The blocked sampler behind every `PreparedCircuit::sample` — the
+    // path fig8/fig9/table2 and the fleet ride — must be bit-identical to
+    // the per-shot reference `dist::sample_strings` from the same RNG
+    // state on every backend's preparations, at shot counts straddling
+    // the 4096-shot block boundary. The reference runs on the analytic
+    // component tables, which the dense ones match shot for shot
+    // (`shot_sampling_matches_bit_for_bit_under_a_shared_seed`).
+    use itqc_backend::dist::sample_strings;
+    use itqc_backend::XxPrepared;
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xBA7C + case);
         let circuits: Vec<Circuit> = (0..3).map(|_| random_xx_circuit(&mut rng)).collect();
@@ -190,12 +195,14 @@ fn batched_prepare_and_blocked_sampling_match_the_unbatched_path_bit_for_bit() {
             for circuit in &circuits {
                 let prep =
                     backend.prepare(circuit).expect("pure-XX circuits prepare on every backend");
+                let xx = itqc_sim::XxCircuit::from_circuit(circuit).expect("a pure-XX circuit");
+                let reference = XxPrepared::prepare(xx).expect("small components prepare");
                 let seed = rng.gen::<u64>();
                 for shots in [0usize, 1, 300, 4095, 4099] {
                     let mut r1 = SmallRng::seed_from_u64(seed);
                     let mut r2 = SmallRng::seed_from_u64(seed);
-                    let a = prep.sample(&mut r1, shots);
-                    let b = prep.sample_block(&mut r2, shots);
+                    let a = sample_strings(reference.distributions(), &mut r1, shots);
+                    let b = prep.sample(&mut r2, shots);
                     assert_eq!(a, b, "case {case} {choice:?} shots {shots}");
                     assert_eq!(
                         r1.gen::<u64>(),
