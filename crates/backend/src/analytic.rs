@@ -273,7 +273,13 @@ impl XxPrepared {
 /// ions in pairs), and every even-parity one is read off the half table:
 /// `P(z′ | parity(z′)·2^{c−1}) = |2^{1−c}·B(z′)|²`.
 fn component_distribution(sub: &XxCircuit) -> ComponentDist {
-    let (qubits, mut re, mut im) = half_phase_table(sub);
+    let (qubits, re, im) = half_phase_table(sub);
+    outcome_table(qubits, re, im)
+}
+
+/// The outcome table of [`component_distribution`] from the half phase
+/// table `v[y]`, `y < 2^{c−1}`, of a `c`-qubit component on `qubits`.
+fn outcome_table(qubits: Vec<usize>, mut re: Vec<f64>, mut im: Vec<f64>) -> ComponentDist {
     let c = qubits.len();
     let half = re.len();
     // One WHT stage per lower qubit, half the half-table per stage.
@@ -490,6 +496,58 @@ mod tests {
                 assert_eq!(p.to_bits(), 0.0f64.to_bits(), "c={c} odd z={z:b} reads {p}");
             }
             assert!((p - f).abs() < 1e-12, "c={c} z={z:b}: {p} vs full walk {f}");
+        }
+    }
+
+    /// The reference outcome table from a half phase table: the radix-2
+    /// transform, a full `2^c` probability vector with exact zeros on
+    /// odd parity, and the full-layout [`ComponentDist::new`].
+    fn reference_table(qubits: Vec<usize>, mut re: Vec<f64>, mut im: Vec<f64>) -> ComponentDist {
+        crate::dist::tests::radix2_walsh_hadamard(&mut re, &mut im);
+        let c = qubits.len();
+        let half = re.len();
+        let norm = 1.0 / (half * half) as f64;
+        let top = c - 1;
+        let mut probs = vec![0.0f64; half << 1];
+        for (z, (&a, &b)) in re.iter().zip(&im).enumerate() {
+            probs[z | (z.count_ones() as usize & 1) << top] = (a * a + b * b) * norm;
+        }
+        ComponentDist::new(qubits, &probs)
+    }
+
+    /// `table` against `reference` on a `c`-qubit component: every
+    /// probability bit-equal, and 4,100 strings (past one 4,096-shot
+    /// block) drawn from one seed bit-equal.
+    fn check_against_reference(table: &ComponentDist, reference: &ComponentDist, c: usize) {
+        assert_eq!(table.qubits(), reference.qubits());
+        for z in 0..1usize << c {
+            let (p, r) = (table.probability(z), reference.probability(z));
+            assert_eq!(p.to_bits(), r.to_bits(), "c={c} z={z:b}: {p} vs reference {r}");
+        }
+        assert_eq!(table.mass().to_bits(), reference.mass().to_bits(), "c={c} mass");
+        let shots = crate::SAMPLE_BLOCK_SHOTS + 4;
+        let mut rng = SmallRng::seed_from_u64(c as u64);
+        let drawn = sample_strings_blocked(std::slice::from_ref(table), &mut rng, shots);
+        let mut rng = SmallRng::seed_from_u64(c as u64);
+        let expected = sample_strings_blocked(std::slice::from_ref(reference), &mut rng, shots);
+        assert_eq!(drawn, expected, "c={c} sampled strings");
+    }
+
+    #[test]
+    fn outcome_table_matches_the_reference_build_bit_for_bit() {
+        // No XX circuit has a one-qubit component, so c = 1 goes in as a
+        // one-entry phase table.
+        let (re, im) = (vec![0.3f64.cos()], vec![-0.3f64.sin()]);
+        let table = outcome_table(vec![4], re.clone(), im.clone());
+        check_against_reference(&table, &reference_table(vec![4], re, im), 1);
+        let mut rng = SmallRng::seed_from_u64(26);
+        for c in 2..=16usize {
+            let shapes = [random_component(&mut rng, c, c + 1), random_class(&mut rng, c, c + 1)];
+            for xx in shapes {
+                let (qubits, re, im) = half_phase_table(&xx);
+                let reference = reference_table(qubits, re, im);
+                check_against_reference(&component_distribution(&xx), &reference, c);
+            }
         }
     }
 

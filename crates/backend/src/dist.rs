@@ -296,9 +296,52 @@ pub fn connected_components(n_local: usize, edges: &[(usize, usize)]) -> Vec<Vec
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// The reference transform: one radix-2 butterfly pass per stage,
+    /// stages in ascending stride.
+    pub(crate) fn radix2_walsh_hadamard(re: &mut [f64], im: &mut [f64]) {
+        let n = re.len();
+        let mut len = 1;
+        while len < n {
+            let stride = len << 1;
+            let mut base = 0;
+            while base < n {
+                for i in base..base + len {
+                    let (ar, ai) = (re[i], im[i]);
+                    let (br, bi) = (re[i + len], im[i + len]);
+                    re[i] = ar + br;
+                    im[i] = ai + bi;
+                    re[i + len] = ar - br;
+                    im[i + len] = ai - bi;
+                }
+                base += stride;
+            }
+            len = stride;
+        }
+    }
+
+    #[test]
+    fn walsh_hadamard_matches_the_radix2_reference_bit_for_bit() {
+        // Every length from 2^0 to 2^16, odd and even stage counts, on
+        // random data of mixed magnitude.
+        let mut rng = SmallRng::seed_from_u64(26);
+        for m in 0..=16usize {
+            let n = 1usize << m;
+            let re0: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0) * 1e3).collect();
+            let im0: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0) * 1e-3).collect();
+            let (mut re, mut im) = (re0.clone(), im0.clone());
+            let (mut rr, mut ri) = (re0, im0);
+            walsh_hadamard(&mut re, &mut im);
+            radix2_walsh_hadamard(&mut rr, &mut ri);
+            for z in 0..n {
+                assert_eq!(re[z].to_bits(), rr[z].to_bits(), "n=2^{m} re[{z}]");
+                assert_eq!(im[z].to_bits(), ri[z].to_bits(), "n=2^{m} im[{z}]");
+            }
+        }
+    }
 
     #[test]
     fn walsh_hadamard_matches_direct_sum() {
