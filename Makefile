@@ -40,10 +40,13 @@ fleet-bench:
 ## short, give the uncovered work a leaf of its own. Spans nested under
 ## a leaf are printed as a share of their leaf, outside the sum:
 ## backend.table.build (the joint/chain outcome-table builds) under
-## core.executor.run_test. fig8 --fast --sizes=32 is the run whose tables are
-## 16-qubit joint tables.
+## core.executor.run_test, and inside it the three stages of a joint
+## table (walk, transform, cdf), each also as a share of run_test.
+## fig8 --fast --sizes=32 is the run whose tables are 16-qubit joint
+## tables.
 ATTRIBUTION_LEAVES := core.executor.run_test core.protocol.plan core.decoder.covers core.decoder.rank
-ATTRIBUTION_NESTED := backend.table.build
+ATTRIBUTION_NESTED := backend.table.build backend.table.walk backend.table.transform \
+	backend.table.cdf
 
 attribution:
 	$(CARGO) build --release -p itqc-bench --bin fig8 --bin fig9 --bin table2

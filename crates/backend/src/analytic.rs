@@ -55,6 +55,13 @@ pub const MAX_COMPONENT: usize = 20;
 /// sampling request and so nested under `core.executor.run_test`.
 const TABLE_BUILD_SPAN: &str = "backend.table.build";
 
+/// The three stages of one joint table build, nested under
+/// [`TABLE_BUILD_SPAN`]: the half phase walk, the transform, and the
+/// cumulative table.
+const TABLE_WALK_SPAN: &str = "backend.table.walk";
+const TABLE_TRANSFORM_SPAN: &str = "backend.table.transform";
+const TABLE_CDF_SPAN: &str = "backend.table.cdf";
+
 /// One component's string sampler, selected by size: the joint `2^c`
 /// table at or below [`MAX_COMPONENT`] qubits, the conditional-marginal
 /// chain sampler ([`crate::chain`]) above it. Both run under the
@@ -273,7 +280,10 @@ impl XxPrepared {
 /// ions in pairs), and every even-parity one is read off the half table:
 /// `P(z′ | parity(z′)·2^{c−1}) = |2^{1−c}·B(z′)|²`.
 fn component_distribution(sub: &XxCircuit) -> ComponentDist {
-    let (qubits, re, im) = half_phase_table(sub);
+    let (qubits, re, im) = {
+        let _span = itqc_obs::span::timed(TABLE_WALK_SPAN);
+        half_phase_table(sub)
+    };
     outcome_table(qubits, re, im)
 }
 
@@ -284,7 +294,11 @@ fn outcome_table(qubits: Vec<usize>, mut re: Vec<f64>, mut im: Vec<f64>) -> Comp
     let half = re.len();
     // One WHT stage per lower qubit, half the half-table per stage.
     itqc_obs::event::add_nd("backend.wht.butterflies", ((c as u64 - 1) * half as u64) / 2);
-    walsh_hadamard(&mut re, &mut im);
+    {
+        let _span = itqc_obs::span::timed(TABLE_TRANSFORM_SPAN);
+        walsh_hadamard(&mut re, &mut im);
+    }
+    let _span = itqc_obs::span::timed(TABLE_CDF_SPAN);
     let norm = 1.0 / (half * half) as f64; // |2^{1−c}·WHT|²
     let top = c - 1;
     let mut probs = vec![0.0f64; half << 1];
