@@ -145,8 +145,8 @@ obs-check:
 ## run differs).
 IDENTITY_DIR ?= target/identity
 IDENTITY_RUNS := "fig2" "fig6" "fig7" "rb" "fig3 --fast" "fig10 --fast" "fig11 --fast" \
-	"fig_adv --fast" "fig8 --fast --sizes=8,16" "fig9 --fast" "table2" "table2 --xl" "table1" \
-	"ablations"
+	"fig_adv --fast" "fig8 --fast --sizes=8,16" "fig8 --fast --sizes=32" "fig8 --fast --sizes=64" \
+	"fig9 --fast" "table2" "table2 --xl" "table1" "ablations"
 IDENTITY_EXAMPLES := quickstart debug_session duty_cycle map_around_faults
 
 identity:

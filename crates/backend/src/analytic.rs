@@ -19,11 +19,13 @@
 //! phase of a spin configuration equals that of its global flip, every
 //! odd-parity outcome has amplitude exactly 0, and the table build walks
 //! only the `2^{c−1}` configurations with the top spin up and transforms
-//! `2^{c−1}` points (`O(c·2^{c−1})`). The outcome table keeps its full
-//! `2^c` length, with exact zeros on odd parity, so the sampler is
-//! unchanged. A first-round class test on `N = 32` qubits is a single
-//! 16-qubit component: `2^16` table entries from a `2^15`-point walk,
-//! milliseconds — where the dense path would need `2^32` amplitudes.
+//! `2^{c−1}` points (`O(c·2^{c−1})`). The cumulative table is read
+//! straight off the transform and keeps only the `2^{c−1}` even-parity
+//! states; odd-parity states read an exact 0, and the sampler draws the
+//! same strings as from a full-length table. A first-round class test on
+//! `N = 32` qubits is a single 16-qubit component: `2^15` table entries
+//! from a `2^15`-point walk, milliseconds — where the dense path would
+//! need `2^32` amplitudes.
 //!
 //! Prepared circuits (including their distributions) are memoized in a
 //! per-backend cache keyed by the noisy coupling angles, so repeated
@@ -45,7 +47,8 @@ use std::rc::Rc;
 use std::sync::OnceLock;
 
 /// Largest connected component the analytic backend will prepare: the
-/// sampling table is `2^c` entries, so 20 caps it at ~8 MiB of f64 CDF.
+/// sampling table is `2^{c−1}` entries, so 20 caps it at ~4 MiB of f64
+/// CDF.
 /// Protocol class tests need `c = N/2` (16 at the paper's 32-qubit
 /// ceiling); anything larger returns [`BackendError::SupportTooLarge`].
 pub const MAX_COMPONENT: usize = 20;
@@ -71,8 +74,8 @@ const TABLE_CDF_SPAN: &str = "backend.table.cdf";
 /// engines apply.
 #[derive(Clone, Debug)]
 pub enum ComponentSampler {
-    /// Full `2^c` outcome table (components of ≤ [`MAX_COMPONENT`]
-    /// qubits).
+    /// Joint outcome table over the `2^{c−1}` even-parity states
+    /// (components of ≤ [`MAX_COMPONENT`] qubits).
     Joint(ComponentDist),
     /// Conditional-marginal chain sampler for oversize near-complete
     /// components.
@@ -269,8 +272,8 @@ impl XxPrepared {
     }
 }
 
-/// The full `2^c` outcome distribution of one connected commuting-XX
-/// component, built from half the configurations. The X-basis phase
+/// The outcome distribution of one connected commuting-XX component,
+/// built from half the configurations. The X-basis phase
 /// `φ(s)` is a quadratic form in the spins, so `φ(s) = φ(−s)`: the phase
 /// table `v[y] = e^{−iφ(y)}` satisfies `v[y] = v[ȳ]`, and the amplitude
 /// `A(z) = 2^{−c}·Σ_y (−1)^{y·z} v[y]` folds to
@@ -278,7 +281,9 @@ impl XxPrepared {
 /// `B` is the `2^{c−1}`-point transform of the top-spin-up half of `v`.
 /// Odd-parity outcomes therefore have amplitude exactly 0 (XX gates flip
 /// ions in pairs), and every even-parity one is read off the half table:
-/// `P(z′ | parity(z′)·2^{c−1}) = |2^{1−c}·B(z′)|²`.
+/// `P(z′ | parity(z′)·2^{c−1}) = |2^{1−c}·B(z′)|²`. The table keeps the
+/// cumulative sum over the even-parity states only, accumulated in one
+/// pass over the transform.
 fn component_distribution(sub: &XxCircuit) -> ComponentDist {
     let (qubits, re, im) = {
         let _span = itqc_obs::span::timed(TABLE_WALK_SPAN);
@@ -300,12 +305,18 @@ fn outcome_table(qubits: Vec<usize>, mut re: Vec<f64>, mut im: Vec<f64>) -> Comp
     }
     let _span = itqc_obs::span::timed(TABLE_CDF_SPAN);
     let norm = 1.0 / (half * half) as f64; // |2^{1−c}·WHT|²
-    let top = c - 1;
-    let mut probs = vec![0.0f64; half << 1];
-    for (z, (&a, &b)) in re.iter().zip(&im).enumerate() {
-        probs[z | (z.count_ones() as usize & 1) << top] = (a * a + b * b) * norm;
-    }
-    ComponentDist::new(qubits, &probs)
+                                           // Even-parity state `k` of the table is `z = 2k | parity(k)`; its
+                                           // transform index is `z′ = z mod 2^{c−1}`.
+    let mut acc = 0.0f64;
+    let cdf = (0..half)
+        .map(|k| {
+            let z = (k << 1 | (k.count_ones() as usize & 1)) & (half - 1);
+            let (a, b) = (re[z], im[z]);
+            acc += ((a * a + b * b) * norm).max(0.0);
+            acc
+        })
+        .collect();
+    ComponentDist::even_parity(qubits, cdf)
 }
 
 /// The X-basis phase table `v[y] = e^{−iφ(y)}` over the `2^{c−1}` spin
@@ -562,6 +573,28 @@ mod tests {
                 let reference = reference_table(qubits, re, im);
                 check_against_reference(&component_distribution(&xx), &reference, c);
             }
+        }
+    }
+
+    #[test]
+    fn a_draw_at_the_full_mass_clamps_to_the_last_even_parity_state() {
+        // x = mass (a top uniform whose product with the mass rounds up
+        // to it) runs past every entry and clamps to the last one. The
+        // full-length reference clamps to state 2^c − 1, which has odd
+        // parity and probability 0 when c is odd; the even-parity table
+        // clamps to 2^c − 2 there, and to the same 2^c − 1 when c is even.
+        let mut rng = SmallRng::seed_from_u64(27);
+        for c in 2..=9usize {
+            let xx = random_component(&mut rng, c, c);
+            let (qubits, re, im) = half_phase_table(&xx);
+            let reference = reference_table(qubits, re, im);
+            let table = component_distribution(&xx);
+            let (mut s, mut r) = (0 as BitString, 0 as BitString);
+            table.place(table.mass(), &mut s);
+            reference.place(reference.mass(), &mut r);
+            let top = (1 as BitString) << c;
+            assert_eq!(r, top - 1, "c={c} reference");
+            assert_eq!(s, if c % 2 == 1 { top - 2 } else { top - 1 }, "c={c}");
         }
     }
 

@@ -55,13 +55,24 @@ pub trait SampleComponent {
 
 /// The outcome distribution of one connected component of a circuit's
 /// qubit-interaction graph, stored as a cumulative sum for sampling.
+///
+/// A general distribution ([`ComponentDist::new`], the dense backend)
+/// keeps one entry per local state. A parity-conserving one (the
+/// analytic backend's commuting-XX components) keeps only the `2^{c−1}`
+/// even-parity states: every odd-parity state has probability exactly
+/// 0, so its entry in a full table would repeat the one before it, and
+/// the inverse-CDF search never stops on it.
 #[derive(Clone, Debug)]
 pub struct ComponentDist {
     /// The component's qubits, ascending; local bit `k` of a state index
     /// is the measured bit of `qubits[k]`.
     qubits: Vec<usize>,
-    /// Cumulative probabilities over the `2^qubits.len()` local states.
+    /// Cumulative probabilities over the local states in ascending
+    /// order: all `2^c` of them, or only the even-parity ones.
     cdf: Vec<f64>,
+    /// Whether `cdf` holds only the even-parity states, entry `k` being
+    /// local state `2k | parity(k)`.
+    even_parity: bool,
 }
 
 impl ComponentDist {
@@ -73,16 +84,36 @@ impl ComponentDist {
     /// strictly ascending, or the probabilities do not sum to ~1.
     pub fn new(qubits: Vec<usize>, probs: &[f64]) -> Self {
         assert_eq!(probs.len(), 1usize << qubits.len(), "distribution size mismatch");
-        assert!(qubits.windows(2).all(|w| w[0] < w[1]), "qubits must be strictly ascending");
-        let mut cdf = Vec::with_capacity(probs.len());
         let mut acc = 0.0f64;
-        for &p in probs {
-            acc += p.max(0.0); // clamp −1e-17-grade rounding noise
-            cdf.push(acc);
-        }
+        let cdf = probs
+            .iter()
+            .map(|&p| {
+                acc += p.max(0.0); // clamp −1e-17-grade rounding noise
+                acc
+            })
+            .collect();
+        Self::checked(qubits, cdf, false)
+    }
+
+    /// A parity-conserving distribution from the cumulative sum over its
+    /// even-parity local states in ascending order (entry `k` is state
+    /// `2k | parity(k)`); every odd-parity state has probability 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cdf.len() != 2^(qubits.len() − 1)`, the qubit list is
+    /// empty or not strictly ascending, or the total is not ~1.
+    pub(crate) fn even_parity(qubits: Vec<usize>, cdf: Vec<f64>) -> Self {
+        assert!(!qubits.is_empty(), "a parity table needs at least one qubit");
+        assert_eq!(cdf.len(), 1usize << (qubits.len() - 1), "distribution size mismatch");
+        Self::checked(qubits, cdf, true)
+    }
+
+    fn checked(qubits: Vec<usize>, cdf: Vec<f64>, even_parity: bool) -> Self {
+        assert!(qubits.windows(2).all(|w| w[0] < w[1]), "qubits must be strictly ascending");
         let total = *cdf.last().expect("non-empty distribution");
         assert!((total - 1.0).abs() < 1e-6, "probabilities sum to {total}, not 1");
-        ComponentDist { qubits, cdf }
+        ComponentDist { qubits, cdf, even_parity }
     }
 
     /// The component's qubits (ascending).
@@ -92,8 +123,15 @@ impl ComponentDist {
 
     /// The probability of the component-local state `local`.
     pub fn probability(&self, local: usize) -> f64 {
-        let prev = if local == 0 { 0.0 } else { self.cdf[local - 1] };
-        self.cdf[local] - prev
+        let entry = if !self.even_parity {
+            local
+        } else if local.count_ones() % 2 == 1 {
+            return 0.0;
+        } else {
+            local >> 1
+        };
+        let prev = if entry == 0 { 0.0 } else { self.cdf[entry - 1] };
+        self.cdf[entry] - prev
     }
 
     /// Extracts this component's local state index from a full-register
@@ -119,7 +157,9 @@ impl SampleComponent for ComponentDist {
     }
 
     fn place(&self, x: f64, string: &mut BitString) {
-        let idx = self.cdf.partition_point(|&c| c <= x).min(self.cdf.len() - 1);
+        let entry = self.cdf.partition_point(|&c| c <= x).min(self.cdf.len() - 1);
+        let idx =
+            if self.even_parity { entry << 1 | (entry.count_ones() as usize & 1) } else { entry };
         for (k, &q) in self.qubits.iter().enumerate() {
             if (idx >> k) & 1 == 1 {
                 *string |= (1 as BitString) << q;
@@ -242,29 +282,50 @@ pub fn sample_strings_blocked_with<S: SampleComponent>(
     out
 }
 
-/// In-place Walsh–Hadamard transform of interleaved (re, im) pairs —
-/// the `2^m`-point character sum `Σ_y (−1)^{y·z} v[y]` for all `z` at
-/// once in `O(m·2^m)`.
+/// In-place Walsh–Hadamard transform of split (re, im) parts — the
+/// `2^m`-point character sum `Σ_y (−1)^{y·z} v[y]` for all `z` at once
+/// in `O(m·2^m)`.
+///
+/// The `m` butterfly stages run two at a time (radix 4), after one
+/// single stage when `m` is odd, so the data is swept `⌈m/2⌉` times
+/// instead of `m`. Every element still goes through the same adds in
+/// the same stage order as the one-stage-per-pass transform, so the
+/// output is bit-identical to it.
 pub fn walsh_hadamard(re: &mut [f64], im: &mut [f64]) {
     debug_assert_eq!(re.len(), im.len());
     debug_assert!(re.len().is_power_of_two());
     let n = re.len();
     let mut len = 1;
-    while len < n {
-        let stride = len << 1;
-        let mut base = 0;
-        while base < n {
-            for i in base..base + len {
-                let (ar, ai) = (re[i], im[i]);
-                let (br, bi) = (re[i + len], im[i + len]);
-                re[i] = ar + br;
-                im[i] = ai + bi;
-                re[i + len] = ar - br;
-                im[i + len] = ai - bi;
-            }
-            base += stride;
+    if n.trailing_zeros() % 2 == 1 {
+        for (r, i) in re.chunks_exact_mut(2).zip(im.chunks_exact_mut(2)) {
+            (r[0], r[1]) = (r[0] + r[1], r[0] - r[1]);
+            (i[0], i[1]) = (i[0] + i[1], i[0] - i[1]);
         }
-        len = stride;
+        len = 2;
+    }
+    while len < n {
+        radix4_stages(re, len);
+        radix4_stages(im, len);
+        len <<= 2;
+    }
+}
+
+/// The butterfly stages of strides `len` and `2·len` in one sweep: each
+/// group of four `x0..x3`, `len` apart, takes stage `len` on the pairs
+/// `(x0, x1)` and `(x2, x3)`, then stage `2·len` on the results.
+fn radix4_stages(v: &mut [f64], len: usize) {
+    for group in v.chunks_exact_mut(len << 2) {
+        let (x0, rest) = group.split_at_mut(len);
+        let (x1, rest) = rest.split_at_mut(len);
+        let (x2, x3) = rest.split_at_mut(len);
+        for j in 0..len {
+            let (s01, d01) = (x0[j] + x1[j], x0[j] - x1[j]);
+            let (s23, d23) = (x2[j] + x3[j], x2[j] - x3[j]);
+            x0[j] = s01 + s23;
+            x1[j] = d01 + d23;
+            x2[j] = s01 - s23;
+            x3[j] = d01 - d23;
+        }
     }
 }
 
