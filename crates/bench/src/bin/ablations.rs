@@ -25,7 +25,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 fn main() {
+    let started = std::time::Instant::now();
     let args = Args::parse(150);
+    itqc_bench::metrics::init(&args);
 
     // ------------------------------------------------------------------
     section("ablation 1: test statistic (exact string vs worst-qubit population)");
@@ -177,4 +179,5 @@ fn main() {
         "a few dozen shots suffice for the tripwire — the basis for the cheap\n\
          per-minute canary in the duty-cycle studies."
     );
+    itqc_bench::metrics::emit_if_requested("ablations", &args, started.elapsed());
 }

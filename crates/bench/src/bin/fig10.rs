@@ -18,7 +18,9 @@ use itqc_bench::Args;
 use itqc_core::cost::CostModel;
 
 fn main() {
+    let started = std::time::Instant::now();
     let args = Args::parse(1);
+    itqc_bench::metrics::init(&args);
     section("Fig. 10: testing strategy speed-up vs point checks");
     eprintln!("[fig10] running on {} thread(s)", args.threads());
 
@@ -64,4 +66,5 @@ fn main() {
     if args.csv {
         println!("\n{}", t.to_csv());
     }
+    itqc_bench::metrics::emit_if_requested("fig10", &args, started.elapsed());
 }

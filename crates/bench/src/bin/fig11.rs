@@ -19,7 +19,9 @@ use itqc_bench::output::{pct, section, Table};
 use itqc_bench::Args;
 
 fn main() {
+    let started = std::time::Instant::now();
     let args = Args::parse(1);
+    itqc_bench::metrics::init(&args);
     section("Fig. 11: utilised couplings in real-life circuits (native gate set)");
     eprintln!("[fig11] running on {} thread(s)", args.threads());
 
@@ -57,4 +59,5 @@ fn main() {
     if args.csv {
         println!("\n{}", t.to_csv());
     }
+    itqc_bench::metrics::emit_if_requested("fig11", &args, started.elapsed());
 }

@@ -21,7 +21,9 @@ use itqc_bench::Args;
 use itqc_fleet::machine_day::{jobs_share_excluding_idle, periodic_policy, test_driven_policy};
 
 fn main() {
+    let started = std::time::Instant::now();
     let args = Args::parse(8);
+    itqc_bench::metrics::init(&args);
     section("Fig. 2: duty cycle of an 11-qubit ion-trap QC over 24 h");
     // The thread count goes to stderr so stdout is byte-identical at
     // any `--threads` value.
@@ -69,4 +71,5 @@ fn main() {
     if args.csv {
         println!("\n{}", t.to_csv());
     }
+    itqc_bench::metrics::emit_if_requested("fig2", &args, started.elapsed());
 }

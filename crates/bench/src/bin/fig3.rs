@@ -19,7 +19,9 @@ use itqc_bench::output::{f3, section, Table};
 use itqc_bench::{par_trials, Args};
 
 fn main() {
+    let started = std::time::Instant::now();
     let args = Args::parse(200);
+    itqc_bench::metrics::init(&args);
     section("Fig. 3: concatenated MS sequences, echoed vs non-echoed (11-ion chain)");
 
     // Pair-dependent noise magnitudes from the chain physics: the residual
@@ -70,4 +72,5 @@ fn main() {
     if args.csv {
         println!("\n{}", table.to_csv());
     }
+    itqc_bench::metrics::emit_if_requested("fig3", &args, started.elapsed());
 }

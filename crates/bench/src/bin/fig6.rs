@@ -19,7 +19,9 @@ use itqc_bench::Args;
 use itqc_math::stats::Histogram;
 
 fn main() {
+    let started = std::time::Instant::now();
     let args = Args::parse(1);
+    itqc_bench::metrics::init(&args);
     section("Fig. 6: tests with artificial 47% ({0,4}) and 22% ({0,7}) under-rotations");
     eprintln!("[fig6] running on {} thread(s)", args.threads());
 
@@ -63,4 +65,5 @@ fn main() {
          example). Paper thresholds 0.45 / 0.25 separate faulty from healthy\n\
          tests in both panels."
     );
+    itqc_bench::metrics::emit_if_requested("fig6", &args, started.elapsed());
 }

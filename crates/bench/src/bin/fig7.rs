@@ -25,7 +25,9 @@ use itqc_core::{first_round_classes, LabelSpace, TestExecutor, TestSpec};
 use std::collections::BTreeSet;
 
 fn main() {
+    let started = std::time::Instant::now();
     let args = Args::parse(24);
+    itqc_bench::metrics::init(&args);
     section("Fig. 7: natural miscalibrations after 15 minutes of idling");
     eprintln!("[fig7] running on {} thread(s)", args.threads());
 
@@ -114,4 +116,5 @@ fn main() {
         pct(rate),
         fig7_config().shots
     );
+    itqc_bench::metrics::emit_if_requested("fig7", &args, started.elapsed());
 }

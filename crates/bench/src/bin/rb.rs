@@ -16,7 +16,9 @@ use itqc_bench::rb_stats::rb_summary;
 use itqc_bench::Args;
 
 fn main() {
+    let started = std::time::Instant::now();
     let args = Args::parse(8);
+    itqc_bench::metrics::init(&args);
     section("single-qubit randomized benchmarking (paper SII-B)");
     eprintln!("[rb] running on {} thread(s)", args.threads());
 
@@ -48,4 +50,5 @@ fn main() {
          low-noise row; RB error grows quadratically with rotation noise as\n\
          expected for coherent angle jitter."
     );
+    itqc_bench::metrics::emit_if_requested("rb", &args, started.elapsed());
 }

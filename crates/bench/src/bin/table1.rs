@@ -9,10 +9,12 @@ use itqc_bench::Args;
 use itqc_faults::taxonomy::{table_one, Determinism, FaultKind, Unitarity};
 
 fn main() {
+    let started = std::time::Instant::now();
     // Table I is a static taxonomy (no Monte-Carlo loop); parsing the
     // shared Args keeps its CLI (`--threads`, `--seed`, …) uniform with
     // the other binaries.
-    let _args = Args::parse(1);
+    let args = Args::parse(1);
+    itqc_bench::metrics::init(&args);
     section("Table I: types of quantum faults (determinism x unitarity)");
     for cell in table_one() {
         let det = match cell.determinism {
@@ -41,4 +43,5 @@ fn main() {
          these faults accumulate coherently under gate repetition and are\n\
          removable by recalibrating the affected coupling."
     );
+    itqc_bench::metrics::emit_if_requested("table1", &args, started.elapsed());
 }
