@@ -106,6 +106,11 @@ impl PrepCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itqc_circuit::Coupling;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+    use std::f64::consts::FRAC_PI_2;
 
     #[test]
     fn key_separates_noise_profiles() {
@@ -135,6 +140,132 @@ mod tests {
         // however small.
         assert_eq!(angle_key_bits(1e-300), 1e-300f64.to_bits());
         assert_eq!(angle_key_bits(-1e-300), (-1e-300f64).to_bits());
+    }
+
+    /// The route every test circuit took to its key before the compile
+    /// route: one `BTreeMap` entry per coupling, each gate's angle
+    /// `θ·scale` folded in program order from `0.0`, then a `Vec<u64>`
+    /// of `(n, a, b, angle bits)` with `-0.0` keyed as `+0.0`.
+    fn reference_fold(
+        n_qubits: usize,
+        gates: &[(Coupling, f64)],
+        scales: &[f64],
+    ) -> (BTreeMap<(usize, usize), f64>, Vec<u64>) {
+        let mut terms = BTreeMap::new();
+        for (&(coupling, theta), &scale) in gates.iter().zip(scales) {
+            *terms.entry(coupling.endpoints()).or_insert(0.0) += theta * scale;
+        }
+        let mut key = vec![n_qubits as u64];
+        for (&(a, b), &theta) in &terms {
+            let bits = if theta == 0.0 { 0.0f64.to_bits() } else { theta.to_bits() };
+            key.extend([a as u64, b as u64, bits]);
+        }
+        (terms, key)
+    }
+
+    /// The compile route under test: `gates` scaled per gate in program
+    /// order.
+    fn compile(n_qubits: usize, gates: &[(Coupling, f64)], scales: &[f64]) -> XxCircuit {
+        let mut xx = XxCircuit::new(n_qubits);
+        for (&(coupling, theta), &scale) in gates.iter().zip(scales) {
+            let (a, b) = coupling.endpoints();
+            xx.add_xx(a, b, theta * scale);
+        }
+        xx
+    }
+
+    /// Whether two compiled circuits share a cache key.
+    fn same_key(a: &XxCircuit, b: &XxCircuit) -> bool {
+        xx_key(a) == xx_key(b)
+    }
+
+    /// A random gate list on `n` qubits: a few couplings, some written
+    /// with reversed endpoints, repeated out of order, at angles that
+    /// include both zeros and 1-ulp neighbours; and one scale per gate,
+    /// including `0.0` (a negative angle then compiles to `-0.0`).
+    fn random_gates(rng: &mut SmallRng, n: usize) -> (Vec<(Coupling, f64)>, Vec<f64>) {
+        let pool: Vec<Coupling> = (0..rng.gen_range(1..=6))
+            .map(|_| {
+                let a = rng.gen_range(0..n);
+                let b = (a + rng.gen_range(1..n)) % n;
+                Coupling::new(a, b)
+            })
+            .collect();
+        let mut gates: Vec<(Coupling, f64)> = Vec::new();
+        for _ in 0..rng.gen_range(1..=3 * n) {
+            let coupling = pool[rng.gen_range(0..pool.len())];
+            let theta = match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => FRAC_PI_2 * if rng.gen_bool(0.5) { 1.0 } else { -1.0 },
+                3 if !gates.is_empty() => {
+                    let prev = gates[rng.gen_range(0..gates.len())].1;
+                    f64::from_bits(prev.to_bits() + 1)
+                }
+                _ => rng.gen_range(-3.2..3.2),
+            };
+            gates.push((coupling, theta));
+        }
+        let scales = gates
+            .iter()
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => 1.0 - rng.gen_range(-0.1..0.1),
+            })
+            .collect();
+        (gates, scales)
+    }
+
+    #[test]
+    fn compiled_circuits_key_like_the_map_fold() {
+        let mut rng = SmallRng::seed_from_u64(0x27);
+        let (mut equal, mut apart, mut zeros) = (0, 0, 0);
+        for trial in 0..400 {
+            let n = rng.gen_range(2..=40usize);
+            let (gates, scales) = random_gates(&mut rng, n);
+            let (terms, key) = reference_fold(n, &gates, &scales);
+            let xx = compile(n, &gates, &scales);
+            let compiled: Vec<(usize, usize, u64)> =
+                xx.terms().map(|((a, b), theta)| (a, b, theta.to_bits())).collect();
+            let reference: Vec<(usize, usize, u64)> =
+                terms.iter().map(|(&(a, b), &theta)| (a, b, theta.to_bits())).collect();
+            assert_eq!(compiled, reference, "trial {trial}: terms");
+            assert_eq!(xx_key(&xx), key, "trial {trial}: key");
+            zeros += terms.values().filter(|&&t| t == 0.0).count();
+
+            // Variants: the same list, two neighbouring gates of distinct
+            // couplings swapped, one angle 1 ulp away, one zero angle
+            // with its sign flipped, and a larger register.
+            let mut variants = vec![(n, gates.clone(), scales.clone())];
+            if let Some(k) = (1..gates.len()).find(|&k| gates[k - 1].0 != gates[k].0) {
+                let mut swapped = (gates.clone(), scales.clone());
+                swapped.0.swap(k - 1, k);
+                swapped.1.swap(k - 1, k);
+                variants.push((n, swapped.0, swapped.1));
+            }
+            let k = rng.gen_range(0..gates.len());
+            let mut nudged = gates.clone();
+            nudged[k].1 = f64::from_bits(nudged[k].1.to_bits() ^ 1);
+            variants.push((n, nudged, scales.clone()));
+            if let Some(k) = gates.iter().position(|&(_, t)| t == 0.0) {
+                let mut flipped = gates.clone();
+                flipped[k].1 = -flipped[k].1;
+                variants.push((n, flipped, scales.clone()));
+            }
+            variants.push((n + 1, gates.clone(), scales.clone()));
+            for (m, other_gates, other_scales) in variants {
+                let other = compile(m, &other_gates, &other_scales);
+                let keys_equal = key == reference_fold(m, &other_gates, &other_scales).1;
+                assert_eq!(same_key(&xx, &other), keys_equal, "trial {trial}");
+                if keys_equal {
+                    equal += 1;
+                } else {
+                    apart += 1;
+                }
+            }
+        }
+        assert!(equal > 400 && apart > 400 && zeros > 50, "{equal} equal, {apart} apart, {zeros}");
     }
 
     #[test]
