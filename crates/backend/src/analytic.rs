@@ -33,12 +33,11 @@
 //! Single exact scores skip both the tables and the cache: they take the
 //! scalar path [`XxAnalyticBackend::score`], memoised across trials.
 
-use crate::cache::{xx_key, PrepCache};
+use crate::cache::PrepCache;
 use crate::chain::{self, ChainDist, CHAIN_MAX_SPECIAL};
 use crate::dist::{sample_strings_blocked, walsh_hadamard, ComponentDist, SampleComponent};
 use crate::memo::{cached_score, SCORE_MEMO_MIN_TERMS};
 use crate::{BackendError, PreparedCircuit, ScoreMode};
-use itqc_circuit::Circuit;
 use itqc_sim::xx::gray_phase_walk;
 use itqc_sim::{BitString, XxCircuit};
 use rand::rngs::SmallRng;
@@ -135,16 +134,14 @@ impl XxAnalyticBackend {
         self.cache.borrow().stats()
     }
 
-    /// Prepares `circuit` through the cache, or refuses a non-XX gate or
-    /// an oversize component the chain sampler cannot take.
-    pub fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
-        let xx = XxCircuit::from_circuit(circuit).ok_or(BackendError::NotCommutingXx)?;
-        let key = xx_key(&xx);
-        if let Some(hit) = self.cache.borrow_mut().get(&key) {
+    /// Prepares a compiled circuit through the cache, or refuses an
+    /// oversize component the chain sampler cannot take.
+    pub fn prepare(&self, xx: &XxCircuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
+        if let Some(hit) = self.cache.borrow_mut().get(xx) {
             return Ok(hit);
         }
-        let prepared = Rc::new(XxPrepared::prepare(xx)?);
-        self.cache.borrow_mut().insert(key, Rc::clone(&prepared));
+        let prepared = Rc::new(XxPrepared::prepare(xx.clone())?);
+        self.cache.borrow_mut().insert(Rc::clone(&prepared));
         Ok(prepared)
     }
 
@@ -167,7 +164,7 @@ impl XxAnalyticBackend {
         if xx.terms().nth(SCORE_MEMO_MIN_TERMS - 1).is_none() {
             return evaluate(xx, target, kind);
         }
-        cached_score(xx_key(xx), target, kind, || evaluate(xx, target, kind))
+        cached_score(xx, target, kind, || evaluate(xx, target, kind))
     }
 }
 
@@ -679,10 +676,10 @@ mod tests {
     #[test]
     fn cache_returns_shared_preparations() {
         let backend = XxAnalyticBackend::new();
-        let mut circuit = Circuit::new(4);
-        circuit.xx(0, 1, 0.7).xx(2, 3, -0.2);
-        let a = backend.prepare(&circuit).unwrap();
-        let b = backend.prepare(&circuit).unwrap();
+        let mut xx = XxCircuit::new(4);
+        xx.add_xx(0, 1, 0.7).add_xx(2, 3, -0.2);
+        let a = backend.prepare(&xx).unwrap();
+        let b = backend.prepare(&xx.clone()).unwrap();
         assert!(Rc::ptr_eq(&a, &b), "identical circuits must share one preparation");
         let (hits, misses) = backend.cache_stats();
         assert_eq!((hits, misses), (1, 1));

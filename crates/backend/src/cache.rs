@@ -5,11 +5,12 @@
 //! contrast sweep scores the same healthy-class circuits the shot
 //! executor then samples — and the expensive part of the analytic
 //! backend (the `2^c` component distributions) depends only on the
-//! accumulated noisy coupling angles. The cache key is therefore the
-//! exact `(register size, couplings, angle bits)` of the accumulated
-//! circuit: two circuits share a preparation iff they are the same
-//! commuting-XX unitary *including* the trial's noise profile, so a
-//! cache hit can never alias two different machines.
+//! accumulated noisy coupling angles. The cache therefore keys on the
+//! compiled [`XxCircuit`] itself, whose equality is the exact
+//! `(register size, couplings, angle bits)` of the accumulated circuit:
+//! two circuits share a preparation iff they are the same commuting-XX
+//! unitary *including* the trial's noise profile, so a cache hit can
+//! never alias two different machines.
 
 use crate::analytic::XxPrepared;
 use itqc_sim::XxCircuit;
@@ -22,45 +23,19 @@ use std::rc::Rc;
 /// is ~½ MiB, so 256 entries cap the cache at ~128 MiB worst-case).
 pub const CACHE_CAPACITY: usize = 256;
 
-/// The bit pattern a coupling angle keys under: `-0.0` canonicalises to
-/// `+0.0` (they are the same rotation, but their IEEE-754 bit patterns
-/// differ — keying raw bits made e.g. a `-θ·(1-u)` gate cancelled to
-/// negative zero miss the cache entry its positive-zero twin built).
-/// Every other angle, including the 1-ulp noise perturbations the cache
-/// must keep apart, keys on its exact bits.
-pub fn angle_key_bits(theta: f64) -> u64 {
-    if theta == 0.0 {
-        0.0f64.to_bits()
-    } else {
-        theta.to_bits()
-    }
-}
-
-/// Exact cache key of an accumulated commuting-XX circuit.
-pub fn xx_key(xx: &XxCircuit) -> Vec<u64> {
-    let mut key = Vec::with_capacity(1 + 3 * xx.terms().count());
-    key.push(xx.n_qubits() as u64);
-    for ((a, b), theta) in xx.terms() {
-        key.push(a as u64);
-        key.push(b as u64);
-        key.push(angle_key_bits(theta));
-    }
-    key
-}
-
-/// A bounded map from [`xx_key`] to shared preparations, with hit/miss
-/// counters for observability.
+/// A bounded map from compiled circuits to shared preparations, with
+/// hit/miss counters for observability.
 #[derive(Debug, Default)]
 pub struct PrepCache {
-    map: HashMap<Vec<u64>, Rc<XxPrepared>>,
+    map: HashMap<XxCircuit, Rc<XxPrepared>>,
     hits: u64,
     misses: u64,
 }
 
 impl PrepCache {
     /// Looks up a preparation, counting the outcome.
-    pub fn get(&mut self, key: &[u64]) -> Option<Rc<XxPrepared>> {
-        match self.map.get(key) {
+    pub fn get(&mut self, xx: &XxCircuit) -> Option<Rc<XxPrepared>> {
+        match self.map.get(xx) {
             Some(hit) => {
                 self.hits += 1;
                 // Per-backend caches live on one thread each, so the
@@ -76,15 +51,15 @@ impl PrepCache {
         }
     }
 
-    /// Stores a preparation, flushing the whole cache first when full
-    /// (epoch eviction: simpler than LRU and the working set of one
-    /// diagnosis fits comfortably under the capacity).
-    pub fn insert(&mut self, key: Vec<u64>, prepared: Rc<XxPrepared>) {
+    /// Stores a preparation under its circuit, flushing the whole cache
+    /// first when full (epoch eviction: simpler than LRU and the working
+    /// set of one diagnosis fits comfortably under the capacity).
+    pub fn insert(&mut self, prepared: Rc<XxPrepared>) {
         if self.map.len() >= CACHE_CAPACITY {
             itqc_obs::event::add_nd("backend.prep_cache.evictions", self.map.len() as u64);
             self.map.clear();
         }
-        self.map.insert(key, prepared);
+        self.map.insert(prepared.xx().clone(), prepared);
     }
 
     /// (hits, misses) since construction.
@@ -109,8 +84,10 @@ mod tests {
     use itqc_circuit::Coupling;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::hash_map::DefaultHasher;
     use std::collections::BTreeMap;
     use std::f64::consts::FRAC_PI_2;
+    use std::hash::{Hash, Hasher};
 
     #[test]
     fn key_separates_noise_profiles() {
@@ -118,10 +95,10 @@ mod tests {
         a.add_xx(0, 1, 0.5);
         let mut b = XxCircuit::new(4);
         b.add_xx(0, 1, 0.5 + 1e-15);
-        assert_ne!(xx_key(&a), xx_key(&b), "angle bits must separate noise profiles");
+        assert_ne!(a, b, "angle bits must separate noise profiles");
         let mut c = XxCircuit::new(5);
         c.add_xx(0, 1, 0.5);
-        assert_ne!(xx_key(&a), xx_key(&c), "register size is part of the key");
+        assert_ne!(a, c, "register size is part of the key");
     }
 
     #[test]
@@ -131,15 +108,23 @@ mod tests {
         // from +0.0 even though the rotation is the same.
         let minus_zero = -0.5f64 * (1.0 - 1.0);
         assert_ne!(minus_zero.to_bits(), 0.0f64.to_bits(), "distinct raw bits (the bug)");
-        let mut neg = XxCircuit::new(4);
-        neg.add_xx(0, 1, minus_zero);
-        let mut pos = XxCircuit::new(4);
-        pos.add_xx(0, 1, 0.0);
-        assert_eq!(xx_key(&neg), xx_key(&pos), "-0.0 and 0.0 are the same rotation");
+        let gate = [(Coupling::new(0, 1), 0.5)];
+        let neg = XxCircuit::compile(4, &gate, |_| -0.0);
+        let pos = XxCircuit::compile(4, &gate, |_| 0.0);
+        assert_eq!(neg, pos, "-0.0 and 0.0 are the same rotation");
+        assert_eq!(hash_of(&neg), hash_of(&pos));
         // The canonicalisation must not merge genuinely distinct angles,
         // however small.
-        assert_eq!(angle_key_bits(1e-300), 1e-300f64.to_bits());
-        assert_eq!(angle_key_bits(-1e-300), (-1e-300f64).to_bits());
+        let tiny = |theta: f64| XxCircuit::compile(4, &[(Coupling::new(0, 1), theta)], |_| 1.0);
+        assert_ne!(tiny(1e-300), pos);
+        assert_ne!(tiny(-1e-300), pos);
+        assert_ne!(tiny(1e-300), tiny(-1e-300));
+    }
+
+    fn hash_of(xx: &XxCircuit) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        xx.hash(&mut hasher);
+        hasher.finish()
     }
 
     /// The route every test circuit took to its key before the compile
@@ -166,17 +151,18 @@ mod tests {
     /// The compile route under test: `gates` scaled per gate in program
     /// order.
     fn compile(n_qubits: usize, gates: &[(Coupling, f64)], scales: &[f64]) -> XxCircuit {
-        let mut xx = XxCircuit::new(n_qubits);
-        for (&(coupling, theta), &scale) in gates.iter().zip(scales) {
-            let (a, b) = coupling.endpoints();
-            xx.add_xx(a, b, theta * scale);
-        }
-        xx
+        let mut scales = scales.iter();
+        XxCircuit::compile(n_qubits, gates, |_| *scales.next().expect("one scale per gate"))
     }
 
-    /// Whether two compiled circuits share a cache key.
+    /// Whether two compiled circuits share a cache key: they compare
+    /// equal, and then they must hash equal too.
     fn same_key(a: &XxCircuit, b: &XxCircuit) -> bool {
-        xx_key(a) == xx_key(b)
+        let equal = a == b;
+        if equal {
+            assert_eq!(hash_of(a), hash_of(b), "equal circuits must hash equal");
+        }
+        equal
     }
 
     /// A random gate list on `n` qubits: a few couplings, some written
@@ -231,7 +217,6 @@ mod tests {
             let reference: Vec<(usize, usize, u64)> =
                 terms.iter().map(|(&(a, b), &theta)| (a, b, theta.to_bits())).collect();
             assert_eq!(compiled, reference, "trial {trial}: terms");
-            assert_eq!(xx_key(&xx), key, "trial {trial}: key");
             zeros += terms.values().filter(|&&t| t == 0.0).count();
 
             // Variants: the same list, two neighbouring gates of distinct
@@ -274,8 +259,7 @@ mod tests {
         for i in 0..(CACHE_CAPACITY + 10) {
             let mut xx = XxCircuit::new(4);
             xx.add_xx(0, 1, i as f64 * 1e-3);
-            let prep = Rc::new(XxPrepared::prepare(xx).unwrap());
-            cache.insert(xx_key(prep.xx()), prep);
+            cache.insert(Rc::new(XxPrepared::prepare(xx).unwrap()));
             assert!(cache.len() <= CACHE_CAPACITY);
         }
         assert!(!cache.is_empty());

@@ -1,26 +1,26 @@
 //! The dense reference backend.
 //!
 //! Wraps the general state-vector simulator as a [`PreparedCircuit`].
-//! Before simulating, the circuit is *compressed onto its support*: the
-//! state vector covers only the qubits some gate touches, so a sparse
-//! circuit on a large register costs `2^support`, not `2^N` — a
-//! 32-qubit register whose test circuit touches 16 qubits stays within
-//! reach, and the dense-vs-analytic cross-check can run at any size the
-//! support allows. Memory remains exponential in the support; the
-//! analytic backend is the scalable path for commuting-XX circuits.
+//! A compiled circuit is expanded into one `XX(Θ)` gate per coupling,
+//! in term order, and *compressed onto its support*: the state vector
+//! covers only the qubits some gate touches, so a sparse circuit on a
+//! large register costs `2^support`, not `2^N` — a 32-qubit register
+//! whose test circuit touches 16 qubits stays within reach, and the
+//! dense-vs-analytic cross-check can run at any size the support
+//! allows. Memory remains exponential in the support; the analytic
+//! backend is the scalable path.
 
-use crate::dist::{connected_components, sample_strings_blocked, ComponentDist};
+use crate::dist::{sample_strings_blocked, ComponentDist};
 use crate::{BackendError, PreparedCircuit};
-use itqc_circuit::{Circuit, Op};
+use itqc_circuit::Circuit;
 use itqc_sim::statevector::MAX_QUBITS;
-use itqc_sim::BitString;
+use itqc_sim::{BitString, XxCircuit};
 use rand::rngs::SmallRng;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// The dense state-vector backend (stateless; preparations are not
 /// cached — the backend exists as the exact reference and the fallback
-/// for non-commuting circuits, not as a hot path).
+/// for components the analytic engine refuses, not as a hot path).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DenseBackend;
 
@@ -30,10 +30,10 @@ impl DenseBackend {
         DenseBackend
     }
 
-    /// Prepares `circuit` for evaluation, or refuses a support beyond
-    /// the state-vector limit.
-    pub fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
-        Ok(Rc::new(DensePrepared::build(circuit)?))
+    /// Prepares a compiled circuit for evaluation, or refuses a support
+    /// beyond the state-vector limit.
+    pub fn prepare(&self, xx: &XxCircuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
+        Ok(Rc::new(DensePrepared::build(xx)?))
     }
 }
 
@@ -50,12 +50,9 @@ pub struct DensePrepared {
 }
 
 impl DensePrepared {
-    fn build(circuit: &Circuit) -> Result<Self, BackendError> {
-        let n_qubits = circuit.n_qubits();
-        let mut support: Vec<usize> =
-            circuit.ops().iter().flat_map(|op| op.qubits().iter().copied()).collect();
-        support.sort_unstable();
-        support.dedup();
+    fn build(xx: &XxCircuit) -> Result<Self, BackendError> {
+        let n_qubits = xx.n_qubits();
+        let support = xx.support();
         let m = support.len();
         if m > MAX_QUBITS {
             return Err(BackendError::SupportTooLarge { support: m, limit: MAX_QUBITS });
@@ -68,29 +65,23 @@ impl DensePrepared {
                 components: Vec::new(),
             });
         }
-        // Remap onto the support and run the full simulator.
-        let local: BTreeMap<usize, usize> =
-            support.iter().enumerate().map(|(k, &q)| (q, k)).collect();
+        // Remap onto the support (a qubit's local bit is its rank in it)
+        // and run the full simulator.
+        let local = |q: usize| support.partition_point(|&s| s < q);
         let mut compressed = Circuit::new(m);
-        let mut edges = Vec::new();
-        for op in circuit.ops() {
-            let q = op.qubits();
-            match q.len() {
-                1 => {
-                    compressed.push(Op::one(op.gate, local[&q[0]]));
-                }
-                _ => {
-                    compressed.push(Op::two(op.gate, local[&q[0]], local[&q[1]]));
-                    edges.push((local[&q[0]], local[&q[1]]));
-                }
-            }
+        for ((a, b), theta) in xx.terms() {
+            compressed.xx(local(a), local(b), theta);
         }
         let probs = itqc_sim::run(&compressed).probabilities();
-        // Factorize over interaction-graph components by marginalizing
+        // Factorize over the coupling graph's components by marginalizing
         // the dense distribution onto each component's qubits.
-        let components = connected_components(m, &edges)
+        let components = xx
+            .component_masks()
             .into_iter()
-            .map(|members| {
+            .map(|mask| {
+                let qubits: Vec<usize> =
+                    support.iter().copied().filter(|&q| (mask >> q) & 1 == 1).collect();
+                let members: Vec<usize> = qubits.iter().map(|&q| local(q)).collect();
                 let mut comp_probs = vec![0.0f64; 1usize << members.len()];
                 for (state, &p) in probs.iter().enumerate() {
                     let mut idx = 0usize;
@@ -101,7 +92,6 @@ impl DensePrepared {
                     }
                     comp_probs[idx] += p;
                 }
-                let qubits = members.into_iter().map(|k| support[k]).collect();
                 ComponentDist::new(qubits, &comp_probs)
             })
             .collect();
@@ -169,9 +159,9 @@ mod tests {
     #[test]
     fn support_compression_reaches_beyond_dense_register_wall() {
         // One MS pair on a 40-qubit register: support 2, trivially dense.
-        let mut c = Circuit::new(40);
-        c.xx(3, 37, FRAC_PI_2);
-        let prep = DensePrepared::build(&c).unwrap();
+        let mut xx = XxCircuit::new(40);
+        xx.add_xx(3, 37, FRAC_PI_2);
+        let prep = DensePrepared::build(&xx).unwrap();
         assert_eq!(prep.support(), &[3, 37]);
         assert!((prep.probability(0) - 0.5).abs() < 1e-12);
         assert!((prep.probability((1 << 3) | (1 << 37)) - 0.5).abs() < 1e-12);
@@ -181,25 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn general_gates_are_accepted() {
-        // Non-XX circuits run on the dense path (H + CNOT Bell pair).
-        let mut c = Circuit::new(6);
-        c.h(1).cnot(1, 4);
-        let prep = DensePrepared::build(&c).unwrap();
-        assert!((prep.probability(0) - 0.5).abs() < 1e-12);
-        assert!((prep.probability((1 << 1) | (1 << 4)) - 0.5).abs() < 1e-12);
-        let mut rng = SmallRng::seed_from_u64(2);
-        for s in prep.sample(&mut rng, 100) {
-            // Bell pair: bits 1 and 4 always agree, others stay 0.
-            assert_eq!((s >> 1) & 1, (s >> 4) & 1);
-            assert_eq!(s & !((1 << 1) | (1 << 4)), 0);
-        }
-    }
-
-    #[test]
     fn empty_circuit_is_deterministic_zero() {
-        let c = Circuit::new(5);
-        let prep = DensePrepared::build(&c).unwrap();
+        let prep = DensePrepared::build(&XxCircuit::new(5)).unwrap();
         assert_eq!(prep.probability(0), 1.0);
         assert_eq!(prep.probability(1), 0.0);
         let mut rng = SmallRng::seed_from_u64(1);
@@ -210,16 +183,16 @@ mod tests {
     fn component_marginalization_matches_full_distribution() {
         let mut rng = SmallRng::seed_from_u64(77);
         let n = 6;
-        let mut c = Circuit::new(n);
+        let mut xx = XxCircuit::new(n);
         for _ in 0..7 {
             let a = rng.gen_range(0..n);
             let mut b = rng.gen_range(0..n);
             while b == a {
                 b = rng.gen_range(0..n);
             }
-            c.xx(a, b, rng.gen_range(-2.0..2.0));
+            xx.add_xx(a, b, rng.gen_range(-2.0..2.0));
         }
-        let prep = DensePrepared::build(&c).unwrap();
+        let prep = DensePrepared::build(&xx).unwrap();
         // Product of component probabilities equals the joint for any
         // target (components are unentangled).
         for target in 0..(1 << n) as BitString {

@@ -329,33 +329,6 @@ fn radix4_stages(v: &mut [f64], len: usize) {
     }
 }
 
-/// Partitions `0..n_local` into connected components under the given
-/// edge list (pairs of local indices), returning each component's
-/// members ascending, components ordered by smallest member. Isolated
-/// vertices form singleton components.
-pub fn connected_components(n_local: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
-    let mut parent: Vec<usize> = (0..n_local).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for &(a, b) in edges {
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        if ra != rb {
-            parent[ra.max(rb)] = ra.min(rb);
-        }
-    }
-    let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for v in 0..n_local {
-        let r = find(&mut parent, v);
-        groups.entry(r).or_default().push(v);
-    }
-    groups.into_values().collect()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -422,13 +395,6 @@ pub(crate) mod tests {
             }
             assert!((re[z] - sr).abs() < 1e-12 && (im[z] - si).abs() < 1e-12, "z={z}");
         }
-    }
-
-    #[test]
-    fn components_split_and_order() {
-        let comps = connected_components(6, &[(0, 2), (2, 4), (1, 5)]);
-        assert_eq!(comps, vec![vec![0, 2, 4], vec![1, 5], vec![3]]);
-        assert!(connected_components(0, &[]).is_empty());
     }
 
     #[test]

@@ -2,24 +2,26 @@
 //!
 //! Everything above the simulators — executors, protocols, the
 //! experiment harness — talks to simulation through one seam: *prepare
-//! a circuit, then ask the [`PreparedCircuit`] for per-qubit marginals,
-//! exact output probabilities, or seeded shot strings*. Two engines
-//! ship:
+//! a compiled [`XxCircuit`], then ask the [`PreparedCircuit`] for
+//! per-qubit marginals, exact output probabilities, or seeded shot
+//! strings*. Every diagnostic test is a product of commuting `XX(θ)`
+//! gates, compiled once per query into an [`XxCircuit`] (one
+//! accumulated angle per coupling) that the engines, the score memo
+//! and the preparation cache all take. Two engines ship:
 //!
-//! * [`DenseBackend`] — the general state-vector path, compressed onto
-//!   the circuit's support (exact for any gate set, memory `2^support`);
-//! * [`XxAnalyticBackend`] — the scalable engine for commuting-XX test
-//!   circuits: closed-form marginals, per-*component* Gray-code /
-//!   Walsh–Hadamard output distributions (`2^c` for a `c`-qubit
-//!   component, never `2^N`), and a prepared-circuit cache keyed by the
-//!   noisy coupling angles so repeated shot batteries at one repetition
-//!   rung reuse a single preparation.
+//! * [`DenseBackend`] — the state-vector reference, one `XX(Θ)` gate
+//!   per coupling, compressed onto the circuit's support (memory
+//!   `2^support`);
+//! * [`XxAnalyticBackend`] — the scalable engine: closed-form
+//!   marginals, per-*component* Gray-code / Walsh–Hadamard output
+//!   distributions (`2^c` for a `c`-qubit component, never `2^N`), and
+//!   a prepared-circuit cache keyed by the compiled circuit so repeated
+//!   shot batteries at one repetition rung reuse a single preparation.
 //!
 //! [`Backend`] routes between them: `dense` and `analytic` force one
 //! engine, [`BackendChoice::Auto`] tries the analytic engine and falls
-//! back to dense whenever the circuit leaves the commuting-XX family
-//! (e.g. the footnote-8 SWAP-insertion test) or a component outgrows
-//! the analytic sampling table.
+//! back to dense when a component outgrows the analytic sampling table
+//! without the structure the chain sampler needs.
 //!
 //! Both backends sample output strings through the *same* canonical
 //! component-ordered inverse-CDF scheme ([`dist`]), so given one RNG
@@ -39,9 +41,8 @@ pub use analytic::{ComponentSampler, XxAnalyticBackend, XxPrepared, MAX_COMPONEN
 pub use chain::{ChainDist, CHAIN_MAX_SPECIAL};
 pub use dense::DenseBackend;
 pub use dist::{sample_strings_blocked, SampleComponent, SAMPLE_BLOCK_SHOTS};
-pub use itqc_sim::BitString;
+pub use itqc_sim::{BitString, XxCircuit};
 
-use itqc_circuit::Circuit;
 use rand::rngs::SmallRng;
 use std::fmt;
 use std::rc::Rc;
@@ -50,8 +51,6 @@ use std::str::FromStr;
 /// Why a backend refused a circuit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendError {
-    /// The analytic engine only evaluates products of `XX(θ)` gates.
-    NotCommutingXx,
     /// A connected component (analytic) or the whole support (dense)
     /// exceeds the backend's table limit.
     SupportTooLarge {
@@ -76,9 +75,6 @@ pub enum BackendError {
 impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BackendError::NotCommutingXx => {
-                write!(f, "circuit contains non-XX gates; only the dense backend applies")
-            }
             BackendError::SupportTooLarge { support, limit } => {
                 write!(f, "{support}-qubit support exceeds the backend limit of {limit}")
             }
@@ -177,9 +173,10 @@ pub fn worst_qubit_count(strings: &[BitString], support: &[usize], target: BitSt
 pub enum BackendChoice {
     /// Always the dense state-vector path.
     Dense,
-    /// Always the analytic commuting-XX engine (errors on other gates).
+    /// Always the analytic commuting-XX engine (refuses an oversize
+    /// component the chain sampler cannot take).
     Analytic,
-    /// Analytic when the circuit qualifies, dense otherwise.
+    /// Analytic, falling back to dense on a component it refuses.
     #[default]
     Auto,
 }
@@ -232,14 +229,14 @@ impl Backend {
         &self.analytic
     }
 
-    /// Prepares a circuit under the selection policy.
-    pub fn prepare(&self, circuit: &Circuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
+    /// Prepares a compiled circuit under the selection policy.
+    pub fn prepare(&self, xx: &XxCircuit) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
         match self.choice {
-            BackendChoice::Dense => self.dense.prepare(circuit),
-            BackendChoice::Analytic => self.analytic.prepare(circuit),
-            BackendChoice::Auto => match self.analytic.prepare(circuit) {
+            BackendChoice::Dense => self.dense.prepare(xx),
+            BackendChoice::Analytic => self.analytic.prepare(xx),
+            BackendChoice::Auto => match self.analytic.prepare(xx) {
                 Ok(prepared) => Ok(prepared),
-                Err(_) => self.dense.prepare(circuit),
+                Err(_) => self.dense.prepare(xx),
             },
         }
     }
@@ -290,28 +287,32 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_xx_to_analytic_and_swap_to_dense() {
+    fn auto_routes_xx_to_analytic_and_oversize_components_to_dense() {
         let backend = Backend::new(BackendChoice::Auto);
-        let mut xx = Circuit::new(4);
-        xx.xx(0, 1, FRAC_PI_2);
+        let mut xx = XxCircuit::new(4);
+        xx.add_xx(0, 1, FRAC_PI_2);
         backend.prepare(&xx).expect("XX circuit prepares");
         let (_, misses) = backend.analytic().cache_stats();
         assert_eq!(misses, 1, "the analytic engine must have taken the XX circuit");
 
-        // A SWAP leaves the commuting family; auto must fall back.
-        let mut swap = Circuit::new(4);
-        swap.xx(0, 1, FRAC_PI_2).swap(1, 2);
-        let prep = backend.prepare(&swap).expect("dense fallback");
-        assert_eq!(prep.support(), &[0, 1, 2]);
-        // Forcing analytic on it must refuse instead.
+        // A star one qubit past the joint tables has no chain structure:
+        // the analytic engine refuses it, so auto must fall back.
+        let n = MAX_COMPONENT + 1;
+        let mut star = XxCircuit::new(n);
+        for q in 1..n {
+            star.add_xx(0, q, 0.3);
+        }
         let forced = Backend::new(BackendChoice::Analytic);
-        assert_eq!(forced.prepare(&swap).unwrap_err(), BackendError::NotCommutingXx);
+        assert!(matches!(forced.prepare(&star), Err(BackendError::ChainUnsupported { .. })));
+        let prep = backend.prepare(&star).expect("dense fallback");
+        assert_eq!(prep.support(), (0..n).collect::<Vec<_>>());
+        assert!((prep.marginal_one(0) - star.marginal_one(0)).abs() < 1e-9);
     }
 
     #[test]
     fn dense_and_analytic_agree_through_the_router() {
-        let mut c = Circuit::new(5);
-        c.xx(0, 3, 1.1).xx(3, 4, -0.4).xx(0, 4, 0.9).xx(1, 2, 2.2);
+        let mut c = XxCircuit::new(5);
+        c.add_xx(0, 3, 1.1).add_xx(3, 4, -0.4).add_xx(0, 4, 0.9).add_xx(1, 2, 2.2);
         let dense = Backend::new(BackendChoice::Dense).prepare(&c).unwrap();
         let analytic = Backend::new(BackendChoice::Analytic).prepare(&c).unwrap();
         assert_eq!(dense.support(), analytic.support());

@@ -7,7 +7,8 @@
 
 use crate::testplan::{ScoreMode, TestSpec};
 use itqc_backend::{Backend, BackendChoice, BackendError, PreparedCircuit, XxAnalyticBackend};
-use itqc_circuit::{Circuit, Coupling};
+use itqc_circuit::Coupling;
+use itqc_sim::XxCircuit;
 use itqc_trap::{Activity, VirtualTrap};
 use std::collections::BTreeMap;
 use std::f64::consts::FRAC_PI_2;
@@ -41,15 +42,18 @@ pub trait TestExecutor {
 /// [`ExactExecutor::with_backend`] selects another), which also prepares
 /// circuits for the output-string samplers of the scaling studies.
 ///
-/// Exact scores take the analytic engine's scalar path
-/// ([`itqc_backend::XxAnalyticBackend::score`]): closed-form marginals or
-/// per-component Gray walks, memoised across trials. The dense engine is
-/// the reference: a dense-routed executor evaluates the gate-by-gate
-/// circuit, unmemoised.
+/// Every query compiles its spec once, into the [`XxCircuit`] the
+/// machine executes: each gate's angle scaled by `1 − u` for its
+/// coupling's under-rotation `u`. Exact scores take the analytic
+/// engine's scalar path ([`itqc_backend::XxAnalyticBackend::score`]):
+/// closed-form marginals or per-component Gray walks, memoised across
+/// trials. The dense engine is the reference: a dense-routed executor
+/// prepares the same compiled circuit on it, unmemoised.
 #[derive(Clone, Debug)]
 pub struct ExactExecutor {
     n_qubits: usize,
-    faults: BTreeMap<Coupling, f64>,
+    /// Under-rotation of coupling `{a, b}`, `a < b`, at `a·n + b`.
+    faults: Vec<f64>,
     backend: Backend,
 }
 
@@ -58,7 +62,7 @@ impl ExactExecutor {
     pub fn new(n_qubits: usize) -> Self {
         ExactExecutor {
             n_qubits,
-            faults: BTreeMap::new(),
+            faults: vec![0.0; n_qubits * n_qubits],
             backend: Backend::new(BackendChoice::Auto),
         }
     }
@@ -76,40 +80,43 @@ impl ExactExecutor {
     }
 
     /// Sets the under-rotation of one coupling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coupling lies off the register.
     pub fn with_fault(mut self, coupling: Coupling, under_rotation: f64) -> Self {
-        self.faults.insert(coupling, under_rotation);
+        let (a, b) = coupling.endpoints();
+        assert!(b < self.n_qubits, "coupling not on this machine");
+        self.faults[a * self.n_qubits + b] = under_rotation;
         self
     }
 
     /// Sets many faults at once.
-    pub fn with_faults<I: IntoIterator<Item = (Coupling, f64)>>(mut self, faults: I) -> Self {
-        self.faults.extend(faults);
-        self
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coupling lies off the register.
+    pub fn with_faults<I: IntoIterator<Item = (Coupling, f64)>>(self, faults: I) -> Self {
+        faults.into_iter().fold(self, |exec, (coupling, u)| exec.with_fault(coupling, u))
     }
 
     fn under_rotation(&self, coupling: Coupling) -> f64 {
-        self.faults.get(&coupling).copied().unwrap_or(0.0)
+        let (a, b) = coupling.endpoints();
+        self.faults[a * self.n_qubits + b]
     }
 
-    /// The noisy [`Circuit`] a spec compiles to on this machine — every
-    /// gate's angle scaled by its coupling's under-rotation. This is
-    /// what [`Self::prepare`] hands the backend.
-    pub fn noisy_circuit(&self, spec: &TestSpec) -> Circuit {
-        let mut circuit = Circuit::new(self.n_qubits);
-        for &(coupling, theta) in &spec.gates {
-            let (a, b) = coupling.endpoints();
-            circuit.xx(a, b, theta * (1.0 - self.under_rotation(coupling)));
-        }
-        circuit
+    /// The circuit a spec compiles to on this machine: every gate's
+    /// angle scaled by `1 − u` for its coupling's under-rotation `u`.
+    fn compile(&self, spec: &TestSpec) -> XxCircuit {
+        XxCircuit::compile(self.n_qubits, &spec.gates, |c| 1.0 - self.under_rotation(c))
     }
 
-    /// Prepares a spec's noisy circuit on the backend (shot samplers use
-    /// this to draw genuine output strings), or reports why the backend
-    /// refused it: forced `dense` beyond the register wall, forced
-    /// `analytic` on non-XX gates or on an unstructured oversize
-    /// component.
+    /// Prepares a spec's compiled circuit on the backend (shot samplers
+    /// use this to draw genuine output strings), or reports why the
+    /// backend refused it: forced `dense` beyond the register wall, or
+    /// forced `analytic` on an unstructured oversize component.
     pub fn prepare(&self, spec: &TestSpec) -> Result<Rc<dyn PreparedCircuit>, BackendError> {
-        self.backend.prepare(&self.noisy_circuit(spec))
+        self.backend.prepare(&self.compile(spec))
     }
 
     /// The exact score of a spec under its own [`ScoreMode`].
@@ -117,9 +124,10 @@ impl ExactExecutor {
         self.score(spec, spec.score)
     }
 
-    /// Every exact query: the analytic scalar path, or [`Self::prepare`]
-    /// on a dense-routed executor and for circuits the scalar path
-    /// refuses (`auto` then falls back to dense).
+    /// Every exact query: the analytic scalar path, or the backend's
+    /// preparation of the same compiled circuit on a dense-routed
+    /// executor and for circuits the scalar path refuses (`auto` then
+    /// falls back to dense).
     ///
     /// # Panics
     ///
@@ -128,13 +136,13 @@ impl ExactExecutor {
     fn score(&self, spec: &TestSpec, kind: ScoreMode) -> f64 {
         let _span = itqc_obs::span::timed(RUN_TEST_SPAN);
         itqc_obs::event::add("core.exact.queries", 1);
+        let xx = self.compile(spec);
         if self.backend.choice() != BackendChoice::Dense {
-            let xx = spec.noisy_xx(self.n_qubits, |c| self.under_rotation(c));
             if let Ok(score) = XxAnalyticBackend::score(&xx, spec.target, kind) {
                 return score;
             }
         }
-        let prepared = self.prepare(spec).unwrap_or_else(|e| {
+        let prepared = self.backend.prepare(&xx).unwrap_or_else(|e| {
             panic!("backend '{}' refused test '{}': {e}", self.backend.choice(), spec.label)
         });
         match kind {
@@ -392,6 +400,12 @@ mod tests {
         let mut exec = ExactExecutor::new(8);
         let spec = TestSpec::for_couplings("t", &[Coupling::new(0, 1)], 4);
         assert!((exec.run_test(&spec, 1) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "coupling not on this machine")]
+    fn a_fault_off_the_register_panics() {
+        let _ = ExactExecutor::new(4).with_fault(Coupling::new(1, 4), 0.2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! angle before measurement.
 
 use itqc_circuit::{Circuit, Coupling};
-use itqc_sim::{BitString, XxCircuit};
+use itqc_sim::BitString;
 
 pub use itqc_backend::ScoreMode;
 use std::collections::BTreeMap;
@@ -75,23 +75,6 @@ impl TestSpec {
         self.score = score;
         self
     }
-
-    /// Accumulates the spec into the commuting-XX circuit a machine with
-    /// the given per-coupling under-rotations would actually execute:
-    /// every programmed `θ` becomes `θ·(1−u)`. This is the entry point
-    /// for executors that score test plans through the `itqc_backend`
-    /// seam — the returned circuit is exactly the memo key unit
-    /// (register size + couplings + noisy angle bits), so two machines
-    /// with identical coupling graphs and calibration profiles map the
-    /// same spec to the same memoised score.
-    pub fn noisy_xx(&self, n_qubits: usize, under_rotation: impl Fn(Coupling) -> f64) -> XxCircuit {
-        let mut xx = XxCircuit::new(n_qubits);
-        for &(coupling, theta) in &self.gates {
-            let (a, b) = coupling.endpoints();
-            xx.add_xx(a, b, theta * (1.0 - under_rotation(coupling)));
-        }
-        xx
-    }
 }
 
 /// The full-coupling canary test over a coupling set: every relevant
@@ -128,8 +111,9 @@ impl fmt::Display for TestSpec {
 /// the circuit is its ideal output string (qubits `a` and `partner` end in
 /// `|1⟩`).
 ///
-/// This variant contains a SWAP, so it runs on the dense path (it is not a
-/// commuting-XX circuit).
+/// This variant contains a SWAP, so it is not a commuting-XX circuit: it
+/// runs on the state-vector simulator and the trap's trajectories, never
+/// through the backend seam.
 ///
 /// # Panics
 ///
@@ -234,7 +218,7 @@ pub fn canary_rotation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itqc_sim::run;
+    use itqc_sim::{run, XxCircuit};
 
     /// The spec's ideal circuit on an `n_qubits` register.
     fn ideal_circuit(spec: &TestSpec, n_qubits: usize) -> Circuit {
@@ -304,11 +288,11 @@ mod tests {
     }
 
     #[test]
-    fn noisy_xx_applies_under_rotations_and_canary_for_matches_inline() {
+    fn compiled_spec_applies_under_rotations_and_canary_for_matches_inline() {
         let cs = [Coupling::new(0, 1), Coupling::new(1, 2)];
         let spec = TestSpec::for_couplings("t", &cs, 2);
         let faulty = Coupling::new(0, 1);
-        let xx = spec.noisy_xx(4, |c| if c == faulty { 0.25 } else { 0.0 });
+        let xx = XxCircuit::compile(4, &spec.gates, |c| 1.0 - if c == faulty { 0.25 } else { 0.0 });
         let mut want = XxCircuit::new(4);
         want.add_xx(0, 1, FRAC_PI_2 * 0.75)
             .add_xx(0, 1, FRAC_PI_2 * 0.75)

@@ -25,15 +25,24 @@
 //! state vector in tests.
 
 use crate::BitString;
-use itqc_circuit::{Circuit, Gate};
+use itqc_circuit::Coupling;
 use itqc_math::Complex64;
-use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 /// Largest support (touched-qubit count) the exact sum will attempt:
 /// `2^24` Gray steps ≈ seconds. Protocol tests need at most `N/2`.
 pub const MAX_SUPPORT: usize = 24;
 
-/// A product of `XX(θ)` gates with accumulated per-coupling angles.
+/// A product of `XX(θ)` gates with accumulated per-coupling angles: the
+/// one compiled form of a test circuit that every engine, the score
+/// memo and the preparation cache take.
+///
+/// Two circuits compare equal (and hash equal) when they have the same
+/// register size, couplings and angle bits, with `-0.0` and `+0.0`
+/// counted as the same angle: they are the same rotation, and a
+/// `-θ·(1−u)` gate at `u = 1` lands on `-0.0`. Every other angle,
+/// including a 1-ulp noise perturbation, keeps circuits apart, so a
+/// cache hit can never alias two different machines.
 ///
 /// # Example
 ///
@@ -51,13 +60,80 @@ pub const MAX_SUPPORT: usize = 24;
 #[derive(Clone, Debug, Default)]
 pub struct XxCircuit {
     n_qubits: usize,
-    terms: BTreeMap<(usize, usize), f64>,
+    /// One accumulated angle per coupling `(a, b)`, `a < b`, sorted.
+    terms: Vec<((usize, usize), f64)>,
+}
+
+/// The bit pattern an angle compares and hashes under: `-0.0` as `+0.0`.
+fn angle_bits(theta: f64) -> u64 {
+    if theta == 0.0 {
+        0
+    } else {
+        theta.to_bits()
+    }
+}
+
+impl PartialEq for XxCircuit {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_qubits == other.n_qubits
+            && self.terms.len() == other.terms.len()
+            && self
+                .terms
+                .iter()
+                .zip(&other.terms)
+                .all(|(&(p, x), &(q, y))| p == q && angle_bits(x) == angle_bits(y))
+    }
+}
+
+impl Eq for XxCircuit {}
+
+impl Hash for XxCircuit {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.n_qubits);
+        for &((a, b), theta) in &self.terms {
+            state.write_u64((a as u64) << 32 | b as u64);
+            state.write_u64(angle_bits(theta));
+        }
+    }
 }
 
 impl XxCircuit {
     /// An empty (identity) XX circuit on `n_qubits`.
     pub fn new(n_qubits: usize) -> Self {
-        XxCircuit { n_qubits, terms: BTreeMap::new() }
+        XxCircuit { n_qubits, terms: Vec::new() }
+    }
+
+    /// Compiles a gate list: gate `k` of `gates` becomes
+    /// `XX(θ_k·scale(coupling_k))`, with `scale` called once per gate in
+    /// program order (so a scale that draws noise consumes its stream
+    /// gate by gate). Each coupling's angles are folded in program order
+    /// from `0.0`, exactly as repeated [`Self::add_xx`] calls fold them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coupling lies off the register.
+    pub fn compile(
+        n_qubits: usize,
+        gates: &[(Coupling, f64)],
+        mut scale: impl FnMut(Coupling) -> f64,
+    ) -> Self {
+        let mut angles: Vec<((usize, usize), f64)> = gates
+            .iter()
+            .map(|&(coupling, theta)| {
+                assert!(coupling.hi() < n_qubits, "qubit out of range");
+                (coupling.endpoints(), theta * scale(coupling))
+            })
+            .collect();
+        // A stable sort keeps each coupling's gates in program order.
+        angles.sort_by_key(|&(pair, _)| pair);
+        let mut terms: Vec<((usize, usize), f64)> = Vec::with_capacity(angles.len());
+        for (pair, theta) in angles {
+            match terms.last_mut() {
+                Some((last, sum)) if *last == pair => *sum += theta,
+                _ => terms.push((pair, 0.0 + theta)),
+            }
+        }
+        XxCircuit { n_qubits, terms }
     }
 
     /// Number of qubits in the register.
@@ -73,35 +149,23 @@ impl XxCircuit {
     pub fn add_xx(&mut self, a: usize, b: usize, theta: f64) -> &mut Self {
         assert!(a < self.n_qubits && b < self.n_qubits, "qubit out of range");
         assert_ne!(a, b, "coupling joins two distinct qubits");
-        let key = (a.min(b), a.max(b));
-        *self.terms.entry(key).or_insert(0.0) += theta;
+        let pair = (a.min(b), a.max(b));
+        match self.terms.binary_search_by_key(&pair, |&(p, _)| p) {
+            Ok(k) => self.terms[k].1 += theta,
+            Err(k) => self.terms.insert(k, (pair, 0.0 + theta)),
+        }
         self
     }
 
-    /// Extracts an `XxCircuit` from a [`Circuit`] made exclusively of
-    /// [`Gate::Xx`] operations; `None` if any other gate is present.
-    pub fn from_circuit(circuit: &Circuit) -> Option<Self> {
-        let mut xx = XxCircuit::new(circuit.n_qubits());
-        for op in circuit.ops() {
-            match op.gate {
-                Gate::Xx(theta) => {
-                    let q = op.qubits();
-                    xx.add_xx(q[0], q[1], theta);
-                }
-                _ => return None,
-            }
-        }
-        Some(xx)
-    }
-
-    /// The accumulated couplings and their total angles.
+    /// The accumulated couplings and their total angles, sorted by
+    /// coupling.
     pub fn terms(&self) -> impl Iterator<Item = ((usize, usize), f64)> + '_ {
-        self.terms.iter().map(|(&k, &v)| (k, v))
+        self.terms.iter().copied()
     }
 
     /// The sorted set of qubits touched by at least one gate.
     pub fn support(&self) -> Vec<usize> {
-        let mut s: Vec<usize> = self.terms.keys().flat_map(|&(a, b)| [a, b]).collect();
+        let mut s: Vec<usize> = self.terms.iter().flat_map(|&((a, b), _)| [a, b]).collect();
         s.sort_unstable();
         s.dedup();
         s
@@ -109,7 +173,7 @@ impl XxCircuit {
 
     /// The qubits touched by at least one gate, as a bit mask.
     pub fn support_mask(&self) -> BitString {
-        self.terms.keys().fold(0, |m, &(a, b)| m | 1 << a | 1 << b)
+        self.terms.iter().fold(0, |m, &((a, b), _)| m | 1 << a | 1 << b)
     }
 
     /// The exact amplitude `⟨target|U|0…0⟩`: one Gray-code walk over the
@@ -152,7 +216,7 @@ impl XxCircuit {
     /// ascending by lowest qubit.
     pub fn component_masks(&self) -> Vec<BitString> {
         let mut masks: Vec<BitString> = Vec::new();
-        for &(a, b) in self.terms.keys() {
+        for &((a, b), _) in &self.terms {
             // A coupling joins every component it touches.
             let pair = (1 as BitString) << a | (1 as BitString) << b;
             let mut joined = pair;
@@ -177,7 +241,7 @@ impl XxCircuit {
             .into_iter()
             .map(|mask| {
                 let mut sub = XxCircuit::new(self.n_qubits);
-                sub.terms.extend(self.terms.iter().filter(|&(&(a, _), _)| (mask >> a) & 1 == 1));
+                sub.terms.extend(self.terms.iter().filter(|&&((a, _), _)| (mask >> a) & 1 == 1));
                 (sub, mask)
             })
             .collect()
@@ -206,7 +270,7 @@ impl XxCircuit {
         // A qubit's position is its rank among the mask's qubits.
         let pos = |q: usize| (mask & (((1 as BitString) << q) - 1)).count_ones() as usize;
         let mut w = vec![0.0f64; m * m];
-        for (&(a, b), &theta) in &self.terms {
+        for &((a, b), theta) in &self.terms {
             if (mask >> a) & 1 == 1 {
                 let (ia, ib) = (pos(a), pos(b));
                 w[ia * m + ib] += theta;
@@ -247,7 +311,7 @@ impl XxCircuit {
     pub fn marginal_one(&self, q: usize) -> f64 {
         assert!(q < self.n_qubits, "qubit {q} out of range");
         let mut z = 1.0;
-        for (&(a, b), &theta) in &self.terms {
+        for &((a, b), theta) in &self.terms {
             if a == q || b == q {
                 z *= theta.cos();
             }
@@ -280,7 +344,7 @@ impl XxCircuit {
     pub fn min_qubit_agreement(&self, target: BitString) -> f64 {
         let mut z = [1.0f64; BitString::BITS as usize];
         let mut support: BitString = 0;
-        for (&(a, b), &theta) in &self.terms {
+        for &((a, b), theta) in &self.terms {
             let c = theta.cos();
             z[a] *= c;
             z[b] *= c;
@@ -349,10 +413,22 @@ fn agreement(p1: f64, q: usize, target: BitString) -> f64 {
 mod tests {
     use super::*;
     use crate::statevector::run;
-    use itqc_circuit::Circuit;
+    use itqc_circuit::{Circuit, Gate};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::f64::consts::FRAC_PI_2;
+
+    /// The accumulated form of a circuit made only of [`Gate::Xx`]
+    /// gates; `None` if any other gate is present.
+    fn from_circuit(circuit: &Circuit) -> Option<XxCircuit> {
+        let mut xx = XxCircuit::new(circuit.n_qubits());
+        for op in circuit.ops() {
+            let Gate::Xx(theta) = op.gate else { return None };
+            let q = op.qubits();
+            xx.add_xx(q[0], q[1], theta);
+        }
+        Some(xx)
+    }
 
     /// Reference fidelity from the dense backend.
     fn dense_fidelity(c: &Circuit, target: usize) -> f64 {
@@ -411,7 +487,7 @@ mod tests {
                 }
                 c.xx(a, b, rng.gen_range(-3.0..3.0));
             }
-            let xx = XxCircuit::from_circuit(&c).expect("pure XX circuit");
+            let xx = from_circuit(&c).expect("pure XX circuit");
             for _ in 0..4 {
                 let target = rng.gen_range(0..(1usize << n));
                 let exact = xx.fidelity(target as u128);
@@ -437,7 +513,7 @@ mod tests {
             }
             c.xx(a, b, rng.gen_range(-2.0..2.0));
         }
-        let xx = XxCircuit::from_circuit(&c).unwrap();
+        let xx = from_circuit(&c).unwrap();
         let dense = run(&c);
         for target in 0..(1usize << n) {
             assert!(
@@ -617,7 +693,7 @@ mod tests {
     fn from_circuit_rejects_non_xx() {
         let mut c = Circuit::new(2);
         c.xx(0, 1, 0.3).h(0);
-        assert!(XxCircuit::from_circuit(&c).is_none());
+        assert!(from_circuit(&c).is_none());
     }
 
     #[test]
@@ -634,7 +710,7 @@ mod tests {
                 }
                 c.xx(a, b, rng.gen_range(-3.0..3.0));
             }
-            let xx = XxCircuit::from_circuit(&c).unwrap();
+            let xx = from_circuit(&c).unwrap();
             let dense = run(&c);
             for q in 0..n {
                 let exact = xx.marginal_one(q);
@@ -658,7 +734,7 @@ mod tests {
             }
             c.xx(a, b, rng.gen_range(-1.0..1.0));
         }
-        let xx = XxCircuit::from_circuit(&c).unwrap();
+        let xx = from_circuit(&c).unwrap();
         for target in [0u128, 0b101010, 0b111111] {
             assert!(xx.fidelity(target) <= xx.min_qubit_agreement(target) + 1e-12);
         }

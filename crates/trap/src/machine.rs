@@ -309,20 +309,15 @@ impl VirtualTrap {
     /// The commuting-XX circuit the machine actually executes for
     /// `gates`: each angle scaled by its coupling's static
     /// under-rotation plus, when configured, a fresh per-gate amplitude
-    /// jitter draw.
+    /// jitter draw (one per gate, in program order).
     fn jittered_xx(&mut self, gates: &[(Coupling, f64)]) -> XxCircuit {
-        let mut xx = XxCircuit::new(self.config.n_qubits);
-        for &(coupling, theta) in gates {
+        let jitter_std = self.config.amplitude_jitter_std;
+        XxCircuit::compile(self.config.n_qubits, gates, |coupling| {
             let u_static = self.true_under_rotation(coupling);
-            let jitter = if self.config.amplitude_jitter_std > 0.0 {
-                self.config.amplitude_jitter_std * standard_normal(&mut self.rng)
-            } else {
-                0.0
-            };
-            let (a, b) = coupling.endpoints();
-            xx.add_xx(a, b, theta * (1.0 - u_static - jitter));
-        }
-        xx
+            let jitter =
+                if jitter_std > 0.0 { jitter_std * standard_normal(&mut self.rng) } else { 0.0 };
+            1.0 - u_static - jitter
+        })
     }
 
     /// Directly monitors every coupling's XX angle with `shot_count` shots

@@ -20,16 +20,16 @@ use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 40;
 
-/// A random pure-XX circuit on 2–12 qubits with 1–17 gates.
-fn random_xx_circuit(rng: &mut SmallRng) -> Circuit {
+/// A random commuting-XX circuit on 2–12 qubits with 1–17 gates.
+fn random_xx_circuit(rng: &mut SmallRng) -> XxCircuit {
     let n = rng.gen_range(2usize..=12);
     let count = rng.gen_range(1usize..18);
-    let mut c = Circuit::new(n);
+    let mut c = XxCircuit::new(n);
     for _ in 0..count {
         let a = rng.gen_range(0..n);
         let b = rng.gen_range(0..n);
         if a != b {
-            c.xx(a, b, rng.gen_range(-3.0f64..3.0));
+            c.add_xx(a, b, rng.gen_range(-3.0f64..3.0));
         }
     }
     c
@@ -189,14 +189,14 @@ fn batched_prepare_and_blocked_sampling_match_the_unbatched_path_bit_for_bit() {
     use itqc_backend::XxPrepared;
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xBA7C + case);
-        let circuits: Vec<Circuit> = (0..3).map(|_| random_xx_circuit(&mut rng)).collect();
+        let circuits: Vec<XxCircuit> = (0..3).map(|_| random_xx_circuit(&mut rng)).collect();
         for choice in [BackendChoice::Dense, BackendChoice::Analytic, BackendChoice::Auto] {
             let backend = Backend::new(choice);
             for circuit in &circuits {
                 let prep =
-                    backend.prepare(circuit).expect("pure-XX circuits prepare on every backend");
-                let xx = itqc_sim::XxCircuit::from_circuit(circuit).expect("a pure-XX circuit");
-                let reference = XxPrepared::prepare(xx).expect("small components prepare");
+                    backend.prepare(circuit).expect("small circuits prepare on every backend");
+                let reference =
+                    XxPrepared::prepare(circuit.clone()).expect("small components prepare");
                 let seed = rng.gen::<u64>();
                 for shots in [0usize, 1, 300, 4095, 4099] {
                     let mut r1 = SmallRng::seed_from_u64(seed);

@@ -32,7 +32,6 @@ use itqc_backend::dist::{sample_strings, sample_strings_blocked_with, SAMPLE_BLO
 use itqc_backend::{
     Backend, BackendChoice, BackendError, BitString, XxPrepared, CHAIN_MAX_SPECIAL, MAX_COMPONENT,
 };
-use itqc_circuit::Circuit;
 use itqc_sim::XxCircuit;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -222,7 +221,7 @@ fn unstructured_oversize_component_yields_the_typed_chain_error() {
     for q in 1..24 {
         star.add_xx(0, q, 1.3);
     }
-    match XxPrepared::prepare(star) {
+    match XxPrepared::prepare(star.clone()) {
         Err(BackendError::ChainUnsupported { support, special, limit }) => {
             assert_eq!((support, special, limit), (24, 24, CHAIN_MAX_SPECIAL));
         }
@@ -230,11 +229,7 @@ fn unstructured_oversize_component_yields_the_typed_chain_error() {
     }
     // The same typed error must surface through the public backend
     // seam, not a panic or a silent cap.
-    let mut circuit = Circuit::new(24);
-    for q in 1..24 {
-        circuit.xx(0, q, 1.3);
-    }
-    match Backend::new(BackendChoice::Analytic).prepare(&circuit) {
+    match Backend::new(BackendChoice::Analytic).prepare(&star) {
         Err(BackendError::ChainUnsupported { support: 24, special: 24, .. }) => {}
         other => panic!("expected ChainUnsupported through Backend::prepare, got {other:?}"),
     }
