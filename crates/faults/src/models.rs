@@ -8,7 +8,7 @@
 //! the evaluation is the *amplitude miscalibration* (under-/over-rotation)
 //! of a qubit coupling: `XX(θ) → XX(θ·(1−u))`.
 
-use itqc_circuit::{Coupling, Gate};
+use itqc_circuit::Coupling;
 
 /// An under-/over-rotation of one qubit coupling: every MS gate on the
 /// coupling rotates by `θ·(1−under_rotation)` instead of `θ`.
@@ -29,59 +29,52 @@ impl CouplingFault {
     pub fn new(coupling: Coupling, under_rotation: f64) -> Self {
         CouplingFault { coupling, under_rotation }
     }
-
-    /// The faulty angle implemented when `theta` is requested.
-    pub fn apply_to_angle(&self, theta: f64) -> f64 {
-        theta * (1.0 - self.under_rotation)
-    }
-
-    /// `true` when the fault magnitude exceeds the calibration threshold
-    /// (the paper uses 6% as the in-calibration band and ~10% as the
-    /// recalibration trigger in Fig. 7C).
-    pub fn exceeds(&self, threshold: f64) -> bool {
-        self.under_rotation.abs() > threshold
-    }
-}
-
-/// Small-parameter deviation of a single-qubit gate: the paper's
-/// `R(θ+δθ, φ+δφ)` model.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct OneQubitError {
-    /// Additive angle error δθ.
-    pub dtheta: f64,
-    /// Additive axis-phase error δφ.
-    pub dphi: f64,
-}
-
-impl OneQubitError {
-    /// Perturbs a single-qubit rotation gate; non-rotation gates are
-    /// returned unchanged (they are not directly driven by a pulse whose
-    /// amplitude/phase could err — they lower to rotations first).
-    pub fn perturb(&self, gate: Gate) -> Gate {
-        match gate {
-            Gate::R { theta, phi } => Gate::R { theta: theta + self.dtheta, phi: phi + self.dphi },
-            Gate::Rx(t) => Gate::R { theta: t + self.dtheta, phi: self.dphi },
-            Gate::Ry(t) => {
-                Gate::R { theta: t + self.dtheta, phi: std::f64::consts::FRAC_PI_2 + self.dphi }
-            }
-            other => other,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itqc_circuit::Circuit;
+    use itqc_circuit::{Circuit, Gate};
     use itqc_sim::run;
     use std::f64::consts::FRAC_PI_2;
+
+    /// The faulty angle a coupling fault implements when `theta` is
+    /// requested.
+    fn apply_to_angle(fault: &CouplingFault, theta: f64) -> f64 {
+        theta * (1.0 - fault.under_rotation)
+    }
+
+    /// Small-parameter deviation of a single-qubit gate: the paper's
+    /// `R(θ+δθ, φ+δφ)` model.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct OneQubitError {
+        /// Additive angle error δθ.
+        dtheta: f64,
+        /// Additive axis-phase error δφ.
+        dphi: f64,
+    }
+
+    impl OneQubitError {
+        /// Perturbs a single-qubit rotation gate; non-rotation gates are
+        /// returned unchanged (they are not directly driven by a pulse
+        /// whose amplitude/phase could err — they lower to rotations
+        /// first).
+        fn perturb(&self, gate: Gate) -> Gate {
+            match gate {
+                Gate::R { theta, phi } => {
+                    Gate::R { theta: theta + self.dtheta, phi: phi + self.dphi }
+                }
+                Gate::Rx(t) => Gate::R { theta: t + self.dtheta, phi: self.dphi },
+                Gate::Ry(t) => Gate::R { theta: t + self.dtheta, phi: FRAC_PI_2 + self.dphi },
+                other => other,
+            }
+        }
+    }
 
     #[test]
     fn coupling_fault_scales_angle() {
         let f = CouplingFault::new(Coupling::new(0, 4), 0.47);
-        assert!((f.apply_to_angle(FRAC_PI_2) - FRAC_PI_2 * 0.53).abs() < 1e-15);
-        assert!(f.exceeds(0.10));
-        assert!(!f.exceeds(0.50));
+        assert!((apply_to_angle(&f, FRAC_PI_2) - FRAC_PI_2 * 0.53).abs() < 1e-15);
     }
 
     #[test]
@@ -104,7 +97,7 @@ mod tests {
         for op in c.ops() {
             let (a, b) = (op.qubits()[0], op.qubits()[1]);
             let Gate::Xx(theta) = op.gate else { unreachable!("an XX-only circuit") };
-            noisy.xx(a, b, fault.apply_to_angle(theta));
+            noisy.xx(a, b, apply_to_angle(&fault, theta));
         }
         let f = run(&noisy).probability(0);
         let expect = (std::f64::consts::PI * 0.22).cos().powi(2);

@@ -68,7 +68,7 @@ pub fn solve_linear(a: &mut [f64], b: &mut [f64], n: usize) -> bool {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn fit_amplitude(f_values: &[f64], y: &[f64]) -> f64 {
+fn fit_amplitude(f_values: &[f64], y: &[f64]) -> f64 {
     assert_eq!(f_values.len(), y.len(), "design/response length mismatch");
     let num: f64 = f_values.iter().zip(y).map(|(f, y)| f * y).sum();
     let den: f64 = f_values.iter().map(|f| f * f).sum();

@@ -117,7 +117,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(42);
         let xs: Vec<f64> = (0..N).map(|_| 1.5 + 0.5 * standard_normal(&mut rng)).collect();
         let m = stats::mean(&xs);
-        let s = stats::variance(&xs).sqrt();
+        let s = stats::tests::variance(&xs).sqrt();
         assert!((m - 1.5).abs() < 0.01, "mean {m}");
         assert!((s - 0.5).abs() < 0.01, "std {s}");
     }

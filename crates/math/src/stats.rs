@@ -8,15 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Unbiased sample variance. Returns 0 for slices shorter than 2.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
 /// Linearly interpolated quantile, `q ∈ [0, 1]`.
 ///
 /// # Panics
@@ -132,8 +123,17 @@ impl Histogram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Unbiased sample variance. Returns 0 for slices shorter than 2.
+    pub(crate) fn variance(xs: &[f64]) -> f64 {
+        if xs.len() < 2 {
+            return 0.0;
+        }
+        let m = mean(xs);
+        xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
+    }
 
     #[test]
     fn mean_and_variance() {

@@ -58,11 +58,6 @@ impl StateVector {
         self.n_qubits
     }
 
-    /// The amplitude vector (length `2^n`).
-    pub fn amplitudes(&self) -> &[Complex64] {
-        &self.amps
-    }
-
     /// The amplitude of `|basis⟩`.
     #[inline]
     pub fn amplitude(&self, basis: usize) -> Complex64 {
@@ -196,17 +191,6 @@ impl StateVector {
         }
         self.amps.len() - 1 // numerical slack lands on the last state
     }
-
-    /// Measures all qubits, collapsing the state to the sampled basis
-    /// state, and returns the outcome.
-    pub fn measure<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let outcome = self.sample(rng);
-        for a in &mut self.amps {
-            *a = Complex64::ZERO;
-        }
-        self.amps[outcome] = Complex64::ONE;
-        outcome
-    }
 }
 
 /// Runs `circuit` from `|0…0⟩` and returns the final state.
@@ -266,7 +250,7 @@ mod tests {
             let mut v = vec![Complex64::ZERO; dim];
             v[0] = Complex64::ONE;
             let expect = u.mul_vec(&v);
-            for (a, b) in s.amplitudes().iter().zip(expect.iter()) {
+            for (a, b) in s.amps.iter().zip(expect.iter()) {
                 assert!(a.approx_eq(*b, 1e-9));
             }
         }
@@ -328,11 +312,22 @@ mod tests {
         assert_eq!(counts.keys().filter(|&&k| k != 0 && k != 7).count(), 0);
     }
 
+    /// Measures all qubits, collapsing the state to the sampled basis
+    /// state, and returns the outcome.
+    fn measure(s: &mut StateVector, rng: &mut SmallRng) -> usize {
+        let outcome = s.sample(rng);
+        for a in &mut s.amps {
+            *a = Complex64::ZERO;
+        }
+        s.amps[outcome] = Complex64::ONE;
+        outcome
+    }
+
     #[test]
     fn measure_collapses() {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut s = run(&library::ghz(3));
-        let outcome = s.measure(&mut rng);
+        let outcome = measure(&mut s, &mut rng);
         assert!(outcome == 0 || outcome == 7);
         assert_eq!(s.probability(outcome), 1.0);
     }

@@ -159,14 +159,6 @@ impl VirtualTrap {
         self.duty.record(Activity::Calibration, RECALIBRATION_SECONDS);
     }
 
-    /// Advances the wall clock by `minutes`, applying `drift` to every
-    /// coupling and billing the time as idle.
-    pub fn advance_time<D: DriftProcess>(&mut self, minutes: f64, drift: &D) {
-        self.apply_drift(minutes, drift);
-        self.clock_seconds += minutes * 60.0;
-        self.duty.record(Activity::Idle, minutes * 60.0);
-    }
-
     /// Applies `minutes` worth of drift to every coupling *without*
     /// billing wall clock — for callers that already billed the elapsed
     /// time to a specific activity (e.g. job execution).
@@ -184,8 +176,7 @@ impl VirtualTrap {
     }
 
     /// Bills idle wall clock without applying drift — for schedulers
-    /// that manage drift on their own cadence (cf. [`Self::advance_time`],
-    /// which couples the two).
+    /// that apply drift on their own cadence ([`Self::apply_drift`]).
     pub fn bill_idle_time(&mut self, seconds: f64) {
         self.clock_seconds += seconds;
         self.duty.record(Activity::Idle, seconds);
@@ -425,7 +416,9 @@ mod tests {
         use itqc_faults::drift::OrnsteinUhlenbeckDrift;
         let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 6));
         let d = OrnsteinUhlenbeckDrift { tau_minutes: 30.0, sigma: 0.05 };
-        trap.advance_time(15.0, &d);
+        // Fifteen idle minutes of drift.
+        trap.apply_drift(15.0, &d);
+        trap.bill_idle_time(15.0 * 60.0);
         let moved =
             trap.couplings().iter().filter(|&&c| trap.true_under_rotation(c).abs() > 1e-6).count();
         assert!(moved > 20, "most couplings should have drifted, moved = {moved}");

@@ -46,19 +46,6 @@ pub struct RbConfig {
     pub seed: u64,
 }
 
-impl RbConfig {
-    /// A sensible default: lengths 1..~40, 8 sequences each, 200 shots.
-    pub fn standard(qubit: usize, seed: u64) -> Self {
-        RbConfig {
-            qubit,
-            lengths: vec![1, 2, 4, 8, 16, 32],
-            sequences_per_length: 8,
-            shots: 200,
-            seed,
-        }
-    }
-}
-
 /// Runs single-qubit randomized benchmarking on the machine.
 ///
 /// # Panics
