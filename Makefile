@@ -6,7 +6,8 @@ CARGO ?= cargo
 # The 13 evaluation binaries, in paper order (extensions last).
 REPRO_BINS := table1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 table2 rb ablations fig_adv
 
-.PHONY: build test bench fleet-bench repro attribution obs-check identity fmt lint clean
+.PHONY: build test bench fleet-bench repro attribution obs-check identity thread-identity fmt lint \
+	clean
 
 ## build: release build of every workspace member
 build:
@@ -143,10 +144,14 @@ obs-check:
 ## The exported source is removed after the build, and the captured
 ## outputs after a clean pass (they stay in $(IDENTITY_DIR)/out when a
 ## run differs).
+## IDENTITY_RUNS is the one list of pinned runs: `identity` diffs each
+## against a base revision, and `thread-identity` (the CI determinism
+## job) diffs each at --threads=1 against --threads=8.
 IDENTITY_DIR ?= target/identity
-IDENTITY_RUNS := "fig2" "fig6" "fig7" "rb" "fig3 --fast" "fig10 --fast" "fig11 --fast" \
-	"fig_adv --fast" "fig8 --fast --sizes=8,16" "fig8 --fast --sizes=32" "fig8 --fast --sizes=64" \
-	"fig9 --fast" "table2" "table2 --xl" "table1" "ablations"
+IDENTITY_RUNS := "fig2" "fig6" "fig6 --fast" "fig7" "fig7 --fast" "rb" "rb --fast" "fig3 --fast" \
+	"fig10 --fast" "fig11 --fast" "fig_adv --fast" "fig8 --fast --sizes=8,16" \
+	"fig8 --fast --sizes=32" "fig8 --fast --sizes=64" "fig9 --fast" "table2" "table2 --xl" \
+	"table1" "ablations"
 IDENTITY_EXAMPLES := quickstart debug_session duty_cycle map_around_faults
 
 identity:
@@ -178,6 +183,29 @@ identity:
 	if [ $$differ = 1 ]; then echo "stdout differs from $(BASE); outputs kept in $(IDENTITY_DIR)/out"; \
 		exit 1; fi; \
 	rm -rf $(IDENTITY_DIR)/out; echo "stdout byte-identical to $(BASE)"
+
+## thread-identity: the determinism contract — every IDENTITY_RUNS entry
+## prints the same stdout at --threads=1 and --threads=8. Outputs go to
+## $(THREAD_IDENTITY_DIR) and are removed after a clean pass (they stay
+## when a run differs).
+THREAD_IDENTITY_DIR ?= target/thread-identity
+
+thread-identity:
+	$(CARGO) build --release -p itqc-bench --bins
+	rm -rf $(THREAD_IDENTITY_DIR)
+	mkdir -p $(THREAD_IDENTITY_DIR)
+	@set -e; differ=0; \
+	for run in $(IDENTITY_RUNS); do \
+		for t in 1 8; do \
+			./target/release/$$run --threads=$$t > "$(THREAD_IDENTITY_DIR)/$$run t$$t" \
+				2> "$(THREAD_IDENTITY_DIR)/$$run t$$t.err"; \
+		done; \
+		if cmp -s "$(THREAD_IDENTITY_DIR)/$$run t1" "$(THREAD_IDENTITY_DIR)/$$run t8"; then \
+			echo "identical: $$run"; else echo "DIFFERS:   $$run"; differ=1; fi; \
+	done; \
+	if [ $$differ = 1 ]; then echo "stdout depends on --threads; outputs kept in $(THREAD_IDENTITY_DIR)"; \
+		exit 1; fi; \
+	rm -rf $(THREAD_IDENTITY_DIR); echo "stdout identical at --threads=1 and --threads=8"
 
 ## repro: regenerate every paper table/figure (see EXPERIMENTS.md)
 repro: build
