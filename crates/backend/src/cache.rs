@@ -66,16 +66,6 @@ impl PrepCache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
-
-    /// Number of cached preparations.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -260,10 +250,9 @@ mod tests {
             let mut xx = XxCircuit::new(4);
             xx.add_xx(0, 1, i as f64 * 1e-3);
             cache.insert(Rc::new(XxPrepared::prepare(xx).unwrap()));
-            assert!(cache.len() <= CACHE_CAPACITY);
+            assert!(cache.map.len() <= CACHE_CAPACITY);
         }
-        assert!(!cache.is_empty());
         // One flush emptied the full map: only the overflow remains.
-        assert_eq!(cache.len(), 10);
+        assert_eq!(cache.map.len(), 10);
     }
 }

@@ -5,7 +5,7 @@
 //! a compiled [`XxCircuit`], then ask the [`PreparedCircuit`] for
 //! per-qubit marginals, exact output probabilities, or seeded shot
 //! strings*. Every diagnostic test is a product of commuting `XX(θ)`
-//! gates, compiled once per query into an [`XxCircuit`] (one
+//! gates, compiled once per query into an `XxCircuit` (one
 //! accumulated angle per coupling) that the engines, the score memo
 //! and the preparation cache all take. Two engines ship:
 //!
@@ -41,8 +41,9 @@ pub use analytic::{ComponentSampler, XxAnalyticBackend, XxPrepared, MAX_COMPONEN
 pub use chain::{ChainDist, CHAIN_MAX_SPECIAL};
 pub use dense::DenseBackend;
 pub use dist::{sample_strings_blocked, SampleComponent, SAMPLE_BLOCK_SHOTS};
-pub use itqc_sim::{BitString, XxCircuit};
+pub use itqc_sim::BitString;
 
+use itqc_sim::XxCircuit;
 use rand::rngs::SmallRng;
 use std::fmt;
 use std::rc::Rc;

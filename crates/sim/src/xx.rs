@@ -671,6 +671,19 @@ mod tests {
     }
 
     #[test]
+    fn compile_scales_each_gate_once_in_program_order() {
+        let c = Coupling::new;
+        let gates = [(c(3, 1), 0.5), (c(0, 2), 0.25), (c(1, 3), 1.0)];
+        let mut seen = Vec::new();
+        let xx = XxCircuit::compile(4, &gates, |coupling| {
+            seen.push(coupling);
+            seen.len() as f64
+        });
+        assert_eq!(seen, [c(1, 3), c(0, 2), c(1, 3)]);
+        assert_eq!(xx.terms().collect::<Vec<_>>(), vec![((0, 2), 0.5), ((1, 3), 0.5 + 3.0)]);
+    }
+
+    #[test]
     fn support_and_terms_accumulate() {
         let mut xx = XxCircuit::new(8);
         xx.add_xx(1, 5, 0.3).add_xx(5, 1, 0.2).add_xx(2, 6, -0.1);
